@@ -1,25 +1,23 @@
-"""Compiled inner loops for subspace problems.
+"""The iteration drivers: one per algorithm, shared by every problem.
 
-When every node operator is a subspace normal cone, one iteration of
-either splitting algorithm is a forward sweep of small dense products.
-Run lengths reach 1e5 iterations, so the sweep is the hot path; it is
-written once below and compiled with numba unless the environment variable
-GRAPH_SPLIT_NO_NUMBA is set (or numba is unavailable), in which case the
-same source runs as plain numpy.  ``benchmarks/bench_kernels.py`` compares
-the two paths.
+A driver owns the loop of a run -- relaxation, residual, stop rule,
+divergence guard and optional per-iteration records -- and is handed the
+node sweep as ``step``: a map from a governing-sized input y, an
+(n-1, d) block array, to the shadow blocks x, an (n, d) array.  The
+reduced iteration steps on y = v and the expanded one on y = Z^T w + v
+(see :mod:`graphsplit.engine` for why one map serves both).  The engine
+passes either the cached linear sweep map of a subspace problem or the
+per-node forward sweep, so the drivers never look at the node operators.
 
-Graph structure is passed in CSR-like form: ``pred_indptr``/``pred_idx``
-list, for each node i, the nodes h with an edge (h, i) in G (always h < i,
-so the sweep can consume current-iteration values), and ``nbr_indptr``/
-``nbr_idx`` list all G'-neighbors of i.
-
-Status codes: 0 = stop-rule hit, 1 = iteration budget exhausted,
-2 = non-finite residual.
+Each driver returns the last shadow blocks, the final state, the
+residuals, a status code and the records (empty unless
+``record_states``).  Status codes: 0 = stop rule hit, 1 = every entry of
+``thetas`` used, 2 = non-finite residual.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
@@ -27,92 +25,80 @@ STATUS_CONVERGED = 0
 STATUS_MAX_ITERS = 1
 STATUS_DIVERGED = 2
 
+#: this build has no compiled backend; kept as a stamp for benchmark records
+USING_NUMBA = False
 
-def _alg2_sweep(Z, Zt, proj, pred_indptr, pred_idx, dinv, v0, thetas, tol):
-    n = proj.shape[0]
-    d = v0.shape[1]
-    max_iters = thetas.shape[0]
+
+def alg2_sweep(step, zt, v0, thetas, tol, record_states=False):
+    """Reduced iteration v <- v - theta_k Z^T x, x = step(v).
+
+    Stops when ||Z^T x|| <= tol * max(1, ||v||).  Records are
+    ``(x, v_new, residual)`` tuples.
+    """
     v = v0.copy()
-    x = np.zeros((n, d))
-    residuals = np.empty(max_iters)
+    x = None
+    residuals = np.empty(len(thetas))
+    records = []
     status = STATUS_MAX_ITERS
-    k_end = max_iters
-    for k in range(max_iters):
-        for i in range(n):
-            t = dinv[i] * np.dot(Z[i], v)
-            for p in range(pred_indptr[i], pred_indptr[i + 1]):
-                t = t + (2.0 * dinv[i]) * x[pred_idx[p]]
-            x[i] = np.dot(proj[i], t)
-        g = np.dot(Zt, x)
-        res = np.sqrt(np.sum(g * g))
+    k_end = len(thetas)
+    for k, theta in enumerate(thetas):
+        x = step(v)
+        g = zt @ x
+        res = math.sqrt(np.vdot(g, g))
         residuals[k] = res
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             status = STATUS_DIVERGED
             k_end = k + 1
             break
-        vn = np.sqrt(np.sum(v * v))
-        scale = vn if vn > 1.0 else 1.0
-        v = v - thetas[k] * g
+        scale = max(1.0, math.sqrt(np.vdot(v, v)))
+        v = v - theta * g
+        if record_states:
+            records.append((x.copy(), v.copy(), res))
         if res <= tol * scale:
             status = STATUS_CONVERGED
             k_end = k + 1
             break
-    return x, v, residuals[:k_end], status
+    return x, v, residuals[:k_end], status, records
 
 
-def _alg1_sweep(Z, Zt, proj, pred_indptr, pred_idx, nbr_indptr, nbr_idx,
-                dsub, dinv, w0, v0, thetas, tol):
-    n = proj.shape[0]
-    d = v0.shape[1]
-    max_iters = thetas.shape[0]
+def alg1_sweep(step, zt, w0, v0, thetas, tol, record_states=False):
+    """Expanded iteration from (w0, v0), x = step(Z^T w + v):
+
+        v <- v + theta_k Z^T (w - 2x),   w <- (1 - theta_k) w + theta_k x
+
+    both reading the pre-update w.  Stops when ||Z^T (w - 2x)|| <=
+    tol * max(1, ||v||) and ||x - w|| <= tol * max(1, ||w||): a small
+    v-change alone does not make w a fixed point.  Records are
+    ``(x, v_new, residual, w_new)`` tuples.
+    """
     w = w0.copy()
     v = v0.copy()
-    x = np.zeros((n, d))
-    residuals = np.empty(max_iters)
+    x = None
+    residuals = np.empty(len(thetas))
+    records = []
     status = STATUS_MAX_ITERS
-    k_end = max_iters
-    for k in range(max_iters):
-        for i in range(n):
-            t = dsub[i] * w[i] + np.dot(Z[i], v)
-            for p in range(nbr_indptr[i], nbr_indptr[i + 1]):
-                t = t - w[nbr_idx[p]]
-            for p in range(pred_indptr[i], pred_indptr[i + 1]):
-                t = t + 2.0 * x[pred_idx[p]]
-            x[i] = np.dot(proj[i], dinv[i] * t)
-        g = np.dot(Zt, w - 2.0 * x)
-        res = np.sqrt(np.sum(g * g))
+    k_end = len(thetas)
+    for k, theta in enumerate(thetas):
+        x = step(zt @ w + v)
+        g = zt @ (w - 2.0 * x)
+        res = math.sqrt(np.vdot(g, g))
         residuals[k] = res
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             status = STATUS_DIVERGED
             k_end = k + 1
             break
-        vn = np.sqrt(np.sum(v * v))
-        scale = vn if vn > 1.0 else 1.0
-        theta = thetas[k]
+        scale = max(1.0, math.sqrt(np.vdot(v, v)))
+        done = False
+        if res <= tol * scale:
+            dw = x - w
+            done = (math.sqrt(np.vdot(dw, dw))
+                    <= tol * max(1.0, math.sqrt(np.vdot(w, w))))
         v = v + theta * g
         w = (1.0 - theta) * w + theta * x
-        if res <= tol * scale:
+        if record_states:
+            records.append((x.copy(), v.copy(), res, w.copy()))
+        if done:
             status = STATUS_CONVERGED
             k_end = k + 1
             break
-    return x, w, v, residuals[:k_end], status
-
-
-def _want_numba() -> bool:
-    return os.environ.get("GRAPH_SPLIT_NO_NUMBA", "") == ""
-
-
-USING_NUMBA = False
-if _want_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        alg2_sweep = njit(cache=True)(_alg2_sweep)
-        alg1_sweep = njit(cache=True)(_alg1_sweep)
-        USING_NUMBA = True
-
-if not USING_NUMBA:
-    alg2_sweep = _alg2_sweep
-    alg1_sweep = _alg1_sweep
+    return x, w, v, residuals[:k_end], status, records

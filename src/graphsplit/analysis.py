@@ -304,7 +304,12 @@ def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
     y = sp.base.zt @ w0 + v0
     s = delta @ w0 + a @ v0
     # the two stated forms of the projected seed agree because Z alpha = delta
-    assert np.abs(s - a @ y).max() <= 1e-9 * max(1.0, np.abs(s).max())
+    gap = np.abs(s - a @ y).max()
+    if gap > 1e-9 * max(1.0, np.abs(s).max()):
+        raise ValueError(
+            f"alpha does not match the degree balance: delta^T w + alpha^T v "
+            f"and alpha^T (Z^T w + v) differ by {gap:.3e}"
+        )
     u_bar = project(sp.u_common, s) / sp.alpha.norm_sq
     e_bar = sp.e_basis.project(y)
     return LimitPrediction(u_bar, e_bar, np.outer(a, u_bar) + e_bar)

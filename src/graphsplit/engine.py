@@ -6,9 +6,17 @@ numpy arrays of shape (n, d) / (n-1, d), so applying a coefficient matrix
 K across blocks is the product ``K @ blocks``.
 
 The preconditioner M = [[Lap(G'), Z], [Z^T, I]] and the block operator it
-preconditions are never materialized: every application reduces to the
-per-node forward sweep of ``solve_m_plus_a`` (well defined because every
-edge (h, i) has h < i) plus small matrix-block products.
+preconditions are never materialized.  Every application reduces to one
+node sweep on node inputs t,
+
+    x_i = J_{A_i/d_i}((t_i + 2 sum_{(h,i) in E} x_h) / d_i),
+
+which is well defined because every edge (h, i) has h < i.  Applying
+(M + A)^{-1} sweeps on t = w; the reduced operator sweeps on t = Z v; and
+the expanded operator, whose node input Lap(G') w + Z v equals
+Z (Z^T w + v) because Z Z^T = Lap(G'), sweeps on t = Z (Z^T w + v).  So
+both iterations step through one map y -> x on governing-sized inputs:
+y = v (reduced) and y = Z^T w + v (expanded).
 
 Iterations follow the two relaxed schemes
 
@@ -19,6 +27,14 @@ where x is the sweep output at the pre-update state.  The recorded
 residual is the norm of the unrelaxed v-change (equal to ||dv|| / theta
 for theta > 0), so it is invariant under relaxation scaling and is still
 meaningful at theta = 0.
+
+When every node operator is the normal cone of a subspace, y -> x is
+linear: a matrix S of shape (n d, (n-1) d).  A problem builds S at its
+first run, by sweeping the (n-1) d unit inputs at once, and keeps it, so
+each later iteration is one matrix-vector product instead of n node
+steps.  S is used while it has at most ``SWEEP_MAP_MAX_ENTRIES`` entries
+(2 MB); above that the product costs more than the node sweep and its
+memory grows as (n d)^2, so larger problems keep sweeping node by node.
 """
 
 from __future__ import annotations
@@ -27,18 +43,21 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .factor import OntoDecomposition
 from .graphs import GraphPair, degrees, laplacian
-from .operators import NormalConeOp, ResolventOp, resolvent
+from .operators import NormalConeOp, resolvent
 
 log = logging.getLogger("graphsplit")
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
+#: largest sweep map S, in float64 entries, that a subspace problem caches
+SWEEP_MAP_MAX_ENTRIES = 1 << 18
 
 
 class DivergenceError(RuntimeError):
@@ -59,7 +78,10 @@ class SplittingProblem:
     dec : OntoDecomposition
         Onto decomposition of Lap(G').
     ops : sequence of ResolventOp
-        One operator per node, consumed through its resolvent only.
+        One operator per node: a callback is consumed through its
+        resolvent, a normal cone through the projector onto its subspace,
+        which must live in R^d.  The operators are read at the first
+        sweep and cached; do not replace them afterwards.
     d : int
         Ambient dimension of each block.
     """
@@ -69,6 +91,12 @@ class SplittingProblem:
         ops = list(ops)
         if len(ops) != n:
             raise ValueError(f"expected {n} operators, got {len(ops)}")
+        for i, op in enumerate(ops):
+            if isinstance(op, NormalConeOp) and op.subspace.dim_ambient != d:
+                raise ValueError(
+                    f"operator {i + 1}: subspace lives in "
+                    f"R^{op.subspace.dim_ambient}, expected R^{d}"
+                )
         lap_sub = laplacian(pair.sub)
         mismatch = np.abs(dec.z @ dec.z.T - lap_sub).max()
         if mismatch > 1e-10:
@@ -83,18 +111,12 @@ class SplittingProblem:
         self.n = n
 
         _, _, d_g = degrees(pair.g)
-        _, _, d_sub = degrees(pair.sub)
         self.deg = d_g.astype(np.float64)
-        self.deg_sub = d_sub.astype(np.float64)
         self._dinv = 1.0 / self.deg
-        # in-neighbors in G (h with (h, i) in E) and all G'-neighbors, 0-based
+        # in-neighbors in G (h with (h, i) in E), 0-based
         self.pred = [[] for _ in range(n)]
         for i, j in pair.g.edges:
             self.pred[j - 1].append(i - 1)
-        self.nbr_sub = [[] for _ in range(n)]
-        for i, j in pair.sub.edges:
-            self.nbr_sub[i - 1].append(j - 1)
-            self.nbr_sub[j - 1].append(i - 1)
         self.z = np.ascontiguousarray(dec.z)
         self.zt = np.ascontiguousarray(dec.z.T)
 
@@ -102,19 +124,31 @@ class SplittingProblem:
     def all_subspace(self) -> bool:
         return all(isinstance(op, NormalConeOp) for op in self.ops)
 
-    def _kernel_inputs(self):
-        proj = np.stack([op.subspace.projector() for op in self.ops])
-        pred_indptr, pred_idx = _csr(self.pred)
-        nbr_indptr, nbr_idx = _csr(self.nbr_sub)
-        return proj, pred_indptr, pred_idx, nbr_indptr, nbr_idx
+    @cached_property
+    def _node_maps(self) -> list:
+        """Per node, s -> J_{A_i/d_i}(s / d_i); a subspace node applies its
+        scaled projector to the last axis, so it also takes batches."""
+        maps = []
+        for op, dinv in zip(self.ops, self._dinv.tolist()):
+            if isinstance(op, NormalConeOp):
+                q = dinv * op.subspace.projector()
+                maps.append(lambda s, q=q: s @ q)
+            else:
+                maps.append(lambda s, op=op, g=dinv: resolvent(op, s * g, g))
+        return maps
 
-
-def _csr(lists) -> tuple[np.ndarray, np.ndarray]:
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    for i, lst in enumerate(lists):
-        indptr[i + 1] = indptr[i] + len(lst)
-    idx = np.array([h for lst in lists for h in lst], dtype=np.int64)
-    return indptr, idx
+    @cached_property
+    def _sweep_map(self) -> np.ndarray | None:
+        """The sweep map S (x = S y, flattened blocks) of a subspace
+        problem within the size cap, else None."""
+        n, d = self.n, self.d
+        m = (n - 1) * d
+        if not self.all_subspace or n * d * m > SWEEP_MAP_MAX_ENTRIES:
+            return None
+        # column b of S is the sweep of the unit input y = e_b
+        units = np.eye(m).reshape(m, n - 1, d)
+        x = node_sweep(self, np.einsum("ij,bjc->ibc", self.z, units))
+        return np.ascontiguousarray(x.transpose(0, 2, 1).reshape(n * d, m))
 
 
 def _as_blocks(arr, rows: int, d: int, name: str) -> np.ndarray:
@@ -124,58 +158,42 @@ def _as_blocks(arr, rows: int, d: int, name: str) -> np.ndarray:
     return out
 
 
+def node_sweep(p: SplittingProblem, t: np.ndarray) -> np.ndarray:
+    """The forward sweep x_i = J_{A_i/d_i}((t_i + 2 sum_{(h,i) in E} x_h)
+    / d_i) on node inputs t of shape (n, d), or (n, batch, d) for subspace
+    problems."""
+    x = np.empty_like(t)
+    for i, node_map in enumerate(p._node_maps):
+        s = t[i]
+        for h in p.pred[i]:
+            s = s + 2.0 * x[h]
+        try:
+            x[i] = node_map(s)
+        except Exception as exc:
+            raise RuntimeError(f"resolvent failed at node {i + 1}: {exc}") from exc
+    return x
+
+
+def _step(p: SplittingProblem):
+    """The map y -> x the drivers iterate: S when cached, else the node
+    sweep on t = Z y."""
+    s = p._sweep_map
+    if s is None:
+        return lambda y: node_sweep(p, p.z @ y)
+    shape = (p.n, p.d)
+    return lambda y: (s @ y.reshape(-1)).reshape(shape)
+
+
 def solve_m_plus_a(p: SplittingProblem, w, v):
     """Apply (M + A)^{-1} to the block pair (w, v).
 
-    The n upper blocks come from the forward sweep
-    ``x_i = J_{A_i/d_i}(w_i/d_i + (2/d_i) sum_{(h,i) in E} x_h)``; the
-    lower blocks are ``y = v - 2 Z^T x``.
+    The n upper blocks come from the node sweep on t = w; the lower
+    blocks are ``y = v - 2 Z^T x``.
     """
     w = _as_blocks(w, p.n, p.d, "w")
     v = _as_blocks(v, p.n - 1, p.d, "v")
-    x = np.zeros((p.n, p.d))
-    for i in range(p.n):
-        t = w[i] * p._dinv[i]
-        for h in p.pred[i]:
-            t = t + (2.0 * p._dinv[i]) * x[h]
-        try:
-            x[i] = resolvent(p.ops[i], t, p._dinv[i])
-        except Exception as exc:
-            raise RuntimeError(f"resolvent failed at node {i + 1}: {exc}") from exc
-    y = v - 2.0 * (p.zt @ x)
-    return x, y
-
-
-def _sweep_expanded(p: SplittingProblem, w, v):
-    # node input of the expanded operator: the G'-coupling of w, the lifted
-    # governing blocks, and the already-computed shadow blocks
-    zv = p.z @ v
-    x = np.zeros((p.n, p.d))
-    for i in range(p.n):
-        t = p.deg_sub[i] * w[i] + zv[i]
-        for h in p.nbr_sub[i]:
-            t = t - w[h]
-        for h in p.pred[i]:
-            t = t + 2.0 * x[h]
-        try:
-            x[i] = resolvent(p.ops[i], t * p._dinv[i], p._dinv[i])
-        except Exception as exc:
-            raise RuntimeError(f"resolvent failed at node {i + 1}: {exc}") from exc
-    return x
-
-
-def _sweep_reduced(p: SplittingProblem, v):
-    zv = p.z @ v
-    x = np.zeros((p.n, p.d))
-    for i in range(p.n):
-        t = zv[i]
-        for h in p.pred[i]:
-            t = t + 2.0 * x[h]
-        try:
-            x[i] = resolvent(p.ops[i], t * p._dinv[i], p._dinv[i])
-        except Exception as exc:
-            raise RuntimeError(f"resolvent failed at node {i + 1}: {exc}") from exc
-    return x
+    x = node_sweep(p, w)
+    return x, v - 2.0 * (p.zt @ x)
 
 
 def apply_T(p: SplittingProblem, w, v):
@@ -186,7 +204,7 @@ def apply_T(p: SplittingProblem, w, v):
     """
     w = _as_blocks(w, p.n, p.d, "w")
     v = _as_blocks(v, p.n - 1, p.d, "v")
-    x = _sweep_expanded(p, w, v)
+    x = node_sweep(p, p.z @ (p.zt @ w + v))
     return x, v + p.zt @ (w - 2.0 * x)
 
 
@@ -196,7 +214,7 @@ def apply_T_tilde(p: SplittingProblem, v):
     Returns the shadow blocks x and ``v - Z^T x``.
     """
     v = _as_blocks(v, p.n - 1, p.d, "v")
-    x = _sweep_reduced(p, v)
+    x = node_sweep(p, p.z @ v)
     return x, v - p.zt @ x
 
 
@@ -217,8 +235,11 @@ def apply_C_star(p: SplittingProblem, w, v) -> np.ndarray:
 
 @dataclass
 class StopRule:
-    """Relative stop rule: residual <= tol * max(1, ||v||_F), or the
-    iteration budget."""
+    """Relative stop rule, or the iteration budget.
+
+    A run converges when its residual is at most tol * max(1, ||v||_F);
+    the expanded run must also have ||x - w||_F <= tol * max(1, ||w||_F).
+    """
 
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
@@ -236,7 +257,11 @@ class TraceRecord:
 @dataclass
 class Trace:
     """Outcome of a run: final blocks, per-iteration residuals, and full
-    per-iteration records when state recording was requested."""
+    per-iteration records when state recording was requested.
+
+    ``stop_reason`` is ``tol`` (converged), ``max_iters`` (budget used),
+    or ``schedule`` (a finite relaxation schedule ran out first).
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -270,11 +295,19 @@ def _theta_array(theta, max_iters: int) -> np.ndarray:
     return arr[:max_iters]
 
 
-def _status_to_trace(status: int, k_end: int):
+def _outcome(status: int, k_end: int, thetas: np.ndarray, max_iters: int):
     if status == _kernels.STATUS_DIVERGED:
         raise DivergenceError(k_end)
-    converged = status == _kernels.STATUS_CONVERGED
-    return converged, ("tol" if converged else "max_iters")
+    if status == _kernels.STATUS_CONVERGED:
+        return True, "tol"
+    return False, ("schedule" if len(thetas) < max_iters else "max_iters")
+
+
+def _start(stop: StopRule | None, theta):
+    stop = stop or StopRule()
+    if stop.max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    return stop, _theta_array(theta, stop.max_iters)
 
 
 def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
@@ -284,45 +317,16 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
     ``theta`` is a constant in [0, 2] or a finite per-iteration schedule
     (which then also caps the iteration count).  With ``record_states``
     the trace keeps every iterate; otherwise only residuals and the final
-    state, which lets subspace problems run on the compiled kernel.
+    state.  Subspace problems within the size cap step on their cached
+    sweep map S, all others on the node sweep.
     """
-    stop = stop or StopRule()
-    if stop.max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    stop, thetas = _start(stop, theta)
     v0 = _as_blocks(v0, p.n - 1, p.d, "v0")
-    thetas = _theta_array(theta, stop.max_iters)
-
-    if p.all_subspace and not record_states:
-        proj, pred_indptr, pred_idx, _, _ = p._kernel_inputs()
-        x, v, residuals, status = _kernels.alg2_sweep(
-            p.z, p.zt, proj, pred_indptr, pred_idx, p._dinv, v0, thetas,
-            stop.tol)
-        converged, reason = _status_to_trace(status, len(residuals))
-        return Trace(x, v, residuals, converged, reason)
-
-    v = v0.copy()
-    residuals: list[float] = []
-    records: list[TraceRecord] = []
-    converged = False
-    reason = "max_iters"
-    x = np.zeros((p.n, p.d))
-    for k, th in enumerate(thetas):
-        x = _sweep_reduced(p, v)
-        g = p.zt @ x
-        res = float(np.sqrt(np.sum(g * g)))
-        residuals.append(res)
-        if not np.isfinite(res) or not np.all(np.isfinite(x)):
-            raise DivergenceError(k + 1)
-        scale = max(1.0, float(np.linalg.norm(v)))
-        v = v - th * g
-        if record_states:
-            records.append(TraceRecord(k + 1, x.copy(), v.copy(), res))
-        if res <= stop.tol * scale:
-            converged = True
-            reason = "tol"
-            break
-    return Trace(x, v, np.asarray(residuals), converged, reason,
-                 iterations=records)
+    x, v, residuals, status, recs = _kernels.alg2_sweep(
+        _step(p), p.zt, v0, thetas, stop.tol, record_states)
+    converged, reason = _outcome(status, len(residuals), thetas, stop.max_iters)
+    records = [TraceRecord(k + 1, *rec) for k, rec in enumerate(recs)]
+    return Trace(x, v, residuals, converged, reason, iterations=records)
 
 
 def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
@@ -332,47 +336,19 @@ def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
 
     The governing update reads the pre-update w (the v-line uses w^k, not
     the freshly relaxed w^{k+1}), so w is buffered across the two updates.
+    The run stops on tolerance only when both the v-change residual and
+    the shadow gap ||x - w|| are small; the recorded residual is the
+    v-change.  ``theta``, ``record_states`` and the choice of sweep are
+    as in :func:`run_alg2`.
     """
-    stop = stop or StopRule()
-    if stop.max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    stop, thetas = _start(stop, theta)
     w0 = _as_blocks(w0, p.n, p.d, "w0")
     v0 = _as_blocks(v0, p.n - 1, p.d, "v0")
-    thetas = _theta_array(theta, stop.max_iters)
-
-    if p.all_subspace and not record_states:
-        proj, pred_indptr, pred_idx, nbr_indptr, nbr_idx = p._kernel_inputs()
-        x, w, v, residuals, status = _kernels.alg1_sweep(
-            p.z, p.zt, proj, pred_indptr, pred_idx, nbr_indptr, nbr_idx,
-            p.deg_sub, p._dinv, w0, v0, thetas, stop.tol)
-        converged, reason = _status_to_trace(status, len(residuals))
-        return Trace(x, v, residuals, converged, reason, w=w)
-
-    w = w0.copy()
-    v = v0.copy()
-    residuals: list[float] = []
-    records: list[TraceRecord] = []
-    converged = False
-    reason = "max_iters"
-    x = np.zeros((p.n, p.d))
-    for k, th in enumerate(thetas):
-        x = _sweep_expanded(p, w, v)
-        g = p.zt @ (w - 2.0 * x)
-        res = float(np.sqrt(np.sum(g * g)))
-        residuals.append(res)
-        if not np.isfinite(res) or not np.all(np.isfinite(x)):
-            raise DivergenceError(k + 1)
-        scale = max(1.0, float(np.linalg.norm(v)))
-        v = v + th * g
-        w = (1.0 - th) * w + th * x
-        if record_states:
-            records.append(TraceRecord(k + 1, x.copy(), v.copy(), res, w=w.copy()))
-        if res <= stop.tol * scale:
-            converged = True
-            reason = "tol"
-            break
-    return Trace(x, v, np.asarray(residuals), converged, reason, w=w,
-                 iterations=records)
+    x, w, v, residuals, status, recs = _kernels.alg1_sweep(
+        _step(p), p.zt, w0, v0, thetas, stop.tol, record_states)
+    converged, reason = _outcome(status, len(residuals), thetas, stop.max_iters)
+    records = [TraceRecord(k + 1, *rec) for k, rec in enumerate(recs)]
+    return Trace(x, v, residuals, converged, reason, w=w, iterations=records)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,3 @@ def resolvent(op: ResolventOp, x: np.ndarray, gamma: float) -> np.ndarray:
     if gamma <= 0:
         raise ValueError(f"resolvent scale gamma must be positive, got {gamma}")
     return op.resolvent(np.asarray(x, dtype=np.float64), gamma)
-
-
-def is_subspace_op(op) -> bool:
-    return isinstance(op, NormalConeOp)

@@ -22,7 +22,12 @@ from graphsplit.engine import (
     run_alg1,
     run_alg2,
 )
-from graphsplit.factor import factor_circulant, factor_eigen, factor_tree
+from graphsplit.factor import (
+    AlphaVector,
+    factor_circulant,
+    factor_eigen,
+    factor_tree,
+)
 from graphsplit.graphs import laplacian, named_graph, validate_pair
 from graphsplit.operators import (
     CallbackOp,
@@ -212,6 +217,16 @@ class TestPredictLimits:
                 s1 = delta @ w0 + a @ v0
                 s2 = a @ (sp.base.zt @ w0 + v0)
                 assert np.abs(s1 - s2).max() < 1e-12
+
+    def test_alpha_off_the_degree_balance_raises(self, rng):
+        # a checked condition, not an assert, so it holds under python -O
+        sp = random_problem("generalized_ryu", 4, rng, d=3)
+        a = sp.alpha.alpha + 0.5
+        sp.alpha = AlphaVector(a, float(a @ a))
+        w0 = rng.standard_normal((4, 3))
+        v0 = rng.standard_normal((3, 3))
+        with pytest.raises(ValueError, match="degree balance"):
+            predict_limits_alg1(sp, w0, v0)
 
 
 class TestProjFixTTilde:

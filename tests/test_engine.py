@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphsplit import _kernels, engine
+from graphsplit import engine
 from graphsplit.engine import (
     DivergenceError,
     SplittingProblem,
@@ -18,10 +18,17 @@ from graphsplit.engine import (
 )
 from graphsplit.factor import factor_tree
 from graphsplit.graphs import named_graph, validate_pair
+from graphsplit.analysis import (
+    predict_limits_alg1,
+    predict_limits_alg2,
+    subspace_problem,
+)
 from graphsplit.operators import (
     CallbackOp,
     NormalConeOp,
+    complement,
     full_space,
+    project,
     subspace_from_spanners,
 )
 from graphsplit.presets import preset
@@ -59,6 +66,13 @@ class TestProblemValidation:
         ops = [NormalConeOp(full_space(2)) for _ in range(4)]
         with pytest.raises(ValueError, match="does not factor"):
             SplittingProblem(pair, wrong_dec, ops, 2)
+
+    def test_subspace_of_wrong_size(self):
+        ps = preset("sequential", 3)
+        ops = [NormalConeOp(full_space(4)), NormalConeOp(full_space(3)),
+               NormalConeOp(full_space(4))]
+        with pytest.raises(ValueError, match="operator 2.*R\\^3, expected R\\^4"):
+            SplittingProblem(ps.pair, ps.dec, ops, 4)
 
 
 class TestSolveMPlusA:
@@ -208,6 +222,19 @@ class TestRunAlg2:
                          StopRule(max_iters=1000))
         assert trace.k_final <= 3
 
+    def test_finite_schedule_end_is_reported(self):
+        p = drs_problem([[1.0, 0.0]], [[0.0, 1.0]])
+        v0 = np.array([[1.0, 1.0]])
+        trace = run_alg2(p, v0, [0.01] * 3, StopRule(max_iters=100))
+        assert trace.k_final == 3 and not trace.converged
+        assert trace.stop_reason == "schedule"
+        # a schedule as long as the budget ends on the budget
+        trace = run_alg2(p, v0, [0.01] * 3, StopRule(max_iters=3))
+        assert trace.stop_reason == "max_iters"
+        t1 = run_alg1(p, np.zeros((2, 2)), v0, [0.01] * 3,
+                      StopRule(max_iters=100))
+        assert t1.stop_reason == "schedule"
+
 
 class TestRunAlg1:
     def test_fixed_point_start(self):
@@ -248,6 +275,24 @@ class TestRunAlg1:
         assert np.abs(t1.v - t2.v).max() < 1e-7
         assert np.abs(t1.x - t2.x).max() < 1e-7
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coinciding_subspaces_stop_at_the_limit(self, seed):
+        # every node on one line: at theta = 1 the v-change is zero after
+        # two iterations while w is still far from the limit, so a stop on
+        # the v-change alone ends the run early
+        rng = np.random.default_rng(seed)
+        ps = preset("generalized_ryu", 3)
+        line = subspace_from_spanners(2, [rng.standard_normal(2)])
+        sp = subspace_problem(ps.pair, ps.dec, [line] * 3)
+        w0 = rng.standard_normal((3, 2))
+        v0 = rng.standard_normal((2, 2))
+        trace = run_alg1(sp.base, w0, v0, 1.0)
+        pred = predict_limits_alg1(sp, w0, v0)
+        assert trace.converged
+        assert np.abs(trace.w - pred.u_bar).max() <= 1e-6
+        assert np.abs(trace.x - pred.u_bar).max() <= 1e-6
+        assert np.abs(trace.v - pred.v_bar).max() <= 1e-6
+
     def test_against_power_iteration_oracle(self):
         # U = {0} and E = {0}: iterating the assembled matrix converges to 0,
         # and so must the engine
@@ -276,6 +321,7 @@ class TestDivergenceGuard:
 class TestKernelPaths:
     @pytest.mark.parametrize("name,n", PRESET_CASES[:6])
     def test_python_and_kernel_agree(self, name, n, rng):
+        # recording the states must not change the run
         sp = random_problem(name, n, rng, d=3, planted=True)
         v0 = rng.standard_normal((n - 1, 3))
         w0 = rng.standard_normal((n, 3))
@@ -291,20 +337,64 @@ class TestKernelPaths:
         assert np.abs(fast1.v - slow1.v).max() < 1e-13
         assert np.abs(fast1.w - slow1.w).max() < 1e-13
 
-    def test_jitted_matches_plain_source(self, rng):
-        # the compiled kernel and its plain-python source must agree exactly
-        sp = random_problem("complete", 4, rng, d=3)
+    def test_sweep_map_matches_node_sweep_under_cap(self, rng):
+        # a callback with the same projections takes the node sweep, the
+        # normal cones take the cached sweep map
+        ps = preset("malitsky_tam", 5)
+        subs = [subspace_from_spanners(3, rng.standard_normal((2, 3)))
+                for _ in range(5)]
+        p_ns = SplittingProblem(ps.pair, ps.dec,
+                                [NormalConeOp(u) for u in subs], 3)
+        p_cb = SplittingProblem(
+            ps.pair, ps.dec,
+            [CallbackOp(lambda x, g, u=u: project(u, x)) for u in subs], 3)
+        v0 = rng.standard_normal((4, 3))
+        w0 = rng.standard_normal((5, 3))
+        for theta in (0.7, 1.0, 1.5):
+            t_ns = run_alg2(p_ns, v0, theta)
+            t_cb = run_alg2(p_cb, v0, theta)
+            assert t_ns.converged and t_ns.k_final == t_cb.k_final
+            assert np.abs(t_ns.v - t_cb.v).max() < 1e-12
+            t_ns = run_alg1(p_ns, w0, v0, theta)
+            t_cb = run_alg1(p_cb, w0, v0, theta)
+            assert t_ns.converged and t_ns.k_final == t_cb.k_final
+            assert np.abs(t_ns.v - t_cb.v).max() < 1e-12
+            assert np.abs(t_ns.w - t_cb.w).max() < 1e-12
+        assert p_ns._sweep_map is not None and p_cb._sweep_map is None
+
+    @pytest.mark.parametrize("name,n", PRESET_CASES)
+    def test_sweep_map_is_the_node_sweep(self, name, n, rng):
+        sp = random_problem(name, n, rng, d=3)
         p = sp.base
-        proj, pred_indptr, pred_idx, nbr_indptr, nbr_idx = p._kernel_inputs()
-        v0 = rng.standard_normal((3, 3))
-        thetas = np.full(100, 1.0)
-        out_a = _kernels.alg2_sweep(p.z, p.zt, proj, pred_indptr, pred_idx,
-                                    p._dinv, v0, thetas, 1e-10)
-        out_b = _kernels._alg2_sweep(p.z, p.zt, proj, pred_indptr, pred_idx,
-                                     p._dinv, v0, thetas, 1e-10)
-        for a, b in zip(out_a[:3], out_b[:3]):
-            assert np.abs(a - b).max() < 1e-14
-        assert out_a[3] == out_b[3]
+        assert "_sweep_map" not in vars(p)  # set-up does not build it
+        s = p._sweep_map
+        assert s.shape == (n * 3, (n - 1) * 3)
+        for _ in range(3):
+            y = rng.standard_normal((n - 1, 3))
+            x_ref, _ = dense_m_plus_a_solve(p, p.z @ y, np.zeros((n - 1, 3)))
+            assert np.abs(s @ y.reshape(-1) - x_ref.reshape(-1)).max() < 1e-10
+
+    def test_node_sweep_above_cap_reaches_predicted_limits(self, rng):
+        # codimension-2 nodes keep the intersection cheap to compute
+        n, d = 10, 64
+        assert n * d * (n - 1) * d > engine.SWEEP_MAP_MAX_ENTRIES
+        ps = preset("malitsky_tam", n)
+        subs = [complement(subspace_from_spanners(d, rng.standard_normal((2, d))))
+                for _ in range(n)]
+        sp = subspace_problem(ps.pair, ps.dec, subs)
+        v0 = rng.standard_normal((n - 1, d))
+        w0 = rng.standard_normal((n, d))
+        stop = StopRule(tol=1e-10, max_iters=5000)
+        t2 = run_alg2(sp.base, v0, 1.0, stop)
+        t1 = run_alg1(sp.base, w0, v0, 1.0, stop)
+        assert sp.base._sweep_map is None
+        p2 = predict_limits_alg2(sp, v0)
+        p1 = predict_limits_alg1(sp, w0, v0)
+        assert t2.converged and t1.converged
+        assert np.abs(t2.v - p2.v_bar).max() <= 1e-8
+        assert np.abs(t2.x - p2.u_bar).max() <= 1e-8
+        assert np.abs(t1.v - p1.v_bar).max() <= 1e-8
+        assert np.abs(t1.w - p1.u_bar).max() <= 1e-8
 
 
 class TestCallbackEngine:
