@@ -79,6 +79,12 @@ def _check_connected(n: int, edges) -> bool:
     return len({find(v) for v in range(n)}) == 1
 
 
+def _is_label(x) -> bool:
+    """An int, or an integer-valued float (JSON from a float array)."""
+    return not isinstance(x, (bool, np.bool_)) and (isinstance(x, (int, np.integer))
+        or isinstance(x, (float, np.floating)) and float(x).is_integer())
+
+
 def new_graph(n: int, edges) -> AlgorithmicGraph:
     """Validate and build an algorithmic graph.
 
@@ -93,8 +99,9 @@ def new_graph(n: int, edges) -> AlgorithmicGraph:
     Raises
     ------
     GraphError
-        If ``n < 2``, an edge leaves [1, n], an edge has i >= j, or the
-        graph is disconnected.
+        If ``n < 2``, an edge is not a pair of integer labels (``bool`` and
+        fractional values are rejected, ``2.0`` is accepted), an edge leaves
+        [1, n], an edge has i >= j, or the graph is disconnected.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise GraphError(f"node count must be an integer, got {type(n).__name__}")
@@ -103,13 +110,13 @@ def new_graph(n: int, edges) -> AlgorithmicGraph:
         raise GraphError(f"node count must be at least 2, got {n}")
     cleaned = set()
     for e in edges:
+        if len(e) != 2 or not all(_is_label(x) for x in e):
+            raise GraphError(f"edge {tuple(e)!r} is not a pair of integer node labels")
         i, j = int(e[0]), int(e[1])
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i},{j}) outside node range [1,{n}]")
         if i >= j:
-            raise GraphError(
-                f"edge ({i},{j}) violates the orientation condition i < j"
-            )
+            raise GraphError(f"edge ({i},{j}) violates the orientation condition i < j")
         cleaned.add((i, j))
     ordered = tuple(sorted(cleaned))
     if not _check_connected(n, ordered):

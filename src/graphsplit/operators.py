@@ -10,9 +10,11 @@ kinds are supported:
   the iteration engines but rejected by the closed-form analysis.
 
 Subspaces are represented by an orthonormal basis (possibly with zero
-columns, for the trivial subspace).  Orthonormalization is twice-applied
-Gram-Schmidt with a drop tolerance of 1e-10 relative to the input norm,
-which keeps ranks reproducible without an SVD.
+columns, for the trivial subspace).  Every basis comes from one
+rank-revealing SVD: a singular value counts as zero when it is at most
+1e-10 times the largest one (or 1e-10 when the largest is below 1).
+:func:`orthonormalize` scales each spanner to unit length first, so the
+rank does not depend on the spanners' relative scales.
 """
 
 from __future__ import annotations
@@ -53,33 +55,46 @@ class LinearSubspace:
         return self.basis @ self.basis.T
 
 
-def orthonormalize(vectors, d: int, against: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal basis of span(vectors), optionally within the orthogonal
-    complement of the columns of ``against``.
+def _rank(s: np.ndarray) -> int:
+    """Rank from singular values in descending order."""
+    return int(np.sum(s > _DROP_TOL * max(s[0], 1.0)))
 
-    Gram-Schmidt applied twice per vector; a vector is dropped when its
-    residual norm falls below 1e-10 times its input norm.
+
+def _null_space(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(mat): the right singular vectors past the
+    rank.  Only a wide matrix needs the full factor; a tall one would build
+    an m x m left factor for nothing."""
+    m, n = mat.shape
+    if n == 0:
+        return np.zeros((0, 0))
+    if m == 0:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(mat, full_matrices=m < n)
+    return vt[_rank(s):].T
+
+
+def orthonormalize(vectors, d: int) -> np.ndarray:
+    """Orthonormal basis of span(vectors), as columns.
+
+    Zero vectors are dropped and the others scaled to unit length; the
+    basis is the leading left singular vectors of their stack, so a vector
+    1e-12 times smaller than the others still counts.  A vector of the
+    wrong length or with a non-finite entry raises ``ValueError``.
     """
-    fixed = against if against is not None else np.zeros((d, 0))
-    cols: list[np.ndarray] = []
-    for vec in vectors:
-        v = np.asarray(vec, dtype=np.float64).reshape(-1)
+    rows = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
+    for j, v in enumerate(rows):
         if v.shape[0] != d:
             raise ValueError(f"expected vectors of length {d}, got {v.shape[0]}")
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        r = v.copy()
-        for _ in range(2):
-            r -= fixed @ (fixed.T @ r)
-            for b in cols:
-                r -= (b @ r) * b
-        norm_r = np.linalg.norm(r)
-        if norm_r > _DROP_TOL * norm0:
-            cols.append(r / norm_r)
-    if not cols:
+        if not np.isfinite(v).all():
+            raise ValueError(f"spanner {j} is not finite: {v.tolist()}")
+    mat = np.array(rows) if rows else np.zeros((0, d))
+    norms = np.linalg.norm(mat, axis=1)
+    keep = norms > 0
+    if not keep.any():
         return np.zeros((d, 0))
-    return np.column_stack(cols)
+    u, s, _ = np.linalg.svd((mat[keep] / norms[keep, None]).T,
+                            full_matrices=False)
+    return u[:, :_rank(s)]
 
 
 def subspace_from_spanners(d: int, spanners) -> LinearSubspace:
@@ -97,11 +112,9 @@ def zero_space(d: int) -> LinearSubspace:
 
 
 def complement(u: LinearSubspace) -> LinearSubspace:
-    """Orthogonal complement, via Gram-Schmidt of the identity columns
-    against the basis of ``u``."""
-    d = u.dim_ambient
-    basis = orthonormalize(np.eye(d), d, against=u.basis)
-    return LinearSubspace(d, basis)
+    """Orthogonal complement: the trailing left singular vectors of the
+    basis of ``u``."""
+    return LinearSubspace(u.dim_ambient, _null_space(u.basis.T))
 
 
 def project(u: LinearSubspace, x: np.ndarray) -> np.ndarray:

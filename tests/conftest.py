@@ -35,6 +35,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def scipy_linalg():
+    """scipy.linalg, an oracle that shares no code with the package; the
+    test asking for it skips where scipy is not installed."""
+    return pytest.importorskip("scipy.linalg")
+
+
 def random_subspace(rng, d, r, contains=None):
     """Random r-dimensional subspace, optionally containing a given vector."""
     spans = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphsplit.analysis import (
+    E_ROUTES,
     SubspaceProblem,
     assemble_fix_basis,
     build_E,
@@ -25,6 +26,7 @@ from graphsplit.engine import (
 from graphsplit.factor import (
     AlphaVector,
     factor_circulant,
+    factor_complete_sparse,
     factor_eigen,
     factor_tree,
 )
@@ -81,6 +83,24 @@ class TestIntersection:
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError, match="ambient"):
             intersection([full_space(2), full_space(3)])
+
+    @pytest.mark.parametrize("n,d,planted", [(2, 3, 0), (5, 8, 1), (5, 8, 3),
+                                             (12, 16, 2), (20, 16, 0)])
+    def test_matches_scipy_null_space(self, n, d, planted, rng, scipy_linalg):
+        common = rng.standard_normal((planted, d))
+        subs = []
+        for _ in range(n):
+            extra = int(rng.integers(0, d - planted))
+            subs.append(subspace_from_spanners(
+                d, np.vstack([common, rng.standard_normal((extra, d))])))
+        u = intersection(subs)
+        stack = np.vstack([np.eye(d) - s.projector() for s in subs])
+        ker = scipy_linalg.null_space(stack)
+        assert u.dim == ker.shape[1] >= planted
+        assert np.abs(u.projector() - ker @ ker.T).max() < 1e-10
+        for s in subs:
+            assert np.abs(project(s, u.basis.T) - u.basis.T).max(
+                initial=0.0) < 1e-10
 
 
 class TestBuildE:
@@ -153,6 +173,32 @@ class TestClosedFormE:
             ref = build_E(sp)
             assert got.dim == ref.dim
             assert span_residual(got.basis, ref.basis) <= 1e-8
+
+    @pytest.mark.parametrize("route", E_ROUTES)
+    @pytest.mark.parametrize("n,d", [(4, 3), (10, 8), (20, 16)])
+    def test_every_route_matches_generic_construction(self, route, n, d, rng):
+        # E against its definition: Z e has blocks in U_i^perp summing to
+        # zero, and closed form and generic construction span the same space
+        sub = named_graph(route, n)
+        pair = validate_pair(sub, sub)
+        dec = (factor_circulant(sub) if route == "ring"
+               else factor_complete_sparse(n) if route == "complete"
+               else factor_tree(sub))
+        common = rng.standard_normal(d)
+        subs = [random_subspace(rng, d, int(r), contains=common)
+                for r in rng.integers(1, d, size=n)]
+        sp = subspace_problem(pair, dec, subs)
+        got, ref = closed_form_E(route, sp), build_E(sp)
+        assert got.dim == ref.dim > 0
+        for eb in (got, ref):
+            assert np.abs(eb.basis.T @ eb.basis - np.eye(eb.dim)).max() < 1e-12
+            a = np.einsum("ij,jdq->idq", sp.base.z,
+                          eb.basis.reshape(n - 1, d, eb.dim))
+            assert np.abs(a.sum(axis=0)).max() < 1e-10
+            for i, u in enumerate(subs):
+                assert np.abs(u.basis.T @ a[i]).max() < 1e-10
+        assert np.abs(got.basis @ got.basis.T
+                      - ref.basis @ ref.basis.T).max() < 1e-10
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_ring_route_via_circulant(self, n, rng):

@@ -26,7 +26,6 @@ from graphsplit.analysis import (
 from graphsplit.operators import (
     CallbackOp,
     NormalConeOp,
-    complement,
     full_space,
     project,
     subspace_from_spanners,
@@ -38,6 +37,7 @@ from conftest import (
     assemble_T_matrix,
     dense_m_plus_a_solve,
     random_problem,
+    random_subspace,
 )
 
 
@@ -375,11 +375,11 @@ class TestKernelPaths:
             assert np.abs(s @ y.reshape(-1) - x_ref.reshape(-1)).max() < 1e-10
 
     def test_node_sweep_above_cap_reaches_predicted_limits(self, rng):
-        # codimension-2 nodes keep the intersection cheap to compute
         n, d = 10, 64
         assert n * d * (n - 1) * d > engine.SWEEP_MAP_MAX_ENTRIES
         ps = preset("malitsky_tam", n)
-        subs = [complement(subspace_from_spanners(d, rng.standard_normal((2, d))))
+        common = rng.standard_normal(d)
+        subs = [random_subspace(rng, d, d // 2, contains=common)
                 for _ in range(n)]
         sp = subspace_problem(ps.pair, ps.dec, subs)
         v0 = rng.standard_normal((n - 1, d))
@@ -388,6 +388,7 @@ class TestKernelPaths:
         t2 = run_alg2(sp.base, v0, 1.0, stop)
         t1 = run_alg1(sp.base, w0, v0, 1.0, stop)
         assert sp.base._sweep_map is None
+        assert sp.u_common.dim == 1
         p2 = predict_limits_alg2(sp, v0)
         p1 = predict_limits_alg1(sp, w0, v0)
         assert t2.converged and t1.converged

@@ -49,6 +49,26 @@ class TestNewGraph:
         with pytest.raises(GraphError, match="outside node range"):
             new_graph(2, [(1, 3)])
 
+    @pytest.mark.parametrize("edges", [
+        [(1.7, 2), (2, 3)],
+        [(2, 2.5), (1, 2)],
+        [(1, float("nan")), (2, 3)],
+        [(True, 2), (2, 3)],
+        [(1, 2, 3), (2, 3)],
+    ])
+    def test_non_integer_labels_rejected(self, edges):
+        with pytest.raises(GraphError, match="pair of integer node labels"):
+            new_graph(3, edges)
+
+    def test_numpy_integer_labels_accepted(self):
+        g = new_graph(3, [(np.int64(1), np.int32(2)), (2, 3)])
+        assert g.edges == ((1, 2), (2, 3))
+
+    def test_integer_valued_float_labels_accepted(self):
+        # a JSON graph written from a float array carries labels like 2.0
+        g = new_graph(3, [(1.0, 2.0), (np.float64(2.0), 3)])
+        assert g.edges == ((1, 2), (2, 3))
+
     def test_dedup_and_sort(self):
         g = new_graph(3, [(2, 3), (1, 2), (2, 3), (1, 3)])
         assert g.edges == ((1, 2), (1, 3), (2, 3))

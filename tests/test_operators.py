@@ -14,6 +14,13 @@ from graphsplit.operators import (
 
 from conftest import lstsq_project, random_subspace
 
+def oracle_projector(scipy_linalg, rows: np.ndarray) -> np.ndarray:
+    """Projector onto the span of the rows, as the complement of their
+    null space, both from scipy."""
+    d = rows.shape[1]
+    ker = scipy_linalg.null_space(rows) if rows.shape[0] else np.eye(d)
+    return np.eye(d) - ker @ ker.T
+
 
 class TestSubspaceFromSpanners:
     def test_single_axis(self):
@@ -45,6 +52,57 @@ class TestSubspaceFromSpanners:
             u = random_subspace(rng, d, int(rng.integers(1, d + 1)))
             gram = u.basis.T @ u.basis
             assert np.abs(gram - np.eye(u.dim)).max() < 1e-12
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spanner_rejected(self, bad):
+        with pytest.raises(ValueError, match="spanner 1 is not finite"):
+            subspace_from_spanners(2, [[0.0, 1.0], [bad, 1.0]])
+
+
+class TestRankRevealingPrimitive:
+    """Bases from the SVD primitive against scipy's null space, which
+    shares no code with it, and against projector identities."""
+
+    def check_span(self, scipy_linalg, rows, expected_dim):
+        rows = np.asarray(rows, dtype=np.float64)
+        u = subspace_from_spanners(rows.shape[1], rows)
+        assert u.dim == expected_dim
+        assert np.abs(u.basis.T @ u.basis - np.eye(u.dim)).max(initial=0.0) < 1e-12
+        p = u.projector()
+        assert np.abs(p - oracle_projector(scipy_linalg, rows)).max() < 1e-10
+        # every spanner lies in the span
+        assert np.abs(p @ rows.T - rows.T).max() < 1e-10 * max(
+            1.0, np.abs(rows).max())
+
+    def test_rank_deficient_spanners(self, rng, scipy_linalg):
+        for _ in range(20):
+            d = int(rng.integers(2, 12))
+            r = int(rng.integers(1, d))
+            k = r + int(rng.integers(1, 4))
+            rows = rng.standard_normal((k, r)) @ rng.standard_normal((r, d))
+            self.check_span(scipy_linalg, rows, r)
+
+    def test_zero_vectors_among_spanners(self, rng, scipy_linalg):
+        rows = rng.standard_normal((5, 6))
+        rows[[0, 3]] = 0.0
+        self.check_span(scipy_linalg, rows, 3)
+        self.check_span(scipy_linalg, np.zeros((2, 4)), 0)
+
+    def test_mixed_scale_spanners_keep_both(self, rng, scipy_linalg):
+        for scale in (1e-12, 1e12):
+            v, w = rng.standard_normal(5), rng.standard_normal(5)
+            self.check_span(scipy_linalg, np.array([v, scale * w]), 2)
+
+    def test_complement_matches_scipy_null_space(self, rng, scipy_linalg):
+        for _ in range(20):
+            d = int(rng.integers(1, 12))
+            u = random_subspace(rng, d, int(rng.integers(0, d + 1)))
+            c = complement(u)
+            ker = scipy_linalg.null_space(u.basis.T) if u.dim else np.eye(d)
+            assert c.dim == ker.shape[1] == d - u.dim
+            assert np.abs(c.basis.T @ c.basis - np.eye(c.dim)).max(initial=0.0) < 1e-12
+            assert np.abs(c.projector() - ker @ ker.T).max() < 1e-10
 
 
 class TestComplement:
