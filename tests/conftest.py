@@ -42,6 +42,15 @@ def scipy_linalg():
     return pytest.importorskip("scipy.linalg")
 
 
+@pytest.fixture
+def networkx():
+    """networkx, an oracle for connectivity, degree balance and the
+    Laplacian that shares no code with the package; its matrix functions
+    need scipy, so the test skips without either."""
+    pytest.importorskip("scipy.sparse")
+    return pytest.importorskip("networkx")
+
+
 def random_subspace(rng, d, r, contains=None):
     """Random r-dimensional subspace, optionally containing a given vector."""
     spans = []

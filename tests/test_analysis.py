@@ -24,13 +24,23 @@ from graphsplit.engine import (
     run_alg2,
 )
 from graphsplit.factor import (
+    METHODS,
     AlphaVector,
+    FactorError,
+    alpha,
+    factorize,
     factor_circulant,
     factor_complete_sparse,
     factor_eigen,
     factor_tree,
 )
-from graphsplit.graphs import laplacian, named_graph, validate_pair
+from graphsplit.graphs import (
+    degree_balance,
+    laplacian,
+    named_graph,
+    new_graph,
+    validate_pair,
+)
 from graphsplit.operators import (
     CallbackOp,
     NormalConeOp,
@@ -212,6 +222,117 @@ class TestClosedFormE:
         got = closed_form_E("ring", sp)
         ref = build_E(sp)
         assert span_residual(got.basis, ref.basis) <= 1e-8
+
+
+def random_spanners(rng, n, d):
+    """Spanner matrices (d, r_i) with r_i in [0, d]; in half the draws a
+    common vector is planted in every nonzero one, and in a quarter node 2
+    repeats node 1, so dim U and the sum of the ranks vary."""
+    common = rng.standard_normal(d) if rng.random() < 0.5 else None
+    out = []
+    for _ in range(n):
+        r = int(rng.integers(0, d + 1))
+        cols = [rng.standard_normal(d) for _ in range(r)]
+        if common is not None and r:
+            cols[0] = common
+        out.append(np.array(cols).reshape(r, d).T)
+    if rng.random() < 0.25:
+        out[1] = out[0].copy()
+    return out
+
+
+def dim_E_by_count(spanners, d):
+    """(n-1) d - sum_i dim U_i + dim U from numpy ranks alone: dim U_i is
+    the rank of the spanners, dim U the corank of the stacked I - S S^+.
+    This shares no code with build_E or closed_form_E."""
+    n = len(spanners)
+    eye = np.eye(d)
+    residuals = [eye - s @ np.linalg.pinv(s) if s.shape[1] else eye
+                 for s in spanners]
+    dim_u = d - np.linalg.matrix_rank(np.vstack(residuals))
+    ranks = sum(np.linalg.matrix_rank(s) if s.shape[1] else 0 for s in spanners)
+    return (n - 1) * d - ranks + dim_u
+
+
+def problem_from_spanners(pair, dec, spanners, d):
+    return subspace_problem(pair, dec, [subspace_from_spanners(d, list(s.T))
+                                        for s in spanners])
+
+
+def random_graph_pair(rng, n, kind):
+    """(G, G') with G' a random spanning tree ("tree"), the tree plus
+    chords ("chords"), the ring or the complete graph, and G equal to G'
+    plus random chords."""
+    nodes = range(1, n + 1)
+    if kind == "complete":
+        sub = {(i, j) for i in nodes for j in nodes if i < j}
+    elif kind == "ring":
+        sub = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    else:
+        order = rng.permutation(n) + 1
+        sub = {tuple(sorted((int(order[k]), int(order[rng.integers(k)]))))
+               for k in range(1, n)}
+    chords = {(i, j) for i in nodes for j in nodes
+              if i < j and rng.random() < 0.3}
+    if kind == "chords":
+        sub |= chords
+    g = sub | chords | {(i, j) for i in nodes for j in nodes
+                        if i < j and rng.random() < 0.2}
+    return sorted(g), sorted(sub)
+
+
+class TestEDimension:
+    """dim E = (n-1) d - sum_i dim U_i + dim U, the kernel dimension of
+    the sum map on the U_i^perp, counted by numpy ranks."""
+
+    @pytest.mark.parametrize("route", E_ROUTES)
+    @pytest.mark.parametrize("n,d", [(3, 2), (5, 3), (8, 4)])
+    def test_every_route_and_build_E(self, route, n, d, rng):
+        sub = named_graph(route, n)
+        dec = (factor_circulant(sub) if route == "ring"
+               else factor_complete_sparse(n) if route == "complete"
+               else factor_tree(sub))
+        for _ in range(4):
+            spanners = random_spanners(rng, n, d)
+            sp = problem_from_spanners(validate_pair(sub, sub), dec, spanners, d)
+            expected = dim_E_by_count(spanners, d)
+            assert build_E(sp).dim == expected
+            assert closed_form_E(route, sp).dim == expected
+
+    @pytest.mark.parametrize("kind", ["tree", "chords", "ring", "complete"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs_every_method(self, kind, seed, networkx):
+        # connectivity, the Laplacian and the degree balance come from
+        # networkx, the dimension count from numpy ranks
+        nx = networkx
+        rng = np.random.default_rng([seed, 77])
+        n, d = int(rng.integers(3, 9)), int(rng.integers(2, 5))
+        g_edges, sub_edges = random_graph_pair(rng, n, kind)
+        g_nx, sub_nx = nx.Graph(g_edges), nx.Graph(sub_edges)
+        assert nx.is_connected(sub_nx) and sub_nx.number_of_nodes() == n
+        assert all(g_nx.has_edge(i, j) for i, j in sub_edges)
+        lap = nx.laplacian_matrix(sub_nx, nodelist=range(1, n + 1)).toarray()
+        directed = nx.DiGraph(g_edges)
+        delta = np.array([directed.out_degree(i) - directed.in_degree(i)
+                          for i in range(1, n + 1)], dtype=np.float64)
+        pair = validate_pair(new_graph(n, g_edges), new_graph(n, sub_edges))
+        spanners = random_spanners(rng, n, d)
+        expected = dim_E_by_count(spanners, d)
+        accepted = []
+        for method in METHODS:
+            try:
+                dec = factorize(pair.sub, method)
+            except FactorError:
+                continue
+            accepted.append(method)
+            assert np.abs(dec.z @ dec.z.T - lap).max() < 1e-10
+            a = alpha(dec, degree_balance(pair.g)).alpha
+            assert np.abs(dec.z @ a - delta).max() < 1e-10
+            sp = problem_from_spanners(pair, dec, spanners, d)
+            assert build_E(sp).dim == expected
+        assert "eigen" in accepted
+        assert {"tree": "tree_incidence", "chords": "eigen",
+                "ring": "circulant", "complete": "complete_sparse"}[kind] in accepted
 
 
 class TestPredictLimits:
