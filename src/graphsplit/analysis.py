@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import SplittingProblem
+from .engine import SplittingProblem, _as_blocks
 from .factor import (
     AlphaVector,
     OntoDecomposition,
@@ -260,22 +260,18 @@ def _limit(sp: SubspaceProblem, y: np.ndarray) -> LimitPrediction:
     return LimitPrediction(u, e, np.outer(a, u) + e)
 
 
-def _blocks(x, rows: int, d: int) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).reshape(rows, d)
-
-
 def predict_limits_alg2(sp: SubspaceProblem, v0) -> LimitPrediction:
     """Exact limit of the reduced iteration started at v0 (constant
     relaxation in (0, 2) assumed for the run itself)."""
-    return _limit(sp, _blocks(v0, sp.n - 1, sp.d))
+    return _limit(sp, _as_blocks(v0, sp.n - 1, sp.d, "v0"))
 
 
 def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
     """Exact limit of the expanded iteration started at (w0, v0): the
     limit formula at y = Z^T w0 + v0; all shadow and w blocks converge to
     u_bar."""
-    w0 = _blocks(w0, sp.n, sp.d)
-    v0 = _blocks(v0, sp.n - 1, sp.d)
+    w0 = _as_blocks(w0, sp.n, sp.d, "w0")
+    v0 = _as_blocks(v0, sp.n - 1, sp.d, "v0")
     a = sp.alpha.alpha
     delta = degree_balance(sp.base.pair.g).delta.astype(np.float64)
     y = sp.base.zt @ w0 + v0
@@ -292,13 +288,14 @@ def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
 
 def proj_fix_T_tilde(sp: SubspaceProblem, v) -> np.ndarray:
     """Projection onto the reduced fixed-point set: the limit formula at v."""
-    return _limit(sp, _blocks(v, sp.n - 1, sp.d)).v_bar
+    return _limit(sp, _as_blocks(v, sp.n - 1, sp.d, "v")).v_bar
 
 
 def m_proj_fix_T(sp: SubspaceProblem, w, v):
     """M-projection onto the expanded fixed-point set: (w_bar, v_bar) with
     every block of w_bar the u and v_bar the limit formula at Z^T w + v."""
-    y = sp.base.zt @ _blocks(w, sp.n, sp.d) + _blocks(v, sp.n - 1, sp.d)
+    y = (sp.base.zt @ _as_blocks(w, sp.n, sp.d, "w")
+         + _as_blocks(v, sp.n - 1, sp.d, "v"))
     lim = _limit(sp, y)
     return np.tile(lim.u_bar, (sp.n, 1)), lim.v_bar
 
@@ -307,7 +304,7 @@ def x_from_v(sp: SubspaceProblem, v) -> np.ndarray:
     """The unique zero associated with a governing vector: the first
     node's resolvent at (Z v)_1 / d_1.  For v in the fixed-point set this
     lies in U."""
-    zv1 = sp.base.z[0] @ _blocks(v, sp.n - 1, sp.d)
+    zv1 = sp.base.z[0] @ _as_blocks(v, sp.n - 1, sp.d, "v")
     return resolvent(sp.base.ops[0], zv1 * sp.base._dinv[0], sp.base._dinv[0])
 
 

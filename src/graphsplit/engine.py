@@ -239,6 +239,7 @@ class StopRule:
 
     A run converges when its residual is at most tol * max(1, ||v||_F);
     the expanded run must also have ||x - w||_F <= tol * max(1, ||w||_F).
+    The runs reject a tol that is negative or not finite.
     """
 
     tol: float = DEFAULT_TOL
@@ -286,7 +287,10 @@ def _theta_array(theta, max_iters: int) -> np.ndarray:
                 "constant relaxation %.1f gives no convergence guarantee", th
             )
         return np.full(max_iters, th)
-    arr = np.asarray(theta, dtype=np.float64).reshape(-1)
+    arr = np.asarray(theta, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"relaxation schedule must be a flat list, got "
+                         f"shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("relaxation schedule is empty")
     if arr.min() < 0.0 or arr.max() > 2.0:
@@ -307,6 +311,9 @@ def _start(stop: StopRule | None, theta):
     stop = stop or StopRule()
     if stop.max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not 0.0 <= stop.tol < np.inf:
+        raise ValueError(f"stop tolerance must be finite and >= 0, got "
+                         f"{stop.tol}")
     return stop, _theta_array(theta, stop.max_iters)
 
 

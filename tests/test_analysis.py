@@ -595,3 +595,31 @@ class TestRejectsCallbacks:
         base = SplittingProblem(ps.pair, ps.dec, ops, 2)
         with pytest.raises(ValueError, match="analysis requires subspace"):
             SubspaceProblem.from_problem(base)
+
+
+#: every analysis entry point that takes blocks: the rows of the argument
+#: under test (v has n-1 = 3, w has n = 4) and the call, zeros elsewhere
+BLOCK_CALLS = {
+    "alg2-v0": (3, lambda sp, x: predict_limits_alg2(sp, x)),
+    "alg1-v0": (3, lambda sp, x: predict_limits_alg1(sp, np.zeros((4, 2)), x)),
+    "alg1-w0": (4, lambda sp, x: predict_limits_alg1(sp, x, np.zeros((3, 2)))),
+    "proj-v": (3, lambda sp, x: proj_fix_T_tilde(sp, x)),
+    "mproj-v": (3, lambda sp, x: m_proj_fix_T(sp, np.zeros((4, 2)), x)),
+    "mproj-w": (4, lambda sp, x: m_proj_fix_T(sp, x, np.zeros((3, 2)))),
+    "x-from-v": (3, lambda sp, x: x_from_v(sp, x)),
+}
+
+
+class TestBlockShapes:
+    """Blocks of the wrong shape are rejected, as by the iterations, not
+    reshaped into a different start."""
+
+    @pytest.mark.parametrize("layout", ["transposed", "flat"])
+    @pytest.mark.parametrize("call", BLOCK_CALLS)
+    def test_reshaped_blocks_rejected(self, call, layout, rng):
+        sp = random_problem("sequential", 4, rng, d=2)
+        rows, fn = BLOCK_CALLS[call]
+        blocks = rng.standard_normal((rows, 2))
+        fn(sp, blocks)
+        with pytest.raises(ValueError, match="must have shape"):
+            fn(sp, blocks.T if layout == "transposed" else blocks.reshape(-1))

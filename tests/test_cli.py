@@ -1,11 +1,13 @@
-"""Boundary checks of the command-line front end: bad input exits with
-the documented config code and a message, never a traceback."""
+"""Boundary checks of the command-line front end (bad input exits with
+the documented config code and a message, never a traceback), and the
+reports of ``verify`` and ``list-presets``."""
 
 import json
 
 import pytest
 
 from graphsplit import cli
+from graphsplit.presets import PRESET_NAMES
 
 
 def write_config(tmp_path, text: str):
@@ -42,25 +44,44 @@ VALID = {"problem": {"preset": "sequential", "n": 3}, "d": 2,
          "subspaces": {"random": {"dim": 1}}, "max_iters": 50}
 
 
-@pytest.mark.parametrize("change", [
-    {"subspaces": 5},
-    {"problem": {"graph": {"n": 3, "edges": [1, 2]}}},
-    {"subspaces": {"random": {"dims": 5}}},
-    {"subspaces": None, "operators": [5, {"callback": "zero"}, {"callback": "zero"}]},
-    {"d": 2.7},
-    {"d": True},
-    {"d": 0, "subspaces": {"random": {"dim": 0}}},
-    {"problem": {"preset": "sequential", "n": 3.9}},
-    {"max_iters": 2.9},
-    {"seed": 2.5},
-    {"subspaces": {"random": {"dim": 1, "seed": 1.5}}},
+#: a change that removes its field from the config
+DROP = object()
+STRINGS = [["1", "0"], ["0", "1"], ["1", "1"]]
+
+
+@pytest.mark.parametrize("change, flags", [
+    ({"subspaces": 5}, []),
+    ({"problem": {"graph": {"n": 3, "edges": [1, 2]}}}, []),
+    ({"subspaces": {"random": {"dims": 5}}}, []),
+    ({"subspaces": DROP,
+      "operators": [5, {"callback": "zero"}, {"callback": "zero"}]}, []),
+    ({"d": 2.7}, []),
+    ({"d": True}, []),
+    ({"d": 0, "subspaces": {"random": {"dim": 0}}}, []),
+    ({"problem": {"preset": "sequential", "n": 3.9}}, []),
+    ({"max_iters": 2.9}, []),
+    ({"seed": 2.5}, []),
+    ({"subspaces": {"random": {"dim": 1, "seed": 1.5}}}, []),
+    ({"tol": None}, []),
+    ({"tol": [1]}, []),
+    ({"problem": 5}, []),
+    ({"theta": [[1, 2]]}, []),
+    ({"tol": "1e-3"}, []),
+    ({"theta": "1.5"}, []),
+    ({"w0": STRINGS}, []),
+    ({"tol": float("nan")}, []),
+    ({"tol": -1}, []),
+    ({}, ["--tol", "-1"]),
 ], ids=["subspaces-int", "edges-not-pairs", "dims-int", "operator-not-object",
         "d-fraction", "d-bool", "d-zero", "n-fraction", "max-iters-fraction",
-        "seed-fraction", "random-seed-fraction"])
-def test_malformed_config_exits_with_config_code(change, tmp_path, capsys):
-    cfg = {k: v for k, v in {**VALID, **change}.items() if v is not None}
+        "seed-fraction", "random-seed-fraction", "tol-null", "tol-list",
+        "problem-int", "theta-nested", "tol-str", "theta-str", "w0-str",
+        "tol-nan", "tol-negative", "tol-flag-negative"])
+def test_malformed_config_exits_with_config_code(change, flags, tmp_path, capsys):
+    cfg = {k: v for k, v in {**VALID, **change}.items() if v is not DROP}
     path = write_config(tmp_path, json.dumps(cfg))
-    assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_CONFIG
+    argv = ["run", "--no-trace", "--config", path, *flags]
+    assert cli.main(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -75,3 +96,59 @@ def test_integer_valued_floats_accepted(tmp_path, capsys):
         "max_iters": 50.0}))
     assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_OK
     assert '"converged": true' in capsys.readouterr().out
+
+
+#: a config whose runs take about 150 iterations
+SLOW = {"problem": {"preset": "generalized_ryu", "n": 5}, "d": 3,
+        "subspaces": {"random": {"dim": 2, "common": True}},
+        "w0": "random", "v0": "random"}
+
+
+def verify(argv, capsys):
+    code = cli.main(["verify", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_verify_all_presets_passes_every_preset(capsys):
+    code, out = verify(["--all-presets"], capsys)
+    report = json.loads(out)
+    assert code == cli.EXIT_OK and report["pass"]
+    assert [case["preset"] for case in report["cases"]] == list(PRESET_NAMES)
+    assert all(case["pass"] and {"dim_U", "dim_E"} <= case.keys()
+               for case in report["cases"])
+
+
+def test_verify_all_presets_renders_identical_bytes(capsys):
+    assert verify(["--all-presets"], capsys) == verify(["--all-presets"], capsys)
+
+
+@pytest.mark.parametrize("source", ["all-presets", "config"])
+def test_verify_honours_max_iters(source, tmp_path, capsys):
+    argv = (["--all-presets"] if source == "all-presets"
+            else ["--config", write_config(tmp_path, json.dumps(SLOW))])
+    code, out = verify([*argv, "--max-iters", "1"], capsys)
+    assert code == cli.EXIT_VERIFY
+    assert not json.loads(out)["pass"]
+
+
+def test_verify_tol_only_compares(tmp_path, capsys):
+    path = write_config(tmp_path, json.dumps(SLOW))
+    counts = []
+    for flags in ([], ["--tol", "1e-3"]):
+        code, out = verify(["--config", path, *flags], capsys)
+        assert code == cli.EXIT_OK
+        counts.append([(case["reduced"]["iterations"],
+                        case["expanded"]["iterations"])
+                       for case in json.loads(out)["cases"]])
+    assert counts[0] == counts[1]
+
+
+def test_verify_needs_a_source(capsys):
+    assert cli.main(["verify"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_list_presets_prints_every_name(capsys):
+    assert cli.main(["list-presets"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == list(PRESET_NAMES)

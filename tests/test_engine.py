@@ -216,6 +216,29 @@ class TestRunAlg2:
         with pytest.raises(ValueError, match="empty"):
             run_alg2(p, v0, [])
 
+    @pytest.mark.parametrize("theta, stop, match", [
+        (2.5, None, "0, 2"),
+        ([1.0, -0.1], None, "0, 2"),
+        ([], None, "empty"),
+        ([[1.0, 0.5]], None, "flat"),
+        (1.0, StopRule(tol=float("nan")), "tolerance"),
+        (1.0, StopRule(tol=float("inf")), "tolerance"),
+        (1.0, StopRule(tol=-1.0), "tolerance"),
+    ], ids=["above-2", "negative-entry", "empty", "nested", "tol-nan",
+            "tol-inf", "tol-negative"])
+    def test_argument_validation_both_drivers(self, theta, stop, match):
+        p = drs_problem([[1.0, 0.0]], [[0.0, 1.0]])
+        v0 = np.zeros((1, 2))
+        with pytest.raises(ValueError, match=match):
+            run_alg2(p, v0, theta, stop)
+        with pytest.raises(ValueError, match=match):
+            run_alg1(p, np.zeros((2, 2)), v0, theta, stop)
+
+    def test_zero_tol_is_legal(self):
+        p = drs_problem([[1.0, 0.0]], [[0.0, 1.0]])
+        trace = run_alg2(p, np.ones((1, 2)), 1.0, StopRule(tol=0.0))
+        assert trace.converged
+
     def test_schedule_list_caps_iterations(self):
         p = drs_problem([[1.0, 0.0]], [[0.0, 1.0]])
         trace = run_alg2(p, np.array([[1.0, 1.0]]), [0.5] * 3,
