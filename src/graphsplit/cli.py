@@ -33,11 +33,15 @@ predicted limits (1e-6) and leaves the stop rule to the config.
 
 Exit codes: 0 ok, 2 config or validation failure, 3 numeric divergence,
 4 verification failure.
+
+``main`` may be called many times in one process: the argument parser is
+built at its first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -80,18 +84,23 @@ def _integer(value, what: str, minimum: int) -> int:
     return int(value)
 
 
-def _array(value, what: str, shape: tuple):
-    """Finite real numbers nested exactly as ``shape``, as float64 (a
-    numpy scalar for shape ()); bool, str, null and deeper nesting are
-    rejected, not coerced.  The values come from JSON or argparse, so
-    their exact types are int and float."""
+def _array(value, what: str, shape: tuple, finite: bool = True):
+    """Real numbers nested exactly as ``shape``, as float64 (a numpy
+    scalar for shape ()), finite unless ``finite`` is false; bool, str,
+    null, deeper nesting and integers beyond the float range are rejected,
+    not coerced.  The values come from JSON or argparse, so their exact
+    types are int and float."""
     arr = np.array(value, dtype=object)
     if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
-        arr = arr.astype(np.float64)
-        if np.isfinite(arr).all():
-            return arr[()]
-    raise ConfigError(f"{what} must be finite real numbers of shape {shape}, "
-                      f"got {value!r}")
+        try:
+            arr = arr.astype(np.float64)
+        except OverflowError:
+            pass
+        else:
+            if not finite or np.isfinite(arr).all():
+                return arr[()]
+    raise ConfigError(f"{what} must be {'finite ' if finite else ''}real "
+                      f"numbers of shape {shape}, got {value!r}")
 
 
 def _object(value, what: str) -> dict:
@@ -197,12 +206,28 @@ def _random_spec_spanners(opts: dict, n: int, d: int, seed: int) -> list:
     return random_spanners(rng, d, dims, common)
 
 
+def _spanners(value, what: str, d: int):
+    """A config's list of spanners, each d real numbers, as one array (an
+    empty list stays, for the zero subspace).  Finiteness is left to
+    ``operators.orthonormalize``, which names the spanner."""
+    if not isinstance(value, list):
+        raise ConfigError(f"the spanners of {what} must be a list, got "
+                          f"{value!r}")
+    if not value:
+        return value
+    return _array(value, f"the spanners of {what}", (len(value), d),
+                  finite=False)
+
+
 def _build_operators(cfg: dict, n: int, d: int, seed: int):
     if "subspaces" in cfg:
         spec = cfg["subspaces"]
         if isinstance(spec, dict) and isinstance(spec.get("random"), dict):
             spec = _random_spec_spanners(spec["random"], n, d, seed)
-        elif not isinstance(spec, list) or len(spec) != n:
+        elif isinstance(spec, list) and len(spec) == n:
+            spec = [_spanners(s, f"node {i + 1}", d)
+                    for i, s in enumerate(spec)]
+        else:
             raise ConfigError(f"subspaces must be a list of {n} spanner "
                               f"lists or {{'random': {{...}}}}, got {spec!r}")
         return [operators.NormalConeOp(operators.subspace_from_spanners(d, s))
@@ -214,8 +239,9 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
         for i, entry in enumerate(cfg["operators"]):
             entry = _object(entry, f"operator {i + 1}")
             if "spanners" in entry:
+                spanners = _spanners(entry["spanners"], f"operator {i + 1}", d)
                 ops.append(operators.NormalConeOp(
-                    operators.subspace_from_spanners(d, entry["spanners"])))
+                    operators.subspace_from_spanners(d, spanners)))
             elif "callback" in entry:
                 name = entry["callback"]
                 if name not in CALLBACKS:
@@ -511,10 +537,15 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built at the first call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except engine.DivergenceError as exc:

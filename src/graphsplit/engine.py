@@ -39,11 +39,11 @@ memory grows as (n d)^2, so larger problems keep sweeping node by node.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -218,21 +218,6 @@ def apply_T_tilde(p: SplittingProblem, v):
     return x, v - p.zt @ x
 
 
-def apply_M(p: SplittingProblem, w, v):
-    """The preconditioner as a block map: (Lap(G') w + Z v, Z^T w + v)."""
-    w = _as_blocks(w, p.n, p.d, "w")
-    v = _as_blocks(v, p.n - 1, p.d, "v")
-    lap = laplacian(p.pair.sub).astype(np.float64)
-    return lap @ w + p.z @ v, p.zt @ w + v
-
-
-def apply_C_star(p: SplittingProblem, w, v) -> np.ndarray:
-    """The reduction map C^*: (w, v) -> Z^T w + v."""
-    w = _as_blocks(w, p.n, p.d, "w")
-    v = _as_blocks(v, p.n - 1, p.d, "v")
-    return p.zt @ w + v
-
-
 @dataclass
 class StopRule:
     """Relative stop rule, or the iteration budget.
@@ -361,10 +346,6 @@ def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
 # ---------------------------------------------------------------------------
 # trace serialization
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def trace_header(n: int, d: int) -> list[str]:
     cols = ["k", "residual"]
     cols += [f"x{i}_{c}" for i in range(1, n + 1) for c in range(d)]
@@ -374,52 +355,69 @@ def trace_header(n: int, d: int) -> list[str]:
 
 def trace_to_csv(trace: Trace, path, n: int, d: int) -> None:
     """Write per-iteration records as CSV (requires a trace produced with
-    ``record_states=True``)."""
+    ``record_states=True``): the rows ``csv.writer`` writes for k, the
+    residual and the x and v entries at 17 significant digits, one
+    ``%``-format per row."""
+    row = "%d," + ",".join(["%.17g"] * (1 + (2 * n - 1) * d)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(n, d))
-        for rec in trace.iterations:
-            row = [str(rec.k), _fmt(rec.residual)]
-            row += [_fmt(val) for val in rec.x.reshape(-1)]
-            row += [_fmt(val) for val in rec.v.reshape(-1)]
-            writer.writerow(row)
+        fh.write(",".join(trace_header(n, d)) + "\r\n")
+        fh.writelines(row % (rec.k, rec.residual, *rec.x.ravel().tolist(),
+                             *rec.v.ravel().tolist())
+                      for rec in trace.iterations)
 
 
-def trace_records_from_csv(path, n: int, d: int) -> list[TraceRecord]:
-    """Parse a trace CSV back into records (w blocks are not stored)."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != trace_header(n, d):
-            raise ValueError("trace CSV header does not match (n, d)")
-        for row in reader:
-            k = int(row[0])
-            res = float(row[1])
-            vals = np.array([float(s) for s in row[2:]])
-            x = vals[: n * d].reshape(n, d)
-            v = vals[n * d:].reshape(n - 1, d)
-            records.append(TraceRecord(k, x, v, res))
-    return records
+#: a number's slot in a template, written by json.dumps as a string
+_SLOT = "%s"
+#: json's spelling of the floats it cannot write as repr
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _json_number(x):
+    return _NON_FINITE.get(x, "NaN" if x != x else x)
+
+
+@lru_cache(maxsize=64)
+def _json_record_template(shapes: tuple) -> str:
+    """One record as ``json.dump(indent=2)`` writes it inside the trace
+    document, with a ``%s`` slot per number; ``shapes`` are those of x, v
+    and w (None for no w)."""
+    x, v, w = (None if s is None else np.full(s, _SLOT, dtype=object).tolist()
+               for s in shapes)
+    text = json.dumps({"k": _SLOT, "residual": _SLOT, "x": x, "v": v, "w": w},
+                      indent=2)
+    return text.replace("\n", "\n    ").replace(json.dumps(_SLOT), _SLOT)
+
+
+def _json_records(records):
+    sep = ""
+    for rec in records:
+        w = () if rec.w is None else rec.w.ravel().tolist()
+        nums = [rec.k, rec.residual, *rec.x.ravel().tolist(),
+                *rec.v.ravel().tolist(), *w]
+        if not math.isfinite(sum(nums)):
+            nums = [_json_number(x) for x in nums]
+        shapes = (rec.x.shape, rec.v.shape,
+                  None if rec.w is None else rec.w.shape)
+        yield sep + _json_record_template(shapes) % tuple(nums)
+        sep = ",\n    "
 
 
 def trace_to_json(trace: Trace, path) -> None:
-    """JSON mirror of the CSV records plus the run outcome."""
-    doc = {
-        "converged": trace.converged,
-        "stop_reason": trace.stop_reason,
-        "iterations": trace.k_final,
-        "records": [
-            {
-                "k": rec.k,
-                "residual": rec.residual,
-                "x": rec.x.tolist(),
-                "v": rec.v.tolist(),
-                "w": rec.w.tolist() if rec.w is not None else None,
-            }
-            for rec in trace.iterations
-        ],
-    }
+    """JSON mirror of the CSV records plus the run outcome.
+
+    The file is byte for byte what ``json.dump(doc, fh, indent=2)``
+    followed by a newline writes.  ``json`` encodes an indented document
+    in pure Python, one call per number; this writer fills a per-shape
+    template, cut from ``json.dumps`` output, with each record's numbers
+    in one ``%`` and streams the records, so the document is never held
+    whole.  Non-finite numbers get json's tokens NaN, Infinity and
+    -Infinity.
+    """
+    doc = {"converged": trace.converged, "stop_reason": trace.stop_reason,
+           "iterations": trace.k_final,
+           "records": [_SLOT] if trace.iterations else []}
+    head, *tail = json.dumps(doc, indent=2).split(json.dumps(_SLOT))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(head)
+        fh.writelines(_json_records(trace.iterations))
+        fh.write("".join(tail) + "\n")

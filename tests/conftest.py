@@ -2,17 +2,21 @@
 
 The oracles deliberately avoid the code paths they check: the block
 linear solve assembles and solves the resolvent system densely instead of
-sweeping, the least-squares projection goes through numpy's lstsq, and
-power iteration applies an explicitly assembled matrix.
+sweeping, the preconditioner M is applied with the dense Laplacian, the
+least-squares projection goes through numpy's lstsq, power iteration
+applies an explicitly assembled matrix, and trace CSVs are read back with
+the csv module.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 import pytest
 
 from graphsplit import analysis, engine, operators, presets
-from graphsplit.graphs import p_matrix
+from graphsplit.graphs import laplacian, p_matrix
 
 #: (name, n) combinations exercised across the suite; n <= 5 keeps every
 #: closed form in reach of the brute-force oracles
@@ -104,6 +108,32 @@ def dense_m_plus_a_solve(prob, w, v):
     return x, y
 
 
+def apply_M(prob, w, v):
+    """The preconditioner M = [[Lap(G'), Z], [Z^T, I]] as a block map:
+    (Lap(G') w + Z v, Z^T w + v)."""
+    z = prob.dec.z
+    return laplacian(prob.pair.sub) @ w + z @ v, z.T @ w + v
+
+
+def apply_C_star(prob, w, v):
+    """The reduction map C^*: (w, v) -> Z^T w + v."""
+    return prob.dec.z.T @ w + v
+
+
+def trace_records_from_csv(path, n, d):
+    """Parse a trace CSV back into records (w blocks are not stored)."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == engine.trace_header(n, d)
+        for row in reader:
+            vals = np.array([float(s) for s in row[2:]])
+            records.append(engine.TraceRecord(
+                int(row[0]), vals[: n * d].reshape(n, d),
+                vals[n * d:].reshape(n - 1, d), float(row[1])))
+    return records
+
+
 def assemble_T_matrix(prob):
     """Dense matrix of the expanded operator on flattened (w, v), built by
     pushing unit vectors through the preconditioner and the dense solve."""
@@ -115,7 +145,7 @@ def assemble_T_matrix(prob):
         unit[col] = 1.0
         w = unit[: n * d].reshape(n, d)
         v = unit[n * d:].reshape(n - 1, d)
-        mw, mv = engine.apply_M(prob, w, v)
+        mw, mv = apply_M(prob, w, v)
         x, y = dense_m_plus_a_solve(prob, mw, mv)
         mat[:, col] = np.concatenate([x.reshape(-1), y.reshape(-1)])
     return mat

@@ -18,7 +18,6 @@ from graphsplit.analysis import (
 from graphsplit.engine import (
     SplittingProblem,
     StopRule,
-    apply_C_star,
     apply_T_tilde,
     run_alg1,
     run_alg2,
@@ -51,7 +50,13 @@ from graphsplit.operators import (
 )
 from graphsplit.presets import preset
 
-from conftest import lstsq_project, random_problem, random_subspace, span_residual
+from conftest import (
+    apply_C_star,
+    lstsq_project,
+    random_problem,
+    random_subspace,
+    span_residual,
+)
 
 E1 = [1.0, 0.0]
 E2 = [0.0, 1.0]

@@ -47,6 +47,8 @@ VALID = {"problem": {"preset": "sequential", "n": 3}, "d": 2,
 #: a change that removes its field from the config
 DROP = object()
 STRINGS = [["1", "0"], ["0", "1"], ["1", "1"]]
+#: an integer literal beyond the float range
+HUGE = 10 ** 400
 
 
 @pytest.mark.parametrize("change, flags", [
@@ -72,11 +74,31 @@ STRINGS = [["1", "0"], ["0", "1"], ["1", "1"]]
     ({"tol": float("nan")}, []),
     ({"tol": -1}, []),
     ({}, ["--tol", "-1"]),
+    ({"subspaces": [5, 5, 5]}, []),
+    ({"subspaces": [[["1", "0"]], [[1, 0]], [[0, 1]]]}, []),
+    ({"subspaces": [[[[1], [0]]], [[1, 0]], [[0, 1]]]}, []),
+    ({"subspaces": [[[1, 0]], [[1]], [[0, 1]]]}, []),
+    ({"subspaces": DROP, "operators": [{"spanners": [["1", "0"]]},
+                                       {"callback": "zero"},
+                                       {"callback": "zero"}]}, []),
+    ({"subspaces": DROP, "operators": [{"spanners": 5}, {"callback": "zero"},
+                                       {"callback": "zero"}]}, []),
+    ({"subspaces": [[[HUGE, 0]], [[1, 0]], [[0, 1]]]}, []),
+    ({"tol": HUGE}, []),
+    ({"theta": HUGE}, []),
+    ({"theta": [1, HUGE]}, []),
+    ({"w0": [[1, 0], [0, HUGE], [1, 1]]}, []),
+    ({"v0": [[HUGE, 0], [1, 1]]}, []),
+    ({"subspaces": {"random": {"common": [HUGE, 0]}}}, []),
 ], ids=["subspaces-int", "edges-not-pairs", "dims-int", "operator-not-object",
         "d-fraction", "d-bool", "d-zero", "n-fraction", "max-iters-fraction",
         "seed-fraction", "random-seed-fraction", "tol-null", "tol-list",
         "problem-int", "theta-nested", "tol-str", "theta-str", "w0-str",
-        "tol-nan", "tol-negative", "tol-flag-negative"])
+        "tol-nan", "tol-negative", "tol-flag-negative", "subspaces-ints",
+        "spanner-str", "spanner-nested", "spanner-short",
+        "operator-spanner-str", "operator-spanners-int", "spanner-huge-int",
+        "tol-huge-int", "theta-huge-int", "theta-list-huge-int",
+        "w0-huge-int", "v0-huge-int", "common-huge-int"])
 def test_malformed_config_exits_with_config_code(change, flags, tmp_path, capsys):
     cfg = {k: v for k, v in {**VALID, **change}.items() if v is not DROP}
     path = write_config(tmp_path, json.dumps(cfg))
@@ -152,3 +174,42 @@ def test_list_presets_prints_every_name(capsys):
     assert cli.main(["list-presets"]) == cli.EXIT_OK
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.split()[0] for row in rows] == list(PRESET_NAMES)
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    # every call on the one parser of the process gives what a freshly
+    # built parser gives, a failed parse included
+    cfg = write_config(tmp_path, json.dumps(VALID))
+    trace = tmp_path / "x.json"
+    calls = [["run", "--no-trace", "--config", cfg],
+             ["run", "--config", cfg, "--out", str(trace)],
+             ["predict", "--config", cfg],
+             ["decompose", "--preset", "sequential", "-n", "3"],
+             ["verify", "--all-presets", "--max-iters", "1"],
+             ["run", "--no-such-flag"]]
+    calls.append(calls[0])
+
+    def outcome(argv):
+        trace.unlink(missing_ok=True)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return (code, captured.out, captured.err,
+                trace.read_bytes() if trace.exists() else None)
+
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build_parser())
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert len(builds) == len(calls)
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert len(builds) == len(calls) + 1
+    assert [code for code, *_ in fresh] == [0, 0, 0, 0, cli.EXIT_VERIFY, 2, 0]
+    assert fresh[1][3].startswith(b"{")

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -6,14 +9,11 @@ from graphsplit.engine import (
     DivergenceError,
     SplittingProblem,
     StopRule,
-    apply_C_star,
-    apply_M,
     apply_T,
     apply_T_tilde,
     run_alg1,
     run_alg2,
     solve_m_plus_a,
-    trace_records_from_csv,
     trace_to_csv,
 )
 from graphsplit.factor import factor_tree
@@ -34,10 +34,12 @@ from graphsplit.presets import preset
 
 from conftest import (
     PRESET_CASES,
+    apply_M,
     assemble_T_matrix,
     dense_m_plus_a_solve,
     random_problem,
     random_subspace,
+    trace_records_from_csv,
 )
 
 
@@ -454,8 +456,6 @@ class TestTraceSerialization:
             assert np.array_equal(got.v, ref.v)
 
     def test_json_mirror(self, rng, tmp_path):
-        import json
-
         sp = random_problem("sequential", 3, rng, d=2)
         trace = run_alg1(sp.base, np.zeros((3, 2)), rng.standard_normal((2, 2)),
                          1.0, StopRule(max_iters=10), record_states=True)
@@ -465,3 +465,88 @@ class TestTraceSerialization:
         assert doc["iterations"] == trace.k_final
         assert len(doc["records"]) == len(trace.iterations)
         assert doc["records"][0]["w"] is not None
+
+
+def reference_json(trace, path):
+    """The trace document as ``json.dump(indent=2)`` writes it."""
+    doc = {
+        "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
+        "iterations": trace.k_final,
+        "records": [{"k": rec.k, "residual": rec.residual,
+                     "x": rec.x.tolist(), "v": rec.v.tolist(),
+                     "w": None if rec.w is None else rec.w.tolist()}
+                    for rec in trace.iterations],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def reference_csv(trace, path, n, d):
+    """The trace rows as ``csv.writer`` writes them, numbers at 17
+    significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(engine.trace_header(n, d))
+        for rec in trace.iterations:
+            writer.writerow([str(rec.k), format(rec.residual, ".17g")]
+                            + [format(x, ".17g") for x in rec.x.reshape(-1)]
+                            + [format(x, ".17g") for x in rec.v.reshape(-1)])
+
+
+def hand_built_trace(n, d, with_w, values):
+    """Records whose entries cycle through ``values``."""
+    def blocks(rows, start):
+        return np.resize(np.roll(values, -start), (rows, d))
+
+    records = [engine.TraceRecord(k + 1, blocks(n, k), blocks(n - 1, k + 1),
+                                  float(values[k]),
+                                  blocks(n, k + 2) if with_w else None)
+               for k in range(len(values))]
+    return engine.Trace(records[-1].x, records[-1].v,
+                        np.array([r.residual for r in records]), False,
+                        "max_iters", w=records[-1].w if with_w else None,
+                        iterations=records)
+
+
+class TestTraceWriterBytes:
+    """The trace writers against the json and csv modules, byte for byte."""
+
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, 1e16, 1e-5]
+
+    def assert_same_bytes(self, trace, n, d, tmp_path):
+        for suffix, write, reference in (
+                (".json", engine.trace_to_json, reference_json),
+                (".csv", lambda t, p: trace_to_csv(t, p, n, d),
+                 lambda t, p: reference_csv(t, p, n, d))):
+            got, ref = tmp_path / f"got{suffix}", tmp_path / f"ref{suffix}"
+            write(trace, got)
+            reference(trace, ref)
+            assert got.read_bytes() == ref.read_bytes(), suffix
+
+    @pytest.mark.parametrize("expanded", [False, True])
+    @pytest.mark.parametrize("n,d", [(4, 3), (2, 1)])
+    def test_runs(self, expanded, n, d, rng, tmp_path):
+        p = (random_problem("malitsky_tam", n, rng, d=d, planted=True).base
+             if d > 1 else drs_problem([[1.0]], [], d=1))
+        v0 = rng.standard_normal((n - 1, d))
+        stop = StopRule(max_iters=40)
+        trace = (run_alg1(p, rng.standard_normal((n, d)), v0, 1.3, stop,
+                          record_states=True) if expanded
+                 else run_alg2(p, v0, 0.7, stop, record_states=True))
+        assert len(trace.iterations) > 1 and (trace.w is not None) == expanded
+        self.assert_same_bytes(trace, n, d, tmp_path)
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_empty_records(self, with_w, tmp_path):
+        trace = engine.Trace(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(0),
+                             False, "schedule",
+                             w=np.zeros((3, 2)) if with_w else None)
+        self.assert_same_bytes(trace, 3, 2, tmp_path)
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+    def test_special_values(self, with_w, n, d, tmp_path):
+        trace = hand_built_trace(n, d, with_w, self.SPECIAL)
+        self.assert_same_bytes(trace, n, d, tmp_path)
