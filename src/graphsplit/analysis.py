@@ -10,7 +10,9 @@ Two identities carry the rest of the module:
 
 * Membership.  Z maps (R^d)^{n-1} one-to-one onto the zero-sum blocks
   (Z Z^T = Lap(G') and G' is connected), so  e in E  iff  (Z e)_i in
-  U_i^perp  at every node i.
+  U_i^perp  at every node i.  ``closed_form_E`` solves it through
+  Z_top^-1, Z_top the first n-1 rows of Z; ``build_E`` keeps the Z^+
+  definition, so the two check each other.
 * Limit formula.  The projection of y onto the reduced fixed-point set is
   alpha (x) u + e with u = P_U(alpha^T y) / ||alpha||^2 and e = P_E(y).
   The reduced iteration started at v0 converges to it at y = v0.  The
@@ -34,12 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import SplittingProblem, _as_blocks
-from .factor import (
-    AlphaVector,
-    OntoDecomposition,
-    alpha as compute_alpha,
-    complete_t_values,
-)
+from .factor import AlphaVector, OntoDecomposition, alpha as compute_alpha
 from .graphs import GraphError, GraphPair, degree_balance, named_graph
 from .operators import (
     LinearSubspace,
@@ -196,29 +193,30 @@ def build_E(sp: SubspaceProblem) -> EBasis:
 
 
 def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
-    """Per-graph closed form of E.
+    """Per-graph closed form of E, through the membership identity.
 
     ``name`` selects the graph family of G'; the problem's subgraph and
     decomposition method must match (incidence factor for the tree
     families, the sparse factor for complete, the trigonometric factor
     for ring).
 
-    The tree families and ring share one membership kernel: E is the null
-    space of the rows B_i^T (Z_i (x) I_d) stacked over the nodes, B_i a
-    basis of U_i and Z_i the i-th row of Z.  The complete route keeps its
-    triangular parametrization: on complete n=60 d=24 it took 160 ms
-    against 650 ms for the membership kernel (2-core x86-64, one BLAS
-    thread).
+    The blocks a = Z e range over a_i in U_i^perp for i < n with their sum
+    in U_n^perp (a_n is minus it, as Z^T 1 = 0), and e = Z_top^-1 a for
+    Z_top the first n-1 rows of Z, invertible as Z has full column rank.
+    Z_top^-1 is a cumulative sum for sequential, e_j = -a_{j+1} (a_n as
+    above) for parallel_up, the identity for parallel_down, the triangular
+    e_j = t_j ((n-j+1) a_j + a_1 + ... + a_{j-1}) / n of the sparse factor
+    for complete, and dense for ring.  The map from coefficients to images
+    has full column rank, so a reduced QR of the images is a basis of E.
     """
     if name not in E_ROUTES:
         raise ValueError(f"unknown E route {name!r}; choose from {E_ROUTES}")
-    n, d = sp.n, sp.d
-    sub = sp.base.pair.sub
+    n = sp.n
     try:
         reference = named_graph(name, n)
     except GraphError:
         reference = None
-    if sub != reference:
+    if sp.base.pair.sub != reference:
         raise ValueError(f"subgraph is not the {name} graph of order {n}")
     method = sp.base.dec.method
     if method != _ROUTE_METHODS[name]:
@@ -226,28 +224,10 @@ def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
             f"E route {name!r} requires the {_ROUTE_METHODS[name]} "
             f"decomposition, got {method!r}"
         )
-    if name == "complete":
-        return _closed_form_E_complete(sp)
-
-    # row k of node i's block is Z_i (x) b_k for the basis vectors b_k of U_i
-    bt = np.vstack([u.basis.T for u in sp.subspaces])
-    node = np.repeat(np.arange(n), [u.dim for u in sp.subspaces])
-    rows = sp.base.z[node][:, :, None] * bt[:, None, :]
-    return EBasis(n - 1, d, _null_space(rows.reshape(len(bt), (n - 1) * d)))
-
-
-def _closed_form_E_complete(sp: SubspaceProblem) -> EBasis:
-    # parametrization e_j = t_j ((n-j+1) u_j + u_1 + ... + u_{j-1}) with
-    # u_j in U_j^perp and u_1 + ... + u_{n-1} in U_n^perp; the map from u to
-    # e is triangular with a nonzero diagonal, so a reduced QR of the images
-    # is an orthonormal basis of E
     comp = [complement(u).basis for u in sp.subspaces[:-1]]
-    u = _block_images(comp, _null_space(sp.subspaces[-1].basis.T @ np.hstack(comp)))
-    e = np.cumsum(u, axis=0)
-    u *= np.arange(sp.n - 1, 0, -1)[:, None, None]
-    e += u
-    del u  # as in build_E, before the QR
-    e *= complete_t_values(sp.n)[:, None, None]
+    a = _block_images(comp, _null_space(sp.subspaces[-1].basis.T @ np.hstack(comp)))
+    e = np.tensordot(np.linalg.inv(sp.base.z[:-1]), a, axes=1)
+    del a  # as in build_E, before the QR
     return _orthonormal_images(e)
 
 

@@ -15,8 +15,8 @@ A config is a JSON object, inline or in a file, with the fields (default):
   integer, "edges": [[i, j], ...]}``;
 * ``d`` (required): integer >= 1, the dimension of each block;
 * ``subspaces``: n lists of spanners of d numbers, or ``{"random": {"dim":
-  integer (1), "dims": n integers, "seed": integer (the config's),
-  "common": true or d numbers}}``; else ``operators``: n objects
+  integer (1) or "dims": n integers, "seed": integer (the config's),
+  "common": true or d numbers}}``; or else ``operators``: n objects
   ``{"spanners": [...]}`` or ``{"callback": "identity" | "zero"}``;
 * ``algorithm``: "reduced" (default) or "expanded"; ``theta``: a number
   or a list of numbers (1.0); ``tol``: a number (1e-10); ``max_iters``:
@@ -25,6 +25,8 @@ A config is a JSON object, inline or in a file, with the fields (default):
   "random" (drawn from ``seed``).
 
 Numbers must be finite; bool, str and null are rejected, never coerced.
+Each object takes only the fields listed for it, and the alternatives
+separated by "or" exclude each other; any other field is rejected.
 The flags --algorithm, --theta, --tol, --max-iters and --seed replace the
 field of the same name before the config is read.  ``verify`` runs both
 algorithms (with --all-presets, on one problem per preset drawn from
@@ -103,9 +105,15 @@ def _array(value, what: str, shape: tuple, finite: bool = True):
                       f"numbers of shape {shape}, got {value!r}")
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, fields: tuple | None = None) -> dict:
+    """``value`` as a JSON object, with no field outside ``fields`` when
+    they are given."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    for key in value:
+        if fields is not None and key not in fields:
+            raise ConfigError(f"{what} does not take the field {key!r}; its "
+                              f"fields are {', '.join(fields)}")
     return value
 
 
@@ -157,6 +165,7 @@ def _read_json(text_or_path: str, what: str) -> dict:
 
 def _build_pair_and_dec(problem_spec: dict):
     if "preset" in problem_spec:
+        _object(problem_spec, "a preset problem", ("preset", "n"))
         name = problem_spec["preset"]
         n = problem_spec.get("n", 2 if name == "douglas_rachford" else None)
         if n is None:
@@ -165,6 +174,7 @@ def _build_pair_and_dec(problem_spec: dict):
         return ps.pair, ps.dec
     if "graph" not in problem_spec:
         raise ConfigError("problem must give either 'preset' or 'graph'")
+    _object(problem_spec, "a graph problem", ("graph", "subgraph", "method"))
     g = graphs.AlgorithmicGraph.from_dict(problem_spec["graph"])
     sub = (graphs.AlgorithmicGraph.from_dict(problem_spec["subgraph"])
            if "subgraph" in problem_spec else g)
@@ -192,10 +202,11 @@ def random_spanners(rng: np.random.Generator, d: int, dims,
 
 
 def _random_spec_spanners(opts: dict, n: int, d: int, seed: int) -> list:
+    _object(opts, "subspaces.random", ("dim", "dims", "seed", "common"))
     rng = np.random.default_rng(_integer(opts.get("seed", seed), "seed", 0))
-    dims = opts.get("dims")
-    if dims is None:
-        dims = [opts.get("dim", 1)] * n
+    if "dim" in opts and "dims" in opts:
+        raise ConfigError("subspaces.random takes 'dim' or 'dims', not both")
+    dims = opts.get("dims", [opts.get("dim", 1)] * n)
     if not isinstance(dims, list) or len(dims) != n:
         raise ConfigError(f"need a list of {n} subspace dims, got {dims!r}")
     common = opts.get("common", False)
@@ -221,8 +232,12 @@ def _spanners(value, what: str, d: int):
 
 def _build_operators(cfg: dict, n: int, d: int, seed: int):
     if "subspaces" in cfg:
+        if "operators" in cfg:
+            raise ConfigError("config gives both 'subspaces' and 'operators'; "
+                              "give one")
         spec = cfg["subspaces"]
         if isinstance(spec, dict) and isinstance(spec.get("random"), dict):
+            _object(spec, "subspaces", ("random",))
             spec = _random_spec_spanners(spec["random"], n, d, seed)
         elif isinstance(spec, list) and len(spec) == n:
             spec = [_spanners(s, f"node {i + 1}", d)
@@ -237,12 +252,16 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
             raise ConfigError(f"operators must be a list of {n} objects")
         ops = []
         for i, entry in enumerate(cfg["operators"]):
-            entry = _object(entry, f"operator {i + 1}")
+            entry = _object(entry, f"operator {i + 1}",
+                            ("spanners", "callback"))
+            if len(entry) != 1:
+                raise ConfigError(f"operator {i + 1} needs exactly one of "
+                                  "'spanners' or 'callback'")
             if "spanners" in entry:
                 spanners = _spanners(entry["spanners"], f"operator {i + 1}", d)
                 ops.append(operators.NormalConeOp(
                     operators.subspace_from_spanners(d, spanners)))
-            elif "callback" in entry:
+            else:
                 name = entry["callback"]
                 if name not in CALLBACKS:
                     raise ConfigError(
@@ -250,10 +269,6 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
                         f"available: {sorted(CALLBACKS)}"
                     )
                 ops.append(operators.CallbackOp(CALLBACKS[name]))
-            else:
-                raise ConfigError(
-                    f"operator {i + 1} needs 'spanners' or 'callback'"
-                )
         return ops
     raise ConfigError("config must give 'subspaces' or 'operators'")
 
@@ -277,6 +292,8 @@ def problem_from_config(cfg: dict, flags: argparse.Namespace | None = None):
     if flags is not None:
         cfg = {**cfg, **{k: v for k in FLAG_FIELDS
                          if (v := getattr(flags, k, None)) is not None}}
+    _object(cfg, "config", ("problem", "d", "subspaces", "operators",
+                            *FLAG_FIELDS, "w0", "v0"))
     for key in ("problem", "d"):
         if key not in cfg:
             raise ConfigError(f"config is missing the {key!r} field")
@@ -327,16 +344,15 @@ def _preset_configs(seed: int):
 # subcommands
 
 def cmd_decompose(args) -> int:
-    if args.preset:
-        spec = {"preset": args.preset}
-        if args.n is not None:
-            spec["n"] = args.n
-    elif args.graph:
-        spec = {"graph": _read_json(args.graph, "graph"), "method": args.method}
-        if args.subgraph:
-            spec["subgraph"] = _read_json(args.subgraph, "subgraph")
-    else:
+    # the flags form a problem object, so -n with --graph, or --subgraph
+    # or --method with --preset, fail its field check
+    spec = {key: value for key in ("preset", "n", "graph", "subgraph", "method")
+            if (value := getattr(args, key)) is not None}
+    if not spec.keys() & {"preset", "graph"}:
         raise ConfigError("decompose needs --preset or --graph")
+    for key in ("graph", "subgraph"):
+        if key in spec:
+            spec[key] = _read_json(spec[key], key)
     pair, dec = _build_pair_and_dec(spec)
     delta = graphs.degree_balance(pair.g)
     a = factor.alpha(dec, delta)
@@ -482,9 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dec = sub.add_parser("decompose", help="emit Z, Z^+, alpha, delta")
-    p_dec.add_argument("--preset", choices=presets.PRESET_NAMES)
+    source = p_dec.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=presets.PRESET_NAMES)
+    source.add_argument("--graph", help="graph JSON (inline or path)")
     p_dec.add_argument("-n", type=int)
-    p_dec.add_argument("--graph", help="graph JSON (inline or path)")
     p_dec.add_argument("--subgraph", help="subgraph JSON (inline or path)")
     p_dec.add_argument("--method", choices=factor.METHODS)
     p_dec.add_argument("--out")
@@ -512,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run and compare against predicted limits")
-    p_ver.add_argument("--config")
-    p_ver.add_argument("--all-presets", action="store_true")
+    source = p_ver.add_mutually_exclusive_group()
+    source.add_argument("--config")
+    source.add_argument("--all-presets", action="store_true")
     p_ver.add_argument("--tol", type=float, default=1e-6, dest="compare_tol",
                        metavar="TOL",
                        help="largest distance of a run's limits from the "

@@ -120,12 +120,9 @@ def factor_complete_sparse(n: int) -> OntoDecomposition:
     Laplacian, with t_j = sqrt(n / ((n-j)(n-j+1))) and Z^+ = Z^T / n."""
     if n < 2:
         raise FactorError(f"complete graph factor requires n >= 2, got {n}")
-    j = np.arange(1, n, dtype=np.float64)
-    t = np.sqrt(n / ((n - j) * (n - j + 1)))
-    z = np.zeros((n, n - 1))
-    for jj in range(n - 1):
-        z[jj, jj] = (n - (jj + 1)) * t[jj]
-        z[jj + 1:, jj] = -t[jj]
+    t = complete_t_values(n)
+    z = np.tril(np.broadcast_to(-t, (n, n - 1)), -1)
+    np.fill_diagonal(z, (n - np.arange(1, n)) * t)
     return OntoDecomposition(z, z.T / n, "complete_sparse")
 
 

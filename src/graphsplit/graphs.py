@@ -44,6 +44,9 @@ class AlgorithmicGraph:
         """Build and validate a graph from its JSON representation."""
         if not isinstance(data, dict) or "n" not in data or "edges" not in data:
             raise GraphError("graph JSON must have fields 'n' and 'edges'")
+        for key in data:
+            if key not in ("n", "edges"):
+                raise GraphError(f"graph JSON does not take the field {key!r}")
         edges = data["edges"]
         if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
             raise GraphError("graph 'edges' must be a list of [i, j] pairs")

@@ -190,7 +190,7 @@ class TestClosedFormE:
             assert span_residual(got.basis, ref.basis) <= 1e-8
 
     @pytest.mark.parametrize("route", E_ROUTES)
-    @pytest.mark.parametrize("n,d", [(4, 3), (10, 8), (20, 16)])
+    @pytest.mark.parametrize("n,d", [(4, 3), (10, 8), (20, 16), (60, 4)])
     def test_every_route_matches_generic_construction(self, route, n, d, rng):
         # E against its definition: Z e has blocks in U_i^perp summing to
         # zero, and closed form and generic construction span the same space

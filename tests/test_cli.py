@@ -46,6 +46,8 @@ VALID = {"problem": {"preset": "sequential", "n": 3}, "d": 2,
 
 #: a change that removes its field from the config
 DROP = object()
+#: the path 1 - 2 - 3 as graph JSON
+PATH = {"n": 3, "edges": [[1, 2], [2, 3]]}
 STRINGS = [["1", "0"], ["0", "1"], ["1", "1"]]
 #: an integer literal beyond the float range
 HUGE = 10 ** 400
@@ -90,6 +92,22 @@ HUGE = 10 ** 400
     ({"w0": [[1, 0], [0, HUGE], [1, 1]]}, []),
     ({"v0": [[HUGE, 0], [1, 1]]}, []),
     ({"subspaces": {"random": {"common": [HUGE, 0]}}}, []),
+    ({"max_iter": 5, "thta": 3}, []),
+    ({"subspaces": DROP, "operators": [{"spanners": [[1, 0]],
+                                        "callback": "zero"},
+                                       {"callback": "zero"},
+                                       {"callback": "zero"}]}, []),
+    ({"subspaces": DROP, "operators": [{}, {"callback": "zero"},
+                                       {"callback": "zero"}]}, []),
+    ({"problem": {"preset": "sequential", "n": 3, "graph": PATH}}, []),
+    ({"problem": {"preset": "sequential", "n": 3, "method": "eigen"}}, []),
+    ({"problem": {"graph": PATH, "n": 3}}, []),
+    ({"problem": {"graph": {**PATH, "directed": True}}}, []),
+    ({"operators": [{"callback": "zero"}] * 3}, []),
+    ({"subspaces": {"random": {"dim": 1}, "planted": True}}, []),
+    ({"subspaces": {"random": {"dim": 1, "dimension": 2}}}, []),
+    ({"subspaces": {"random": {"dim": 2, "dims": [1, 1, 1]}}}, []),
+    ({"subspaces": {"random": {"dims": None}}}, []),
 ], ids=["subspaces-int", "edges-not-pairs", "dims-int", "operator-not-object",
         "d-fraction", "d-bool", "d-zero", "n-fraction", "max-iters-fraction",
         "seed-fraction", "random-seed-fraction", "tol-null", "tol-list",
@@ -98,12 +116,51 @@ HUGE = 10 ** 400
         "spanner-str", "spanner-nested", "spanner-short",
         "operator-spanner-str", "operator-spanners-int", "spanner-huge-int",
         "tol-huge-int", "theta-huge-int", "theta-list-huge-int",
-        "w0-huge-int", "v0-huge-int", "common-huge-int"])
+        "w0-huge-int", "v0-huge-int", "common-huge-int",
+        "config-unknown-fields", "operator-spanners-and-callback",
+        "operator-empty", "problem-preset-and-graph",
+        "problem-preset-and-method", "problem-graph-and-n",
+        "graph-unknown-field", "subspaces-and-operators",
+        "subspaces-unknown-field", "random-unknown-field",
+        "random-dim-and-dims", "random-dims-null"])
 def test_malformed_config_exits_with_config_code(change, flags, tmp_path, capsys):
     cfg = {k: v for k, v in {**VALID, **change}.items() if v is not DROP}
     path = write_config(tmp_path, json.dumps(cfg))
     argv = ["run", "--no-trace", "--config", path, *flags]
     assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"max_iter": 5, "thta": 3}, "'max_iter'"),
+    ({"problem": {"preset": "sequential", "n": 3, "graph": PATH}}, "'graph'"),
+    ({"problem": {"graph": {**PATH, "directed": True}}}, "'directed'"),
+    ({"operators": [{"callback": "zero"}] * 3}, "'operators'"),
+])
+def test_rejected_field_is_named(change, field, tmp_path, capsys):
+    path = write_config(tmp_path, json.dumps({**VALID, **change}))
+    assert cli.main(["predict", "--config", path]) == cli.EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--preset", "sequential", "-n", "3",
+     "--graph", json.dumps(PATH)],
+    ["verify", "--all-presets", "--config", json.dumps(VALID)],
+], ids=["decompose-preset-and-graph", "verify-config-and-all-presets"])
+def test_conflicting_flags_exit_with_config_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--graph", json.dumps(PATH), "-n", "3"],
+                                   ["--preset", "sequential", "-n", "3",
+                                    "--method", "eigen"]],
+                         ids=["graph-and-n", "preset-and-method"])
+def test_decompose_flag_outside_its_problem_exits_with_config_code(flags, capsys):
+    assert cli.main(["decompose", *flags]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
 
 

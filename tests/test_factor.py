@@ -99,6 +99,16 @@ class TestFactorCompleteSparse:
         dec = factor_complete_sparse(2)
         assert np.abs(dec.z - np.array([[1.0], [-1.0]])).max() < 1e-15
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 60])
+    def test_matches_column_loop(self, n):
+        # column j: (n - j) t_j on the diagonal, -t_j below it (1-based j)
+        t = np.sqrt(n / ((n - np.arange(1.0, n)) * (n - np.arange(1.0, n) + 1)))
+        ref = np.zeros((n, n - 1))
+        for j in range(n - 1):
+            ref[j, j] = (n - (j + 1)) * t[j]
+            ref[j + 1:, j] = -t[j]
+        assert np.array_equal(factor_complete_sparse(n).z, ref)
+
     def test_dagger_is_scaled_transpose(self):
         dec = factor_complete_sparse(3)
         assert np.array_equal(dec.z_dagger, dec.z.T / 3)
