@@ -94,7 +94,13 @@ class LimitPrediction:
 
 class SubspaceProblem:
     """A splitting problem whose node operators are all subspace normal
-    cones, together with the quantities the closed forms need."""
+    cones, together with the quantities the closed forms need.
+
+    Each derived quantity is computed at its first use and kept: U, the
+    E basis, and the orthonormal bases of the node complements U_i^perp,
+    which ``build_E`` and ``closed_form_E`` both read, so a problem pays
+    one complement SVD per node however many E routes it takes.
+    """
 
     def __init__(self, base: SplittingProblem, subspaces: list[LinearSubspace],
                  alpha: AlphaVector):
@@ -121,6 +127,11 @@ class SubspaceProblem:
     @cached_property
     def u_common(self) -> LinearSubspace:
         return intersection(self.subspaces)
+
+    @cached_property
+    def complement_bases(self) -> list[np.ndarray]:
+        """Orthonormal bases of U_i^perp, one (d, d - r_i) array per node."""
+        return [complement(u).basis for u in self.subspaces]
 
     @cached_property
     def e_basis(self) -> EBasis:
@@ -160,18 +171,42 @@ def _block_images(bases: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+#: column block of the back-substitution in ``_orthonormal_images``
+_Q_BLOCK = 64
+
+
 def _orthonormal_images(images: np.ndarray) -> EBasis:
     """E from images of shape (n-1, d, q) with linearly independent
     columns: the Q factor A R^-1 of their reduced QR.
 
-    Multiplying by R^-1 holds two fewer copies of A than numpy's
+    Q is solved from Q R = A by back-substitution over blocks of 64
+    columns [j, k):  Q[:, j:k] = (A[:, j:k] - Q[:, :j] R[:j, j:k])
+    R[j:k, j:k]^-1.  For A of shape m x q that is about m q^2 flops of
+    matrix products and q/64 inverses of 64 x 64 blocks, where A inv(R)
+    costs about 2 q^3 for the general inverse (an LU of R against the
+    identity) and 2 m q^2 for the product.  With q <= 64 there is one
+    block, and the result is the product A inv(R), bit for bit.
+
+    Q goes into a new array rather than over A: with Q written over A,
+    the benchmark's predict-large workload peaked at 114 MB of RSS
+    against 95 MB with the new array, though the op then holds one array
+    fewer, so the rise comes from how later, larger arrays are placed.
+    Solving for Q also holds two fewer copies of A than numpy's
     Householder accumulation of Q, with which predict-large peaked at
     125 MB instead of 99 MB.  Orthogonality is lost as cond(A) eps, and
     cond(A) is at most that of the map from coefficients to images.
     """
     blocks, d, q = images.shape
     a = images.reshape(blocks * d, q)
-    return EBasis(blocks, d, a @ np.linalg.inv(np.linalg.qr(a, mode="r")))
+    r = np.linalg.qr(a, mode="r")
+    out = np.empty_like(a)
+    for j in range(0, q, _Q_BLOCK):
+        k = min(j + _Q_BLOCK, q)
+        # on the first block the product is an exact zero, so the
+        # difference is A[:, :k] bit for bit
+        out[:, j:k] = ((a[:, j:k] - out[:, :j] @ r[:j, j:k])
+                       @ np.linalg.inv(r[j:k, j:k]))
+    return EBasis(blocks, d, out)
 
 
 def build_E(sp: SubspaceProblem) -> EBasis:
@@ -185,7 +220,7 @@ def build_E(sp: SubspaceProblem) -> EBasis:
     complement bases, and Z^+ injective on zero-sum blocks because G' is
     connected), so no rank decision is needed there.
     """
-    comp = [complement(u).basis for u in sp.subspaces]
+    comp = sp.complement_bases
     a = _block_images(comp, _null_space(np.hstack(comp)))
     images = np.tensordot(sp.base.dec.z_dagger, a, axes=1)
     del a  # the QR is the memory peak; on complete n=60 d=24 this is 8 MB
@@ -224,7 +259,7 @@ def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
             f"E route {name!r} requires the {_ROUTE_METHODS[name]} "
             f"decomposition, got {method!r}"
         )
-    comp = [complement(u).basis for u in sp.subspaces[:-1]]
+    comp = sp.complement_bases[:-1]
     a = _block_images(comp, _null_space(sp.subspaces[-1].basis.T @ np.hstack(comp)))
     e = np.tensordot(np.linalg.inv(sp.base.z[:-1]), a, axes=1)
     del a  # as in build_E, before the QR

@@ -91,6 +91,16 @@ def _is_label(x) -> bool:
         or isinstance(x, (float, np.floating)) and float(x).is_integer())
 
 
+def _order(n) -> int:
+    """The node count as an int, checked to be an integer of at least 2."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise GraphError(f"node count must be an integer, got {type(n).__name__}")
+    n = int(n)
+    if n < 2:
+        raise GraphError(f"node count must be at least 2, got {n}")
+    return n
+
+
 def new_graph(n: int, edges) -> AlgorithmicGraph:
     """Validate and build an algorithmic graph.
 
@@ -107,13 +117,11 @@ def new_graph(n: int, edges) -> AlgorithmicGraph:
     GraphError
         If ``n < 2``, an edge is not a pair of integer labels (``bool`` and
         fractional values are rejected, ``2.0`` is accepted), an edge leaves
-        [1, n], an edge has i >= j, or the graph is disconnected.
+        [1, n], an edge has i >= j, or the graph is disconnected (as it is
+        with fewer than n - 1 distinct edges, which is decided before any
+        per-node work, so a huge ``n`` fails at once).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise GraphError(f"node count must be an integer, got {type(n).__name__}")
-    n = int(n)
-    if n < 2:
-        raise GraphError(f"node count must be at least 2, got {n}")
+    n = _order(n)
     cleaned = set()
     for e in edges:
         if len(e) != 2 or not all(_is_label(x) for x in e):
@@ -125,7 +133,7 @@ def new_graph(n: int, edges) -> AlgorithmicGraph:
             raise GraphError(f"edge ({i},{j}) violates the orientation condition i < j")
         cleaned.add((i, j))
     ordered = tuple(sorted(cleaned))
-    if not _check_connected(n, ordered):
+    if len(ordered) < n - 1 or not _check_connected(n, ordered):
         raise GraphError("graph is disconnected")
     return AlgorithmicGraph(n, ordered)
 
@@ -135,12 +143,19 @@ def named_graph(kind: str, n: int) -> AlgorithmicGraph:
 
     ``kind`` is one of ``complete``, ``sequential``, ``ring``,
     ``parallel_up`` (star centered at node 1) or ``parallel_down`` (star
-    centered at node n).  ``ring`` requires ``n >= 3``.
+    centered at node n).  ``ring`` requires ``n >= 3``.  The families are
+    valid and connected by construction, so only the order is checked; an
+    order whose factor Z (n (n-1) entries) numpy cannot index raises
+    ``GraphError`` before any edge is built.
     """
     if kind not in NAMED_KINDS:
         raise GraphError(f"unknown graph kind {kind!r}; choose from {NAMED_KINDS}")
+    n = _order(n)
     if kind == "ring" and n < 3:
         raise GraphError(f"ring graph requires n >= 3, got {n}")
+    if n * (n - 1) > np.iinfo(np.intp).max:
+        raise GraphError(f"node count too large: the factor Z would have "
+                         f"n (n-1) > {np.iinfo(np.intp).max} entries")
     if kind == "complete":
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     elif kind == "sequential":
@@ -151,7 +166,7 @@ def named_graph(kind: str, n: int) -> AlgorithmicGraph:
         edges = [(1, j) for j in range(2, n + 1)]
     else:  # parallel_down
         edges = [(i, n) for i in range(1, n)]
-    return new_graph(n, edges)
+    return AlgorithmicGraph(n, tuple(sorted(edges)))
 
 
 def degrees(g: AlgorithmicGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

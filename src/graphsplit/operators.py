@@ -31,10 +31,6 @@ log = logging.getLogger("graphsplit")
 _DROP_TOL = 1e-10
 
 
-def _debug_checks_enabled() -> bool:
-    return os.environ.get("GRAPH_SPLIT_LOG", "").lower() == "debug"
-
-
 @dataclass(frozen=True)
 class LinearSubspace:
     """Closed linear subspace of R^d, stored as an orthonormal basis.
@@ -145,11 +141,14 @@ class CallbackOp:
     The callback must be a pure function of its inputs.  With
     GRAPH_SPLIT_LOG=debug, consecutive evaluations at the same gamma are
     checked for firm nonexpansiveness, which every resolvent of a
-    maximally monotone operator satisfies.
+    maximally monotone operator satisfies.  The variable is read once,
+    when the operator is constructed; setting it later does not turn the
+    checks on or off for that operator.
     """
 
     def __init__(self, fn: Callable[[np.ndarray, float], np.ndarray]):
         self.fn = fn
+        self._debug = os.environ.get("GRAPH_SPLIT_LOG", "").lower() == "debug"
         self._last: tuple[np.ndarray, np.ndarray, float] | None = None
 
     def resolvent(self, x: np.ndarray, gamma: float) -> np.ndarray:
@@ -159,7 +158,7 @@ class CallbackOp:
                 f"callback resolvent returned shape {out.shape}, "
                 f"expected {x.shape}"
             )
-        if _debug_checks_enabled():
+        if self._debug:
             if self._last is not None and self._last[2] == gamma:
                 xp, outp, _ = self._last
                 diff = out - outp

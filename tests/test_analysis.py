@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphsplit import analysis
 from graphsplit.analysis import (
     E_ROUTES,
     SubspaceProblem,
@@ -143,6 +144,65 @@ class TestBuildE:
             assert np.abs(a.sum(axis=0)).max() < 1e-10
             for i in range(n):
                 assert np.abs(project(sp.subspaces[i], a[i])).max() < 1e-10
+
+
+def _orthogonality_loss(q):
+    return np.abs(q.T @ q - np.eye(q.shape[1])).max()
+
+
+class TestOrthonormalImages:
+    """The Q factor of E's images, by blocked back-substitution on R."""
+
+    @pytest.mark.parametrize("q", [1, 63, 64, 65, 130, 697])
+    def test_orthonormal_with_the_span_of_the_images(self, q, rng):
+        blocks, d = -(-2 * q // 24), 24
+        images = rng.standard_normal((blocks, d, q))
+        a = images.reshape(blocks * d, q)
+        e = analysis._orthonormal_images(images)
+        assert e.basis.shape == a.shape
+        assert _orthogonality_loss(e.basis) < 1e-12
+        qr = np.linalg.qr(a)[0]
+        assert np.abs(e.basis @ e.basis.T - qr @ qr.T).max() < 1e-12
+
+    @pytest.mark.parametrize("q", [0, 1, 7, 42, 63, 64])
+    def test_one_block_is_the_product_with_inv_r(self, q, rng):
+        # up to one block the result is bit for bit the single product
+        # A inv(R), so E on small problems does not change with the blocking
+        images = rng.standard_normal((5, 16, q))
+        a = images.reshape(80, q)
+        expected = a @ np.linalg.inv(np.linalg.qr(a, mode="r"))
+        assert np.array_equal(analysis._orthonormal_images(images).basis,
+                              expected)
+
+    def test_graded_images_lose_no_more_than_inv_r(self, rng):
+        # a column space graded from 1 to 1e-6: both ways lose orthogonality
+        # as cond(A) eps, each with its own rounding (in 16 random draws
+        # the ratio of the losses lay between 0.7 and 2.4)
+        m, q = 520, 130
+        left = np.linalg.qr(rng.standard_normal((m, q)))[0]
+        right = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        a = (left * np.logspace(0, -6, q)) @ right.T
+        blocked = _orthogonality_loss(
+            analysis._orthonormal_images(a.reshape(m // 4, 4, q)).basis)
+        direct = _orthogonality_loss(a @ np.linalg.inv(np.linalg.qr(a, mode="r")))
+        assert blocked <= 4 * direct
+        assert blocked <= np.linalg.cond(a) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("name", ["complete", "malitsky_tam", "parallel_up"])
+    def test_one_complement_per_node(self, name, monkeypatch, rng):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return complement(u)
+
+        monkeypatch.setattr(analysis, "complement", counted)
+        n = 6
+        sp = random_problem(name, n, rng)
+        route = preset(name, n).e_route
+        sp.e_basis
+        closed_form_E(route, sp)
+        assert len(calls) == n
 
 
 class TestClosedFormE:

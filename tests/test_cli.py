@@ -131,6 +131,24 @@ def test_malformed_config_exits_with_config_code(change, flags, tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n", [2 ** 40, HUGE])
+@pytest.mark.parametrize("name", ["sequential", "complete", "malitsky_tam"])
+def test_huge_preset_order_exits_with_config_code(name, n, tmp_path, capsys):
+    # the preset's graphs are refused before any edge list is built
+    cfg = {**VALID, "problem": {"preset": name, "n": n}}
+    path = write_config(tmp_path, json.dumps(cfg))
+    assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_CONFIG
+    assert cli.main(["decompose", "--preset", name, "-n", str(n)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("error: ") for e in err)
+
+
+def test_huge_graph_order_exits_with_config_code(capsys):
+    graph = json.dumps({"n": 10 ** 12, "edges": [[1, 2]]})
+    assert cli.main(["decompose", "--graph", graph]) == cli.EXIT_CONFIG
+    assert "disconnected" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("change, field", [
     ({"max_iter": 5, "thta": 3}, "'max_iter'"),
     ({"problem": {"preset": "sequential", "n": 3, "graph": PATH}}, "'graph'"),

@@ -73,6 +73,13 @@ class TestNewGraph:
         g = new_graph(3, [(2, 3), (1, 2), (2, 3), (1, 3)])
         assert g.edges == ((1, 2), (1, 3), (2, 3))
 
+    @pytest.mark.parametrize("n", [10 ** 12, 2 ** 40, 10 ** 400])
+    def test_too_few_edges_for_a_huge_order_rejected(self, n):
+        # fewer than n - 1 edges cannot connect n nodes; decided before any
+        # per-node work, which at these orders would not fit in memory
+        with pytest.raises(GraphError, match="disconnected"):
+            new_graph(n, [(1, 2)])
+
 
 class TestNamedGraph:
     def test_sequential(self):
@@ -95,6 +102,30 @@ class TestNamedGraph:
     def test_ring_needs_three(self):
         with pytest.raises(GraphError, match="n >= 3"):
             named_graph("ring", 2)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_validated_graph(self, kind):
+        # the families skip new_graph's checks; they must pass them anyway
+        for n in range(3 if kind == "ring" else 2, 41):
+            g = named_graph(kind, n)
+            assert g == new_graph(n, list(reversed(g.edges)))
+            assert type(g.n) is int
+
+    @pytest.mark.parametrize("n", [1, 0, 2.0, True, "4"])
+    def test_order_checked(self, n):
+        with pytest.raises(GraphError, match="node count"):
+            named_graph("sequential", n)
+
+    def test_numpy_order_accepted(self):
+        g = named_graph("complete", np.int64(4))
+        assert type(g.n) is int and g == named_graph("complete", 4)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n", [2 ** 40, 10 ** 400])
+    def test_huge_order_rejected_before_building(self, kind, n):
+        # n (n-1), the entry count of Z, is past numpy's index range
+        with pytest.raises(GraphError, match="too large"):
+            named_graph(kind, n)
 
 
 class TestDegrees:

@@ -210,6 +210,15 @@ class TestResolvent:
             resolvent(op, np.array([0.0, 0.0]), 1.0)
         assert any("firm nonexpansiveness" in r.message for r in caplog.records)
 
+    def test_debug_mode_read_at_construction(self, monkeypatch, caplog):
+        monkeypatch.delenv("GRAPH_SPLIT_LOG", raising=False)
+        op = CallbackOp(lambda x, gamma: 3.0 * x)
+        monkeypatch.setenv("GRAPH_SPLIT_LOG", "debug")
+        with caplog.at_level("WARNING", logger="graphsplit"):
+            resolvent(op, np.array([1.0, 0.0]), 1.0)
+            resolvent(op, np.array([0.0, 0.0]), 1.0)
+        assert not caplog.records
+
 
 class TestFirmNonexpansiveness:
     @pytest.mark.parametrize("make_op", [
