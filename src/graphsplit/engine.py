@@ -26,7 +26,10 @@ Iterations follow the two relaxed schemes
 where x is the sweep output at the pre-update state.  The recorded
 residual is the norm of the unrelaxed v-change (equal to ||dv|| / theta
 for theta > 0), so it is invariant under relaxation scaling and is still
-meaningful at theta = 0.
+meaningful at theta = 0.  Both run in the one loop of ``_kernels``, the
+reduced one as the expanded loop without w.  A run stops on its stop rule
+(``tol``) or at the end of its thetas (``max_iters``, or ``schedule`` for
+a finite schedule); a non-finite residual raises ``DivergenceError``.
 
 When every node operator is the normal cone of a subspace, y -> x is
 linear: a matrix S of shape (n d, (n-1) d).  A problem builds S at its
@@ -61,11 +64,13 @@ SWEEP_MAP_MAX_ENTRIES = 1 << 18
 
 
 class DivergenceError(RuntimeError):
-    """A non-finite value appeared during the iteration."""
+    """The residual of iteration ``iteration`` is not finite;
+    ``residuals`` holds the run's residuals up to and including it."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite iterate at iteration {iteration}")
-        self.iteration = iteration
+    def __init__(self, residuals: np.ndarray):
+        self.iteration = len(residuals)
+        self.residuals = residuals
+        super().__init__(f"non-finite iterate at iteration {self.iteration}")
 
 
 class SplittingProblem:
@@ -284,14 +289,6 @@ def _theta_array(theta, max_iters: int) -> np.ndarray:
     return arr[:max_iters]
 
 
-def _outcome(status: int, k_end: int, thetas: np.ndarray, max_iters: int):
-    if status == _kernels.STATUS_DIVERGED:
-        raise DivergenceError(k_end)
-    if status == _kernels.STATUS_CONVERGED:
-        return True, "tol"
-    return False, ("schedule" if len(thetas) < max_iters else "max_iters")
-
-
 def _start(stop: StopRule | None, theta):
     stop = stop or StopRule()
     if stop.max_iters < 1:
@@ -302,6 +299,28 @@ def _start(stop: StopRule | None, theta):
     return stop, _theta_array(theta, stop.max_iters)
 
 
+def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
+         record_states: bool) -> Trace:
+    """The expanded run from (w0, v0), or the reduced run from v0 when
+    ``w0`` is None, through its own entry point into the driver."""
+    stop, thetas = _start(stop, theta)
+    w0 = None if w0 is None else _as_blocks(w0, p.n, p.d, "w0")
+    v0 = _as_blocks(v0, p.n - 1, p.d, "v0")
+    if w0 is None:
+        x, w, v, residuals, reason, recs = _kernels.alg2_sweep(
+            _step(p), p.zt, v0, thetas, stop.tol, record_states)
+    else:
+        x, w, v, residuals, reason, recs = _kernels.alg1_sweep(
+            _step(p), p.zt, w0, v0, thetas, stop.tol, record_states)
+    if reason == "diverged":
+        raise DivergenceError(residuals)
+    if reason == "end":
+        reason = "schedule" if len(thetas) < stop.max_iters else "max_iters"
+    records = [TraceRecord(k + 1, *rec) for k, rec in enumerate(recs)]
+    return Trace(x, v, residuals, reason == "tol", reason, w=w,
+                 iterations=records)
+
+
 def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
              record_states: bool = False) -> Trace:
     """Run the reduced iteration v <- v - theta_k Z^T x from ``v0``.
@@ -310,15 +329,10 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
     (which then also caps the iteration count).  With ``record_states``
     the trace keeps every iterate; otherwise only residuals and the final
     state.  Subspace problems within the size cap step on their cached
-    sweep map S, all others on the node sweep.
+    sweep map S, all others on the node sweep.  A non-finite residual
+    raises :class:`DivergenceError`.
     """
-    stop, thetas = _start(stop, theta)
-    v0 = _as_blocks(v0, p.n - 1, p.d, "v0")
-    x, v, residuals, status, recs = _kernels.alg2_sweep(
-        _step(p), p.zt, v0, thetas, stop.tol, record_states)
-    converged, reason = _outcome(status, len(residuals), thetas, stop.max_iters)
-    records = [TraceRecord(k + 1, *rec) for k, rec in enumerate(recs)]
-    return Trace(x, v, residuals, converged, reason, iterations=records)
+    return _run(p, None, v0, theta, stop, record_states)
 
 
 def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
@@ -327,20 +341,12 @@ def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
     """Run the expanded iteration from ``(w0, v0)``.
 
     The governing update reads the pre-update w (the v-line uses w^k, not
-    the freshly relaxed w^{k+1}), so w is buffered across the two updates.
-    The run stops on tolerance only when both the v-change residual and
-    the shadow gap ||x - w|| are small; the recorded residual is the
-    v-change.  ``theta``, ``record_states`` and the choice of sweep are
-    as in :func:`run_alg2`.
+    the freshly relaxed w^{k+1}).  The run stops on tolerance only when
+    both the v-change residual and the shadow gap ||x - w|| are small; the
+    recorded residual is the v-change.  ``theta``, ``record_states``, the
+    choice of sweep and the divergence guard are as in :func:`run_alg2`.
     """
-    stop, thetas = _start(stop, theta)
-    w0 = _as_blocks(w0, p.n, p.d, "w0")
-    v0 = _as_blocks(v0, p.n - 1, p.d, "v0")
-    x, w, v, residuals, status, recs = _kernels.alg1_sweep(
-        _step(p), p.zt, w0, v0, thetas, stop.tol, record_states)
-    converged, reason = _outcome(status, len(residuals), thetas, stop.max_iters)
-    records = [TraceRecord(k + 1, *rec) for k, rec in enumerate(recs)]
-    return Trace(x, v, residuals, converged, reason, w=w, iterations=records)
+    return _run(p, w0, v0, theta, stop, record_states)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ Nodes are 1-based in the public edge lists and in JSON; array indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class DegreeBalance:
 
 
 def _check_connected(n: int, edges) -> bool:
-    # union-find over the undirected skeleton
+    # union-find over the undirected skeleton; the (n-1)-th union joins all
     parent = list(range(n))
 
     def find(a):
@@ -78,11 +79,15 @@ def _check_connected(n: int, edges) -> bool:
             a = parent[a]
         return a
 
+    unions = 0
     for i, j in edges:
         ri, rj = find(i - 1), find(j - 1)
         if ri != rj:
             parent[ri] = rj
-    return len({find(v) for v in range(n)}) == 1
+            unions += 1
+            if unions == n - 1:
+                return True
+    return unions == n - 1
 
 
 def _is_label(x) -> bool:
@@ -169,13 +174,17 @@ def named_graph(kind: str, n: int) -> AlgorithmicGraph:
     return AlgorithmicGraph(n, tuple(sorted(edges)))
 
 
+def _ends(g: AlgorithmicGraph) -> np.ndarray:
+    """0-based tails and heads of the stored edges, as two rows."""
+    flat = np.fromiter(chain.from_iterable(g.edges), np.int64, 2 * len(g.edges))
+    return flat.reshape(-1, 2).T - 1
+
+
 def degrees(g: AlgorithmicGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node in-degree, out-degree and total degree, as int arrays."""
-    d_in = np.zeros(g.n, dtype=np.int64)
-    d_out = np.zeros(g.n, dtype=np.int64)
-    for i, j in g.edges:
-        d_out[i - 1] += 1
-        d_in[j - 1] += 1
+    tails, heads = _ends(g)
+    d_in = np.bincount(heads, minlength=g.n)
+    d_out = np.bincount(tails, minlength=g.n)
     return d_in, d_out, d_in + d_out
 
 
@@ -191,17 +200,20 @@ def incidence(g: AlgorithmicGraph) -> np.ndarray:
     The column for edge (i, j) carries +1 at row i (the edge leaves i) and
     -1 at row j.  Columns follow the lexicographic edge order.
     """
-    mat = np.zeros((g.n, len(g.edges)), dtype=np.int64)
-    for e, (i, j) in enumerate(g.edges):
-        mat[i - 1, e] = 1
-        mat[j - 1, e] = -1
+    tails, heads = _ends(g)
+    cols = np.arange(len(tails))
+    mat = np.zeros((g.n, len(tails)), dtype=np.int64)
+    mat[tails, cols] = 1
+    mat[heads, cols] = -1
     return mat
 
 
 def laplacian(g: AlgorithmicGraph) -> np.ndarray:
     """Graph Laplacian: degrees on the diagonal, -1 for adjacent pairs."""
-    inc = incidence(g)
-    return inc @ inc.T
+    tails, heads = ends = _ends(g)
+    mat = np.diag(np.bincount(ends.ravel(), minlength=g.n))
+    mat[tails, heads] = mat[heads, tails] = -1
+    return mat
 
 
 def p_matrix(g: AlgorithmicGraph) -> np.ndarray:
@@ -212,10 +224,10 @@ def p_matrix(g: AlgorithmicGraph) -> np.ndarray:
     strictly lower triangular, which is what makes the per-node forward
     substitution in the iteration engines well defined.
     """
+    tails, heads = _ends(g)
     _, _, d = degrees(g)
     mat = np.diag(d)
-    for i, j in g.edges:
-        mat[j - 1, i - 1] = -2
+    mat[heads, tails] = -2
     return mat
 
 

@@ -300,6 +300,30 @@ class TestRunAlg1:
         assert np.abs(t1.v - t2.v).max() < 1e-7
         assert np.abs(t1.x - t2.x).max() < 1e-7
 
+    @pytest.mark.parametrize("callback", [False, True])
+    @pytest.mark.parametrize("schedule", [False, True])
+    def test_reduces_to_the_reduced_run(self, callback, schedule, rng):
+        # y = Z^T w + v turns the expanded run from (w0, v0) into the
+        # reduced run from y0 = Z^T w0 + v0, iterate by iterate
+        sp = random_problem("malitsky_tam", 5, rng, d=3, planted=True)
+        p = sp.base
+        if callback:
+            p = SplittingProblem(
+                p.pair, p.dec,
+                [CallbackOp(lambda x, g, u=u: project(u, x))
+                 for u in sp.subspaces], 3)
+        w0 = rng.standard_normal((5, 3))
+        v0 = rng.standard_normal((4, 3))
+        theta = rng.uniform(0.3, 1.7, size=200) if schedule else 1.3
+        stop = StopRule(tol=0.0, max_iters=200)
+        t1 = run_alg1(p, w0, v0, theta, stop, record_states=True)
+        t2 = run_alg2(p, p.zt @ w0 + v0, theta, stop, record_states=True)
+        assert (p._sweep_map is None) == callback
+        assert t1.k_final == t2.k_final == 200
+        for r1, r2 in zip(t1.iterations, t2.iterations):
+            assert np.abs(p.zt @ r1.w + r1.v - r2.v).max() <= 1e-12
+            assert np.abs(r1.x - r2.x).max() <= 1e-12
+
     @pytest.mark.parametrize("seed", range(5))
     def test_coinciding_subspaces_stop_at_the_limit(self, seed):
         # every node on one line: at theta = 1 the v-change is zero after
@@ -339,8 +363,19 @@ class TestDivergenceGuard:
         ops = [CallbackOp(lambda x, gamma: 50.0 * x) for _ in range(2)]
         p = SplittingProblem(ps.pair, ps.dec, ops, 2)
         v0 = np.array([[1.0, 1.0]])
-        with pytest.raises(DivergenceError, match="iteration"):
-            run_alg2(p, v0, 1.9, StopRule(max_iters=5000))
+        w0 = np.array([[1.0, -1.0], [0.5, 2.0]])
+        runs = (lambda stop: run_alg2(p, v0, 1.9, stop),
+                lambda stop: run_alg1(p, w0, v0, 1.9, stop))
+        for run in runs:
+            with pytest.raises(DivergenceError, match="iteration") as info:
+                run(StopRule(max_iters=5000))
+            exc = info.value
+            assert exc.iteration > 1
+            assert len(exc.residuals) == exc.iteration
+            assert not np.isfinite(exc.residuals[-1])
+            assert np.isfinite(exc.residuals[:-1]).all()
+            before = run(StopRule(max_iters=exc.iteration - 1))
+            assert np.array_equal(exc.residuals[:-1], before.residuals)
 
 
 class TestKernelPaths:
@@ -361,6 +396,30 @@ class TestKernelPaths:
         assert fast1.k_final == slow1.k_final
         assert np.abs(fast1.v - slow1.v).max() < 1e-13
         assert np.abs(fast1.w - slow1.w).max() < 1e-13
+
+    def test_each_run_enters_the_driver_through_its_own_sweep(
+            self, monkeypatch, rng):
+        # benchmark timers wrap these two names; a run that bypassed them
+        # would go untimed
+        calls = []
+
+        def counting(name):
+            inner = getattr(engine._kernels, name)
+
+            def sweep(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return sweep
+
+        for name in ("alg1_sweep", "alg2_sweep"):
+            monkeypatch.setattr(engine._kernels, name, counting(name))
+        sp = random_problem("generalized_ryu", 3, rng, d=2)
+        v0 = rng.standard_normal((2, 2))
+        run_alg1(sp.base, rng.standard_normal((3, 2)), v0)
+        assert calls == ["alg1_sweep"]
+        calls.clear()
+        run_alg2(sp.base, v0)
+        assert calls == ["alg2_sweep"]
 
     def test_sweep_map_matches_node_sweep_under_cap(self, rng):
         # a callback with the same projections takes the node sweep, the

@@ -261,6 +261,15 @@ class TestValidatePair:
             validate_pair(named_graph("sequential", 3),
                           named_graph("sequential", 4))
 
+    @pytest.mark.parametrize("edges", [
+        ((1, 2), (3, 4)),
+        ((1, 2), (1, 3), (2, 3)),  # n - 1 edges, one of them closing a cycle
+    ])
+    def test_directly_built_disconnected_sub_rejected(self, edges):
+        # a directly built graph skips new_graph's checks
+        with pytest.raises(GraphError, match="subgraph is disconnected"):
+            validate_pair(named_graph("complete", 4), AlgorithmicGraph(4, edges))
+
 
 class TestJson:
     def test_round_trip(self):
