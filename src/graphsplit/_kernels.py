@@ -7,7 +7,9 @@ to the shadow blocks x, an (n, d) array; either the cached linear sweep
 map of a subspace problem or the per-node forward sweep.  The expanded
 run carries w next to v and steps on y = Z^T w + v; the reduced run is
 the same loop without w and steps on y = v (see :mod:`graphsplit.engine`
-for why one map serves both).
+for why one map serves both).  ``thetas`` is any iterable, a repeated
+constant or a finite schedule, and the residuals grow in a list, so the
+loop holds nothing sized by the run's budget.
 
 ``alg1_sweep`` and ``alg2_sweep`` are the entry points; each enters the
 loop itself, so a timer wrapped around one never also times the other.
@@ -43,10 +45,9 @@ def _drive(step, zt, w0, v0, thetas, tol, record_states):
     makes new arrays, so the records keep the iterates without copies.
     """
     w, v, x = w0, v0, None
-    residuals = np.empty(len(thetas))
-    records = []
-    reason, k = "end", -1
-    for k, theta in enumerate(thetas):
+    residuals, records = [], []
+    reason = "end"
+    for theta in thetas:
         if w is None:
             x = step(v)
             g = zt @ x
@@ -55,7 +56,7 @@ def _drive(step, zt, w0, v0, thetas, tol, record_states):
             x = step(zt @ w + v)
             g = zt @ (w - 2.0 * x)
         res = math.sqrt(np.vdot(g, g))
-        residuals[k] = res
+        residuals.append(res)
         if not math.isfinite(res):
             reason = "diverged"
             break
@@ -72,7 +73,7 @@ def _drive(step, zt, w0, v0, thetas, tol, record_states):
         if done:
             reason = "tol"
             break
-    return x, w, v, residuals[:k + 1], reason, records
+    return x, w, v, np.array(residuals), reason, records
 
 
 def alg2_sweep(step, zt, v0, thetas, tol, record_states=False):

@@ -20,7 +20,7 @@ A config is a JSON object, inline or in a file, with the fields (default):
   ``{"spanners": [...]}`` or ``{"callback": "identity" | "zero"}``;
 * ``algorithm``: "reduced" (default) or "expanded"; ``theta``: a number
   or a list of numbers (1.0); ``tol``: a number (1e-10); ``max_iters``:
-  integer >= 1 (100000); ``seed``: integer >= 0 (0);
+  integer in [1, sys.maxsize] (100000); ``seed``: integer >= 0 (0);
 * ``w0`` (n x d), ``v0`` ((n-1) x d): numbers, "zero" (default) or
   "random" (drawn from ``seed``).
 

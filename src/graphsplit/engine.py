@@ -29,7 +29,9 @@ for theta > 0), so it is invariant under relaxation scaling and is still
 meaningful at theta = 0.  Both run in the one loop of ``_kernels``, the
 reduced one as the expanded loop without w.  A run stops on its stop rule
 (``tol``) or at the end of its thetas (``max_iters``, or ``schedule`` for
-a finite schedule); a non-finite residual raises ``DivergenceError``.
+a finite schedule); a non-finite residual raises ``DivergenceError``.  A
+constant theta is repeated lazily and the residuals grow with the run, so
+no array of a run is sized by its budget.
 
 When every node operator is the normal cone of a subspace, y -> x is
 linear: a matrix S of shape (n d, (n-1) d).  A problem builds S at its
@@ -42,9 +44,12 @@ memory grows as (n d)^2, so larger problems keep sweeping node by node.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -98,30 +103,14 @@ class SplittingProblem:
             raise ValueError(f"expected {n} operators, got {len(ops)}")
         for i, op in enumerate(ops):
             if isinstance(op, NormalConeOp) and op.subspace.dim_ambient != d:
-                raise ValueError(
-                    f"operator {i + 1}: subspace lives in "
-                    f"R^{op.subspace.dim_ambient}, expected R^{d}"
-                )
-        lap_sub = laplacian(pair.sub)
-        mismatch = np.abs(dec.z @ dec.z.T - lap_sub).max()
+                raise ValueError(f"operator {i + 1}: subspace lives in "
+                                 f"R^{op.subspace.dim_ambient}, expected R^{d}")
+        mismatch = np.abs(dec.z @ dec.z.T - laplacian(pair.sub)).max()
         if mismatch > 1e-10:
-            raise ValueError(
-                f"decomposition does not factor Lap(G'): max deviation "
-                f"{mismatch:.3e}"
-            )
-        self.pair = pair
-        self.dec = dec
-        self.ops = ops
-        self.d = d
-        self.n = n
-
-        _, _, d_g = degrees(pair.g)
-        self.deg = d_g.astype(np.float64)
-        self._dinv = 1.0 / self.deg
-        # in-neighbors in G (h with (h, i) in E), 0-based
-        self.pred = [[] for _ in range(n)]
-        for i, j in pair.g.edges:
-            self.pred[j - 1].append(i - 1)
+            raise ValueError(f"decomposition does not factor Lap(G'): max "
+                             f"deviation {mismatch:.3e}")
+        self.pair, self.dec, self.ops, self.d, self.n = pair, dec, ops, d, n
+        self._dinv = 1.0 / degrees(pair.g)[2]
         self.z = np.ascontiguousarray(dec.z)
         self.zt = np.ascontiguousarray(dec.z.T)
 
@@ -131,8 +120,13 @@ class SplittingProblem:
 
     @cached_property
     def _node_maps(self) -> list:
-        """Per node, s -> J_{A_i/d_i}(s / d_i); a subspace node applies its
-        scaled projector to the last axis, so it also takes batches."""
+        """Per node, built at the first sweep: its in-neighbours in G (h
+        with (h, i) in E, 0-based, in edge order) and the map s ->
+        J_{A_i/d_i}(s / d_i); a subspace node applies its scaled projector
+        to the last axis, so it also takes batches."""
+        preds = [[] for _ in range(self.n)]
+        for h, i in self.pair.g.edges:
+            preds[i - 1].append(h - 1)
         maps = []
         for op, dinv in zip(self.ops, self._dinv.tolist()):
             if isinstance(op, NormalConeOp):
@@ -140,7 +134,7 @@ class SplittingProblem:
                 maps.append(lambda s, q=q: s @ q)
             else:
                 maps.append(lambda s, op=op, g=dinv: resolvent(op, s * g, g))
-        return maps
+        return list(zip(preds, maps))
 
     @cached_property
     def _sweep_map(self) -> np.ndarray | None:
@@ -168,9 +162,9 @@ def node_sweep(p: SplittingProblem, t: np.ndarray) -> np.ndarray:
     / d_i) on node inputs t of shape (n, d), or (n, batch, d) for subspace
     problems."""
     x = np.empty_like(t)
-    for i, node_map in enumerate(p._node_maps):
+    for i, (preds, node_map) in enumerate(p._node_maps):
         s = t[i]
-        for h in p.pred[i]:
+        for h in preds:
             s = s + 2.0 * x[h]
         try:
             x[i] = node_map(s)
@@ -229,7 +223,8 @@ class StopRule:
 
     A run converges when its residual is at most tol * max(1, ||v||_F);
     the expanded run must also have ||x - w||_F <= tol * max(1, ||w||_F).
-    The runs reject a tol that is negative or not finite.
+    ``tol`` is a real number, finite and >= 0, and ``max_iters`` an
+    integer in [1, sys.maxsize]; the runs refuse bool and str for either.
     """
 
     tol: float = DEFAULT_TOL
@@ -267,43 +262,44 @@ class Trace:
         return len(self.residuals)
 
 
-def _theta_array(theta, max_iters: int) -> np.ndarray:
-    if np.isscalar(theta):
-        th = float(theta)
+def _schedule(theta, stop: StopRule):
+    """The thetas of a run: a constant repeated ``stop.max_iters`` times,
+    never expanded into an array, or a finite schedule cut to the budget.
+    The one check of a run's theta, tol and max_iters."""
+    m = stop.max_iters
+    if (isinstance(m, bool) or not isinstance(m, numbers.Integral)
+            or not 1 <= m <= sys.maxsize):
+        raise ValueError(f"max_iters must be an integer in [1, {sys.maxsize}], "
+                         f"got {m!r}")
+    tol = np.asarray(stop.tol)
+    if tol.ndim or tol.dtype.kind not in "iuf" or not 0.0 <= tol < np.inf:
+        raise ValueError(f"stop tolerance must be a finite real number >= 0, "
+                         f"got {stop.tol!r}")
+    arr = np.asarray(theta)
+    if arr.dtype.kind not in "iuf" or arr.ndim > 1:
+        raise ValueError(f"relaxation parameter must be a real number or a "
+                         f"flat list of them, got {theta!r}")
+    if arr.ndim == 0:
+        th = float(arr)
         if not 0.0 <= th <= 2.0:
             raise ValueError(f"relaxation parameter must lie in [0, 2], got {th}")
         if th == 0.0 or th == 2.0:
-            log.warning(
-                "constant relaxation %.1f gives no convergence guarantee", th
-            )
-        return np.full(max_iters, th)
-    arr = np.asarray(theta, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"relaxation schedule must be a flat list, got "
-                         f"shape {arr.shape}")
+            log.warning("constant relaxation %.1f gives no convergence "
+                        "guarantee", th)
+        return itertools.repeat(th, m)
     if arr.size == 0:
         raise ValueError("relaxation schedule is empty")
-    if arr.min() < 0.0 or arr.max() > 2.0:
+    if not ((0.0 <= arr) & (arr <= 2.0)).all():
         raise ValueError("relaxation schedule must lie in [0, 2]")
-    # a finite schedule bounds the run length by its own length
-    return arr[:max_iters]
-
-
-def _start(stop: StopRule | None, theta):
-    stop = stop or StopRule()
-    if stop.max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if not 0.0 <= stop.tol < np.inf:
-        raise ValueError(f"stop tolerance must be finite and >= 0, got "
-                         f"{stop.tol}")
-    return stop, _theta_array(theta, stop.max_iters)
+    return arr[:m].astype(np.float64, copy=False)
 
 
 def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
          record_states: bool) -> Trace:
     """The expanded run from (w0, v0), or the reduced run from v0 when
     ``w0`` is None, through its own entry point into the driver."""
-    stop, thetas = _start(stop, theta)
+    stop = stop or StopRule()
+    thetas = _schedule(theta, stop)
     w0 = None if w0 is None else _as_blocks(w0, p.n, p.d, "w0")
     v0 = _as_blocks(v0, p.n - 1, p.d, "v0")
     if w0 is None:
@@ -315,7 +311,7 @@ def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
     if reason == "diverged":
         raise DivergenceError(residuals)
     if reason == "end":
-        reason = "schedule" if len(thetas) < stop.max_iters else "max_iters"
+        reason = "schedule" if len(residuals) < stop.max_iters else "max_iters"
     records = [TraceRecord(k + 1, *rec) for k, rec in enumerate(recs)]
     return Trace(x, v, residuals, reason == "tol", reason, w=w,
                  iterations=records)
@@ -325,12 +321,14 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
              record_states: bool = False) -> Trace:
     """Run the reduced iteration v <- v - theta_k Z^T x from ``v0``.
 
-    ``theta`` is a constant in [0, 2] or a finite per-iteration schedule
-    (which then also caps the iteration count).  With ``record_states``
-    the trace keeps every iterate; otherwise only residuals and the final
-    state.  Subspace problems within the size cap step on their cached
-    sweep map S, all others on the node sweep.  A non-finite residual
-    raises :class:`DivergenceError`.
+    ``theta`` is a real constant in [0, 2], never expanded to the budget,
+    or a flat list of them, a finite schedule that also caps the iteration
+    count; bool, str and NaN are refused.  ``stop`` (``StopRule()`` when
+    None) takes the tol and max_iters of :class:`StopRule`.  With
+    ``record_states`` the trace keeps every iterate; otherwise only
+    residuals and the final state.  Subspace problems within the size cap
+    step on their cached sweep map S, all others on the node sweep.  A
+    non-finite residual raises :class:`DivergenceError`.
     """
     return _run(p, None, v0, theta, stop, record_states)
 
@@ -343,8 +341,8 @@ def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
     The governing update reads the pre-update w (the v-line uses w^k, not
     the freshly relaxed w^{k+1}).  The run stops on tolerance only when
     both the v-change residual and the shadow gap ||x - w|| are small; the
-    recorded residual is the v-change.  ``theta``, ``record_states``, the
-    choice of sweep and the divergence guard are as in :func:`run_alg2`.
+    recorded residual is the v-change.  The other arguments, the choice of
+    sweep and the divergence guard are as in :func:`run_alg2`.
     """
     return _run(p, w0, v0, theta, stop, record_states)
 

@@ -75,6 +75,37 @@ def random_problem(name, n, rng, d=4, planted=False):
     return analysis.subspace_problem(ps.pair, ps.dec, subs)
 
 
+def callback_twin(prob, subspaces):
+    """``prob`` with each node a callback projecting onto its subspace:
+    the same iteration, stepped on the node sweep, never a sweep map."""
+    return engine.SplittingProblem(
+        prob.pair, prob.dec,
+        [operators.CallbackOp(lambda x, g, u=u: operators.project(u, x))
+         for u in subspaces], prob.d)
+
+
+def random_graph_pair(rng, n, kind):
+    """(G, G') with G' a random spanning tree ("tree"), the tree plus
+    chords ("chords"), the ring or the complete graph, and G equal to G'
+    plus random chords."""
+    nodes = range(1, n + 1)
+    if kind == "complete":
+        sub = {(i, j) for i in nodes for j in nodes if i < j}
+    elif kind == "ring":
+        sub = {(i, i + 1) for i in range(1, n)} | {(1, n)}
+    else:
+        order = rng.permutation(n) + 1
+        sub = {tuple(sorted((int(order[k]), int(order[rng.integers(k)]))))
+               for k in range(1, n)}
+    chords = {(i, j) for i in nodes for j in nodes
+              if i < j and rng.random() < 0.3}
+    if kind == "chords":
+        sub |= chords
+    g = sub | chords | {(i, j) for i in nodes for j in nodes
+                        if i < j and rng.random() < 0.2}
+    return sorted(g), sorted(sub)
+
+
 def dense_m_plus_a_solve(prob, w, v):
     """Independent oracle for (M + A)^{-1} on subspace problems.
 

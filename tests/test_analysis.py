@@ -54,6 +54,7 @@ from graphsplit.presets import preset
 from conftest import (
     apply_C_star,
     lstsq_project,
+    random_graph_pair,
     random_problem,
     random_subspace,
     span_residual,
@@ -322,28 +323,6 @@ def dim_E_by_count(spanners, d):
 def problem_from_spanners(pair, dec, spanners, d):
     return subspace_problem(pair, dec, [subspace_from_spanners(d, list(s.T))
                                         for s in spanners])
-
-
-def random_graph_pair(rng, n, kind):
-    """(G, G') with G' a random spanning tree ("tree"), the tree plus
-    chords ("chords"), the ring or the complete graph, and G equal to G'
-    plus random chords."""
-    nodes = range(1, n + 1)
-    if kind == "complete":
-        sub = {(i, j) for i in nodes for j in nodes if i < j}
-    elif kind == "ring":
-        sub = {(i, i + 1) for i in range(1, n)} | {(1, n)}
-    else:
-        order = rng.permutation(n) + 1
-        sub = {tuple(sorted((int(order[k]), int(order[rng.integers(k)]))))
-               for k in range(1, n)}
-    chords = {(i, j) for i in nodes for j in nodes
-              if i < j and rng.random() < 0.3}
-    if kind == "chords":
-        sub |= chords
-    g = sub | chords | {(i, j) for i in nodes for j in nodes
-                        if i < j and rng.random() < 0.2}
-    return sorted(g), sorted(sub)
 
 
 class TestEDimension:

@@ -3,6 +3,7 @@ the documented config code and a message, never a traceback), and the
 reports of ``verify`` and ``list-presets``."""
 
 import json
+import sys
 
 import pytest
 
@@ -141,6 +142,20 @@ def test_huge_preset_order_exits_with_config_code(name, n, tmp_path, capsys):
     assert cli.main(["decompose", "--preset", name, "-n", str(n)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(e.startswith("error: ") for e in err)
+
+
+def test_huge_budget_runs(tmp_path, capsys):
+    # the budget bounds the run; nothing of its size is allocated
+    path = write_config(tmp_path, json.dumps({**VALID, "max_iters": 10 ** 12}))
+    assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_OK
+    assert '"converged": true' in capsys.readouterr().out
+
+
+def test_budget_beyond_maxsize_exits_with_config_code(tmp_path, capsys):
+    path = write_config(tmp_path, json.dumps({**VALID, "max_iters": 10 ** 31}))
+    assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_iters") and str(sys.maxsize) in err
 
 
 def test_huge_graph_order_exits_with_config_code(capsys):

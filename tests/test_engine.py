@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from graphsplit.operators import (
     CallbackOp,
     NormalConeOp,
     full_space,
-    project,
     subspace_from_spanners,
 )
 from graphsplit.presets import preset
@@ -36,6 +36,7 @@ from conftest import (
     PRESET_CASES,
     apply_M,
     assemble_T_matrix,
+    callback_twin,
     dense_m_plus_a_solve,
     random_problem,
     random_subspace,
@@ -226,8 +227,24 @@ class TestRunAlg2:
         (1.0, StopRule(tol=float("nan")), "tolerance"),
         (1.0, StopRule(tol=float("inf")), "tolerance"),
         (1.0, StopRule(tol=-1.0), "tolerance"),
+        ([1.0, float("nan")], None, "0, 2"),
+        (float("nan"), None, "0, 2"),
+        ("1.5", None, "real"),
+        (True, None, "real"),
+        ([True, True], None, "real"),
+        ([1.0, None], None, "real"),
+        (1.0, StopRule(tol="1e-3"), "tolerance"),
+        (1.0, StopRule(tol=True), "tolerance"),
+        (1.0, StopRule(tol=[1e-3]), "tolerance"),
+        (1.0, StopRule(max_iters=True), "max_iters"),
+        (1.0, StopRule(max_iters=2.5), "max_iters"),
+        (1.0, StopRule(max_iters=0), "max_iters"),
+        (1.0, StopRule(max_iters=sys.maxsize + 1), str(sys.maxsize)),
     ], ids=["above-2", "negative-entry", "empty", "nested", "tol-nan",
-            "tol-inf", "tol-negative"])
+            "tol-inf", "tol-negative", "schedule-nan", "theta-nan",
+            "theta-str", "theta-bool", "schedule-bool", "schedule-none",
+            "tol-str", "tol-bool", "tol-list", "max-iters-bool",
+            "max-iters-fraction", "max-iters-zero", "max-iters-above-maxsize"])
     def test_argument_validation_both_drivers(self, theta, stop, match):
         p = drs_problem([[1.0, 0.0]], [[0.0, 1.0]])
         v0 = np.zeros((1, 2))
@@ -235,6 +252,18 @@ class TestRunAlg2:
             run_alg2(p, v0, theta, stop)
         with pytest.raises(ValueError, match=match):
             run_alg1(p, np.zeros((2, 2)), v0, theta, stop)
+
+    @pytest.mark.parametrize("theta", [np.array(1.3), np.float64(1.3), 1.3,
+                                       np.array([1.3] * 5), [1.3] * 5])
+    def test_real_thetas_run_alike(self, theta):
+        # a 0-d array is a constant, like the float and the numpy scalar
+        p = drs_problem([[1.0, 0.0]], [[0.6, 0.8]])
+        v0 = np.array([[1.0, 1.0]])
+        ref = run_alg2(p, v0, 1.3, StopRule(max_iters=5))
+        trace = run_alg2(p, v0, theta, StopRule(max_iters=5))
+        assert np.array_equal(trace.v, ref.v)
+        assert np.array_equal(trace.residuals, ref.residuals)
+        assert trace.stop_reason == "max_iters"
 
     def test_zero_tol_is_legal(self):
         p = drs_problem([[1.0, 0.0]], [[0.0, 1.0]])
@@ -308,10 +337,7 @@ class TestRunAlg1:
         sp = random_problem("malitsky_tam", 5, rng, d=3, planted=True)
         p = sp.base
         if callback:
-            p = SplittingProblem(
-                p.pair, p.dec,
-                [CallbackOp(lambda x, g, u=u: project(u, x))
-                 for u in sp.subspaces], 3)
+            p = callback_twin(p, sp.subspaces)
         w0 = rng.standard_normal((5, 3))
         v0 = rng.standard_normal((4, 3))
         theta = rng.uniform(0.3, 1.7, size=200) if schedule else 1.3
@@ -372,10 +398,60 @@ class TestDivergenceGuard:
             exc = info.value
             assert exc.iteration > 1
             assert len(exc.residuals) == exc.iteration
+            assert exc.residuals.base is None
             assert not np.isfinite(exc.residuals[-1])
             assert np.isfinite(exc.residuals[:-1]).all()
             before = run(StopRule(max_iters=exc.iteration - 1))
             assert np.array_equal(exc.residuals[:-1], before.residuals)
+
+
+def sweep_map_or_twin(callback, rng):
+    """A subspace problem, which steps on its sweep map, or its callback
+    twin, which steps on the node sweep."""
+    sp = random_problem("generalized_ryu", 3, rng, d=3, planted=True)
+    return callback_twin(sp.base, sp.subspaces) if callback else sp.base
+
+
+class TestBudget:
+    """A run holds nothing sized by its budget: its cost and memory follow
+    the iterations it takes."""
+
+    @pytest.mark.parametrize("callback", [False, True])
+    def test_huge_budget_converging_run(self, callback, rng):
+        problem = sweep_map_or_twin(callback, rng)
+        v0 = rng.standard_normal((2, 3))
+        w0 = rng.standard_normal((3, 3))
+        stop = StopRule(max_iters=10 ** 12)
+        for trace in (run_alg2(problem, v0, 1.0, stop),
+                      run_alg1(problem, w0, v0, 1.0, stop)):
+            assert trace.converged and trace.residuals.base is None
+        trace = run_alg2(problem, v0, [0.5] * 3, stop)
+        assert trace.stop_reason == "schedule" and trace.k_final == 3
+        assert (problem._sweep_map is None) == callback
+
+    @pytest.mark.parametrize("callback", [False, True])
+    def test_divergence_residuals_own_their_data(self, callback, rng):
+        # a non-finite start diverges at once on either step
+        problem = sweep_map_or_twin(callback, rng)
+        v0 = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        for run in (lambda: run_alg2(problem, v0, 1.0),
+                    lambda: run_alg1(problem, np.zeros((3, 3)), v0, 1.0)):
+            with pytest.raises(DivergenceError) as info, \
+                    np.errstate(invalid="ignore"):
+                run()
+            assert info.value.iteration == 1
+            assert info.value.residuals.base is None
+
+    def test_node_table_built_at_the_first_sweep(self, rng):
+        sp = random_problem("malitsky_tam", 5, rng, d=3, planted=True)
+        p = sp.base
+        predict_limits_alg2(sp, rng.standard_normal((4, 3)))
+        assert "_node_maps" not in vars(p)
+        assert not hasattr(p, "pred") and not hasattr(p, "deg")
+        solve_m_plus_a(p, np.zeros((5, 3)), np.zeros((4, 3)))
+        preds = [preds for preds, _ in p._node_maps]
+        assert preds == [[h - 1 for h, j in p.pair.g.edges if j == i]
+                         for i in range(1, 6)]
 
 
 class TestKernelPaths:
@@ -429,9 +505,7 @@ class TestKernelPaths:
                 for _ in range(5)]
         p_ns = SplittingProblem(ps.pair, ps.dec,
                                 [NormalConeOp(u) for u in subs], 3)
-        p_cb = SplittingProblem(
-            ps.pair, ps.dec,
-            [CallbackOp(lambda x, g, u=u: project(u, x)) for u in subs], 3)
+        p_cb = callback_twin(p_ns, subs)
         v0 = rng.standard_normal((4, 3))
         w0 = rng.standard_normal((5, 3))
         for theta in (0.7, 1.0, 1.5):
