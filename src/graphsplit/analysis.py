@@ -25,7 +25,8 @@ outer), so ``v.reshape(-1)`` of an (n-1, d) array matches the basis
 layout used here.
 
 All operations in this module require subspace operators; problems built
-on callback resolvents are rejected.
+on callback resolvents are rejected.  Every block argument passes
+``operators.real_array``, so it is finite float64 of the block shape.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import SplittingProblem, _as_blocks
+from .engine import SplittingProblem
 from .factor import AlphaVector, OntoDecomposition, alpha as compute_alpha
 from .graphs import GraphError, GraphPair, degree_balance, named_graph
 from .operators import (
@@ -45,6 +46,7 @@ from .operators import (
     complement,
     orthonormalize,
     project,
+    real_array,
     resolvent,
 )
 
@@ -72,14 +74,9 @@ class EBasis:
         return self.basis.shape[1]
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Project blocks (n_blocks, d) onto E."""
-        flat = np.asarray(v, dtype=np.float64).reshape(-1)
-        out = self.basis @ (self.basis.T @ flat)
+        """Project float64 blocks (n_blocks, d) onto E."""
+        out = self.basis @ (self.basis.T @ v.reshape(-1))
         return out.reshape(self.n_blocks, self.d)
-
-    def contains(self, v: np.ndarray, tol: float = 1e-10) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        return float(np.abs(self.project(v) - v).max()) <= tol
 
 
 @dataclass(frozen=True)
@@ -278,15 +275,15 @@ def _limit(sp: SubspaceProblem, y: np.ndarray) -> LimitPrediction:
 def predict_limits_alg2(sp: SubspaceProblem, v0) -> LimitPrediction:
     """Exact limit of the reduced iteration started at v0 (constant
     relaxation in (0, 2) assumed for the run itself)."""
-    return _limit(sp, _as_blocks(v0, sp.n - 1, sp.d, "v0"))
+    return _limit(sp, real_array(v0, "v0", (sp.n - 1, sp.d)))
 
 
 def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
     """Exact limit of the expanded iteration started at (w0, v0): the
     limit formula at y = Z^T w0 + v0; all shadow and w blocks converge to
     u_bar."""
-    w0 = _as_blocks(w0, sp.n, sp.d, "w0")
-    v0 = _as_blocks(v0, sp.n - 1, sp.d, "v0")
+    w0 = real_array(w0, "w0", (sp.n, sp.d))
+    v0 = real_array(v0, "v0", (sp.n - 1, sp.d))
     a = sp.alpha.alpha
     delta = degree_balance(sp.base.pair.g).delta.astype(np.float64)
     y = sp.base.zt @ w0 + v0
@@ -303,14 +300,14 @@ def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
 
 def proj_fix_T_tilde(sp: SubspaceProblem, v) -> np.ndarray:
     """Projection onto the reduced fixed-point set: the limit formula at v."""
-    return _limit(sp, _as_blocks(v, sp.n - 1, sp.d, "v")).v_bar
+    return _limit(sp, real_array(v, "v", (sp.n - 1, sp.d))).v_bar
 
 
 def m_proj_fix_T(sp: SubspaceProblem, w, v):
     """M-projection onto the expanded fixed-point set: (w_bar, v_bar) with
     every block of w_bar the u and v_bar the limit formula at Z^T w + v."""
-    y = (sp.base.zt @ _as_blocks(w, sp.n, sp.d, "w")
-         + _as_blocks(v, sp.n - 1, sp.d, "v"))
+    y = (sp.base.zt @ real_array(w, "w", (sp.n, sp.d))
+         + real_array(v, "v", (sp.n - 1, sp.d)))
     lim = _limit(sp, y)
     return np.tile(lim.u_bar, (sp.n, 1)), lim.v_bar
 
@@ -319,7 +316,7 @@ def x_from_v(sp: SubspaceProblem, v) -> np.ndarray:
     """The unique zero associated with a governing vector: the first
     node's resolvent at (Z v)_1 / d_1.  For v in the fixed-point set this
     lies in U."""
-    zv1 = sp.base.z[0] @ _as_blocks(v, sp.n - 1, sp.d, "v")
+    zv1 = sp.base.z[0] @ real_array(v, "v", (sp.n - 1, sp.d))
     return resolvent(sp.base.ops[0], zv1 * sp.base._dinv[0], sp.base._dinv[0])
 
 

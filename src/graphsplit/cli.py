@@ -24,14 +24,17 @@ A config is a JSON object, inline or in a file, with the fields (default):
 * ``w0`` (n x d), ``v0`` ((n-1) x d): numbers, "zero" (default) or
   "random" (drawn from ``seed``).
 
-Numbers must be finite; bool, str and null are rejected, never coerced.
-Each object takes only the fields listed for it, and the alternatives
-separated by "or" exclude each other; any other field is rejected.
-The flags --algorithm, --theta, --tol, --max-iters and --seed replace the
-field of the same name before the config is read.  ``verify`` runs both
-algorithms (with --all-presets, on one problem per preset drawn from
---seed, 42); its --tol is only the tolerance of the comparison with the
-predicted limits (1e-6) and leaves the stop rule to the config.
+Numbers must be finite; bool, str and null are rejected, never coerced,
+by ``operators.real_array``, the check the library applies to every
+real-number input.  Each object takes only the fields listed for it, and
+the alternatives separated by "or" exclude each other; any other field is
+rejected.  ``predict`` reads no theta or tol and takes no --theta, --tol
+or --max-iters.  The flags --algorithm, --theta, --tol, --max-iters and
+--seed replace the field of the same name before the config is read.
+``verify`` runs both algorithms (with --all-presets, on one problem per
+preset drawn from --seed, 42); its --tol is only the tolerance of the
+comparison with the predicted limits (1e-6) and leaves the stop rule to
+the config.
 
 Exit codes: 0 ok, 2 config or validation failure, 3 numeric divergence,
 4 verification failure.
@@ -84,25 +87,6 @@ def _integer(value, what: str, minimum: int) -> int:
     if value < minimum:
         raise ConfigError(f"{what} must be at least {minimum}, got {value!r}")
     return int(value)
-
-
-def _array(value, what: str, shape: tuple, finite: bool = True):
-    """Real numbers nested exactly as ``shape``, as float64 (a numpy
-    scalar for shape ()), finite unless ``finite`` is false; bool, str,
-    null, deeper nesting and integers beyond the float range are rejected,
-    not coerced.  The values come from JSON or argparse, so their exact
-    types are int and float."""
-    arr = np.array(value, dtype=object)
-    if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
-        try:
-            arr = arr.astype(np.float64)
-        except OverflowError:
-            pass
-        else:
-            if not finite or np.isfinite(arr).all():
-                return arr[()]
-    raise ConfigError(f"{what} must be {'finite ' if finite else ''}real "
-                      f"numbers of shape {shape}, got {value!r}")
 
 
 def _object(value, what: str, fields: tuple | None = None) -> dict:
@@ -213,21 +197,17 @@ def _random_spec_spanners(opts: dict, n: int, d: int, seed: int) -> list:
     if isinstance(common, bool):
         common = rng.standard_normal(d) if common else None
     else:
-        common = _array(common, "common", (d,))
+        common = operators.real_array(common, "common", (d,))
     return random_spanners(rng, d, dims, common)
 
 
-def _spanners(value, what: str, d: int):
-    """A config's list of spanners, each d real numbers, as one array (an
-    empty list stays, for the zero subspace).  Finiteness is left to
-    ``operators.orthonormalize``, which names the spanner."""
+def _spanners(value, what: str):
+    """A config's list of spanners; ``operators.orthonormalize`` checks
+    each one, and names it."""
     if not isinstance(value, list):
         raise ConfigError(f"the spanners of {what} must be a list, got "
                           f"{value!r}")
-    if not value:
-        return value
-    return _array(value, f"the spanners of {what}", (len(value), d),
-                  finite=False)
+    return value
 
 
 def _build_operators(cfg: dict, n: int, d: int, seed: int):
@@ -240,7 +220,7 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
             _object(spec, "subspaces", ("random",))
             spec = _random_spec_spanners(spec["random"], n, d, seed)
         elif isinstance(spec, list) and len(spec) == n:
-            spec = [_spanners(s, f"node {i + 1}", d)
+            spec = [_spanners(s, f"node {i + 1}")
                     for i, s in enumerate(spec)]
         else:
             raise ConfigError(f"subspaces must be a list of {n} spanner "
@@ -258,7 +238,7 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
                 raise ConfigError(f"operator {i + 1} needs exactly one of "
                                   "'spanners' or 'callback'")
             if "spanners" in entry:
-                spanners = _spanners(entry["spanners"], f"operator {i + 1}", d)
+                spanners = _spanners(entry["spanners"], f"operator {i + 1}")
                 ops.append(operators.NormalConeOp(
                     operators.subspace_from_spanners(d, spanners)))
             else:
@@ -279,7 +259,7 @@ def _initial_blocks(spec, rows: int, d: int, rng: np.random.Generator,
         return np.zeros((rows, d))
     if spec == "random":
         return rng.standard_normal((rows, d))
-    return _array(spec, name, (rows, d))
+    return operators.real_array(spec, name, (rows, d))
 
 
 def problem_from_config(cfg: dict, flags: argparse.Namespace | None = None):
@@ -306,14 +286,12 @@ def problem_from_config(cfg: dict, flags: argparse.Namespace | None = None):
     if algorithm not in ("expanded", "reduced"):
         raise ConfigError(f"algorithm must be 'expanded' or 'reduced', "
                           f"got {algorithm!r}")
-    theta = cfg.get("theta", 1.0)
     rng = np.random.default_rng(seed)
     return prob, {
         "algorithm": algorithm,
-        "theta": _array(theta, "theta",
-                        (len(theta),) if isinstance(theta, list) else ()),
+        "theta": cfg.get("theta", 1.0),
         "stop": engine.StopRule(
-            tol=_array(cfg.get("tol", engine.DEFAULT_TOL), "tol", ()),
+            tol=cfg.get("tol", engine.DEFAULT_TOL),
             max_iters=_integer(cfg.get("max_iters", engine.DEFAULT_MAX_ITERS),
                                "max_iters", 1)),
         "w0": _initial_blocks(cfg.get("w0", "zero"), n, d, rng, "w0"),
@@ -449,8 +427,8 @@ def cmd_verify(args) -> int:
     report = {"tol": args.compare_tol, "cases": []}
     for label, cfg, planted in cases:
         prob, opts = problem_from_config(cfg, args)
-        theta = opts["theta"]
-        if not np.isscalar(theta) or not 0.0 < theta < 2.0:
+        theta = operators.real_array(opts["theta"], "the theta of verify", ())
+        if not 0.0 < theta < 2.0:
             raise ConfigError(f"verify requires a constant theta in (0, 2), "
                               f"got {theta}")
         sp = analysis.SubspaceProblem.from_problem(prob)
@@ -508,26 +486,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decompose)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--theta", type=float)
-    common.add_argument("--max-iters", type=int, dest="max_iters")
     common.add_argument("--seed", type=int)
     common.add_argument("--out")
-    common_run = argparse.ArgumentParser(add_help=False, parents=[common])
-    common_run.add_argument("--config", required=True)
-    common_run.add_argument("--algorithm", choices=("expanded", "reduced"))
-    common_run.add_argument("--tol", type=float, help="stop tolerance")
+    iterate = argparse.ArgumentParser(add_help=False)
+    iterate.add_argument("--theta", type=float)
+    iterate.add_argument("--max-iters", type=int, dest="max_iters")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    config.add_argument("--algorithm", choices=("expanded", "reduced"))
 
-    p_run = sub.add_parser("run", parents=[common_run],
+    p_run = sub.add_parser("run", parents=[iterate, common, config],
                            help="run an experiment, write its trace")
+    p_run.add_argument("--tol", type=float, help="stop tolerance")
     p_run.add_argument("--no-trace", action="store_true",
                        help="skip per-iteration recording and the trace file")
     p_run.set_defaults(func=cmd_run)
 
-    p_pred = sub.add_parser("predict", parents=[common_run],
+    p_pred = sub.add_parser("predict", parents=[common, config],
                             help="closed-form limit prediction")
     p_pred.set_defaults(func=cmd_predict)
 
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[iterate, common],
                            help="run and compare against predicted limits")
     source = p_ver.add_mutually_exclusive_group()
     source.add_argument("--config")

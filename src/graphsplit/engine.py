@@ -38,8 +38,12 @@ linear: a matrix S of shape (n d, (n-1) d).  A problem builds S at its
 first run, by sweeping the (n-1) d unit inputs at once, and keeps it, so
 each later iteration is one matrix-vector product instead of n node
 steps.  S is used while it has at most ``SWEEP_MAP_MAX_ENTRIES`` entries
-(2 MB); above that the product costs more than the node sweep and its
-memory grows as (n d)^2, so larger problems keep sweeping node by node.
+(2 MiB).  The cap bounds memory and build time, not the cost of a step.
+S grows as (n d)^2: on complete G with d = 24 it holds 6.9 MiB and took
+70-100 ms to build at n = 40 (3.4 times the cap), and 15.6 MiB and
+190-260 ms at n = 60, while its product there took a sixth of the time
+of the node sweep (2-core x86-64).  Larger problems keep sweeping node
+by node.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 from . import _kernels
 from .factor import OntoDecomposition
 from .graphs import GraphPair, degrees, laplacian
-from .operators import NormalConeOp, resolvent
+from .operators import NormalConeOp, real_array, resolvent
 
 log = logging.getLogger("graphsplit")
 
@@ -150,13 +154,6 @@ class SplittingProblem:
         return np.ascontiguousarray(x.transpose(0, 2, 1).reshape(n * d, m))
 
 
-def _as_blocks(arr, rows: int, d: int, name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64)
-    if out.shape != (rows, d):
-        raise ValueError(f"{name} must have shape ({rows}, {d}), got {out.shape}")
-    return out
-
-
 def node_sweep(p: SplittingProblem, t: np.ndarray) -> np.ndarray:
     """The forward sweep x_i = J_{A_i/d_i}((t_i + 2 sum_{(h,i) in E} x_h)
     / d_i) on node inputs t of shape (n, d), or (n, batch, d) for subspace
@@ -189,8 +186,8 @@ def solve_m_plus_a(p: SplittingProblem, w, v):
     The n upper blocks come from the node sweep on t = w; the lower
     blocks are ``y = v - 2 Z^T x``.
     """
-    w = _as_blocks(w, p.n, p.d, "w")
-    v = _as_blocks(v, p.n - 1, p.d, "v")
+    w = real_array(w, "w", (p.n, p.d))
+    v = real_array(v, "v", (p.n - 1, p.d))
     x = node_sweep(p, w)
     return x, v - 2.0 * (p.zt @ x)
 
@@ -201,8 +198,8 @@ def apply_T(p: SplittingProblem, w, v):
     Returns the shadow blocks x and the updated governing blocks
     ``v + Z^T (w - 2x)``.
     """
-    w = _as_blocks(w, p.n, p.d, "w")
-    v = _as_blocks(v, p.n - 1, p.d, "v")
+    w = real_array(w, "w", (p.n, p.d))
+    v = real_array(v, "v", (p.n - 1, p.d))
     x = node_sweep(p, p.z @ (p.zt @ w + v))
     return x, v + p.zt @ (w - 2.0 * x)
 
@@ -212,7 +209,7 @@ def apply_T_tilde(p: SplittingProblem, v):
 
     Returns the shadow blocks x and ``v - Z^T x``.
     """
-    v = _as_blocks(v, p.n - 1, p.d, "v")
+    v = real_array(v, "v", (p.n - 1, p.d))
     x = node_sweep(p, p.z @ v)
     return x, v - p.zt @ x
 
@@ -223,8 +220,8 @@ class StopRule:
 
     A run converges when its residual is at most tol * max(1, ||v||_F);
     the expanded run must also have ||x - w||_F <= tol * max(1, ||w||_F).
-    ``tol`` is a real number, finite and >= 0, and ``max_iters`` an
-    integer in [1, sys.maxsize]; the runs refuse bool and str for either.
+    ``tol`` is a real number >= 0 that passes ``operators.real_array``,
+    and ``max_iters`` an integer in [1, sys.maxsize], never bool or float.
     """
 
     tol: float = DEFAULT_TOL
@@ -263,35 +260,33 @@ class Trace:
 
 
 def _schedule(theta, stop: StopRule):
-    """The thetas of a run: a constant repeated ``stop.max_iters`` times,
-    never expanded into an array, or a finite schedule cut to the budget.
-    The one check of a run's theta, tol and max_iters."""
+    """The thetas of a run, a constant repeated ``stop.max_iters`` times or
+    a finite schedule cut to the budget, and its tol as a float.  The one
+    check of a run's theta, tol and max_iters."""
     m = stop.max_iters
     if (isinstance(m, bool) or not isinstance(m, numbers.Integral)
             or not 1 <= m <= sys.maxsize):
         raise ValueError(f"max_iters must be an integer in [1, {sys.maxsize}], "
                          f"got {m!r}")
-    tol = np.asarray(stop.tol)
-    if tol.ndim or tol.dtype.kind not in "iuf" or not 0.0 <= tol < np.inf:
-        raise ValueError(f"stop tolerance must be a finite real number >= 0, "
-                         f"got {stop.tol!r}")
-    arr = np.asarray(theta)
-    if arr.dtype.kind not in "iuf" or arr.ndim > 1:
-        raise ValueError(f"relaxation parameter must be a real number or a "
-                         f"flat list of them, got {theta!r}")
-    if arr.ndim == 0:
+    tol = float(real_array(stop.tol, "stop tolerance", ()))
+    if tol < 0.0:
+        raise ValueError(f"stop tolerance must be >= 0, got {stop.tol!r}")
+    flat = isinstance(theta, (list, tuple)) or np.ndim(theta) > 0
+    arr = real_array(theta, "relaxation parameter (a number in [0, 2] or a "
+                     "flat list of them)", (len(theta),) if flat else ())
+    if not flat:
         th = float(arr)
         if not 0.0 <= th <= 2.0:
             raise ValueError(f"relaxation parameter must lie in [0, 2], got {th}")
         if th == 0.0 or th == 2.0:
             log.warning("constant relaxation %.1f gives no convergence "
                         "guarantee", th)
-        return itertools.repeat(th, m)
+        return itertools.repeat(th, m), tol
     if arr.size == 0:
         raise ValueError("relaxation schedule is empty")
     if not ((0.0 <= arr) & (arr <= 2.0)).all():
         raise ValueError("relaxation schedule must lie in [0, 2]")
-    return arr[:m].astype(np.float64, copy=False)
+    return arr[:m], tol
 
 
 def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
@@ -299,15 +294,15 @@ def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
     """The expanded run from (w0, v0), or the reduced run from v0 when
     ``w0`` is None, through its own entry point into the driver."""
     stop = stop or StopRule()
-    thetas = _schedule(theta, stop)
-    w0 = None if w0 is None else _as_blocks(w0, p.n, p.d, "w0")
-    v0 = _as_blocks(v0, p.n - 1, p.d, "v0")
+    thetas, tol = _schedule(theta, stop)
+    w0 = None if w0 is None else real_array(w0, "w0", (p.n, p.d))
+    v0 = real_array(v0, "v0", (p.n - 1, p.d))
     if w0 is None:
         x, w, v, residuals, reason, recs = _kernels.alg2_sweep(
-            _step(p), p.zt, v0, thetas, stop.tol, record_states)
+            _step(p), p.zt, v0, thetas, tol, record_states)
     else:
         x, w, v, residuals, reason, recs = _kernels.alg1_sweep(
-            _step(p), p.zt, w0, v0, thetas, stop.tol, record_states)
+            _step(p), p.zt, w0, v0, thetas, tol, record_states)
     if reason == "diverged":
         raise DivergenceError(residuals)
     if reason == "end":
@@ -323,10 +318,11 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
 
     ``theta`` is a real constant in [0, 2], never expanded to the budget,
     or a flat list of them, a finite schedule that also caps the iteration
-    count; bool, str and NaN are refused.  ``stop`` (``StopRule()`` when
-    None) takes the tol and max_iters of :class:`StopRule`.  With
-    ``record_states`` the trace keeps every iterate; otherwise only
-    residuals and the final state.  Subspace problems within the size cap
+    count.  ``stop`` (``StopRule()`` when None) takes the tol and
+    max_iters of :class:`StopRule`.  ``v0``, theta and tol pass
+    ``operators.real_array``, so bool, str, None, wrong nesting and
+    non-finite values raise ``ValueError``.  With ``record_states`` the
+    trace keeps every iterate.  Subspace problems within the memory cap
     step on their cached sweep map S, all others on the node sweep.  A
     non-finite residual raises :class:`DivergenceError`.
     """
@@ -341,8 +337,8 @@ def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
     The governing update reads the pre-update w (the v-line uses w^k, not
     the freshly relaxed w^{k+1}).  The run stops on tolerance only when
     both the v-change residual and the shadow gap ||x - w|| are small; the
-    recorded residual is the v-change.  The other arguments, the choice of
-    sweep and the divergence guard are as in :func:`run_alg2`.
+    recorded residual is the v-change.  The other arguments, ``w0``'s check,
+    the sweep and the divergence guard are as in :func:`run_alg2`.
     """
     return _run(p, w0, v0, theta, stop, record_states)
 

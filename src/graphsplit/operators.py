@@ -15,6 +15,9 @@ rank-revealing SVD: a singular value counts as zero when it is at most
 1e-10 times the largest one (or 1e-10 when the largest is below 1).
 :func:`orthonormalize` scales each spanner to unit length first, so the
 rank does not depend on the spanners' relative scales.
+
+:func:`real_array` is the one check of real-number input, for spanners,
+runs, operator applications, predictions and the CLI; it coerces nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +54,34 @@ class LinearSubspace:
         return self.basis @ self.basis.T
 
 
+def real_array(value, what: str, shape: tuple):
+    """``value`` as finite float64 of exactly ``shape`` (a numpy scalar for
+    shape ()).  An int or float ndarray is converted whole, a float64 one
+    without a copy; any other value must nest int or float entries, numpy's
+    included, exactly as ``shape``.  bool, str, None, other nesting,
+    non-finite values and integers beyond the float range raise
+    ``ValueError`` naming ``what``."""
+    arr = value
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        arr = np.array(value, dtype=object)
+        real = (int, float, np.integer, np.floating)
+        if not all(t is not bool and issubclass(t, real)
+                   for t in set(map(type, arr.flat))):
+            raise ValueError(f"{what} must be real numbers (int or float), "
+                             f"got {value!r}")
+    if arr.shape != shape:
+        want = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
+        raise ValueError(f"{what} must have {want}, got shape {arr.shape}")
+    try:
+        arr = arr.astype(np.float64, copy=False)
+        finite = np.isfinite(arr).all()
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} is not finite: {value!r}")
+    return arr[()] if shape == () else arr
+
+
 def _rank(s: np.ndarray) -> int:
     """Rank from singular values in descending order."""
     return int(np.sum(s > _DROP_TOL * max(s[0], 1.0)))
@@ -74,15 +105,10 @@ def orthonormalize(vectors, d: int) -> np.ndarray:
 
     Zero vectors are dropped and the others scaled to unit length; the
     basis is the leading left singular vectors of their stack, so a vector
-    1e-12 times smaller than the others still counts.  A vector of the
-    wrong length or with a non-finite entry raises ``ValueError``.
+    1e-12 times smaller than the others still counts.  Each vector passes
+    :func:`real_array` as d numbers, named by its 0-based index.
     """
-    rows = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
-    for j, v in enumerate(rows):
-        if v.shape[0] != d:
-            raise ValueError(f"expected vectors of length {d}, got {v.shape[0]}")
-        if not np.isfinite(v).all():
-            raise ValueError(f"spanner {j} is not finite: {v.tolist()}")
+    rows = [real_array(v, f"spanner {j}", (d,)) for j, v in enumerate(vectors)]
     mat = np.array(rows) if rows else np.zeros((0, d))
     norms = np.linalg.norm(mat, axis=1)
     keep = norms > 0

@@ -151,6 +151,35 @@ def test_huge_budget_runs(tmp_path, capsys):
     assert '"converged": true' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--theta", "--tol", "--max-iters"])
+def test_predict_takes_no_iteration_flags(flag, tmp_path, capsys):
+    # run keeps the flag; predict, which reads none of them, refuses it
+    path = write_config(tmp_path, json.dumps(VALID))
+    assert cli.main(["run", "--no-trace", "--config", path, flag, "1"]) == cli.EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["predict", "--config", path, flag, "1"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+def test_predict_output_ignores_the_iteration_fields(tmp_path, capsys):
+    # run and predict share config files, so predict accepts the fields
+    base = {k: v for k, v in VALID.items() if k != "max_iters"}
+    outs = []
+    for cfg in (base, {**base, "theta": 1.5, "tol": 1e-3, "max_iters": 7}):
+        path = write_config(tmp_path, json.dumps(cfg))
+        assert cli.main(["predict", "--config", path]) == cli.EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"v_bar"' in outs[0]
+
+
+@pytest.mark.parametrize("theta", ["1.5", [1.0], True, None, 2.0])
+def test_verify_theta_is_checked_before_it_is_compared(theta, tmp_path, capsys):
+    path = write_config(tmp_path, json.dumps({**SLOW, "theta": theta}))
+    assert cli.main(["verify", "--config", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_budget_beyond_maxsize_exits_with_config_code(tmp_path, capsys):
     path = write_config(tmp_path, json.dumps({**VALID, "max_iters": 10 ** 31}))
     assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_CONFIG

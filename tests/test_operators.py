@@ -7,6 +7,7 @@ from graphsplit.operators import (
     complement,
     full_space,
     project,
+    real_array,
     resolvent,
     subspace_from_spanners,
     zero_space,
@@ -41,6 +42,12 @@ class TestSubspaceFromSpanners:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length 3"):
             subspace_from_spanners(3, [[1.0, 0.0]])
+
+    def test_float64_array_passes_the_check_without_a_copy(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert real_array(a, "a", (2, 3)) is a
+        ints = np.arange(6).reshape(2, 3)
+        assert real_array(ints, "a", (2, 3)).dtype == np.float64
 
     def test_zero_vectors_dropped(self):
         u = subspace_from_spanners(2, [[0.0, 0.0], [0.0, 3.0]])

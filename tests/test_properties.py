@@ -1,10 +1,14 @@
-"""Properties of the runs over arbitrary connected graph pairs.
+"""Properties of the runs over arbitrary connected graph pairs, and of
+the boundary every numeric entry point shares.
 
 Pairs are drawn as in ``TestEDimension``: G' a spanning tree, a tree
 plus chords, a ring or the complete graph, and G adds random chords.
 Every factor method that accepts G' is used.  Each node gets a random
 subspace through one planted common vector, so U is not {0}.
 """
+
+import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,15 +17,31 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from graphsplit.analysis import (
+    m_proj_fix_T,
     predict_limits_alg1,
     predict_limits_alg2,
+    proj_fix_T_tilde,
     subspace_problem,
+    x_from_v,
 )
-from graphsplit.engine import StopRule, run_alg1, run_alg2
+from graphsplit.engine import (
+    StopRule,
+    apply_T,
+    apply_T_tilde,
+    run_alg1,
+    run_alg2,
+    solve_m_plus_a,
+)
 from graphsplit.factor import METHODS, FactorError, factorize
 from graphsplit.graphs import new_graph, validate_pair
+from graphsplit.operators import subspace_from_spanners
 
-from conftest import callback_twin, random_graph_pair, random_subspace
+from conftest import (
+    callback_twin,
+    random_graph_pair,
+    random_problem,
+    random_subspace,
+)
 
 #: fixed examples, no example database and no per-example deadline
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None,
@@ -93,3 +113,177 @@ def test_node_sweep_twin_matches_the_sweep_map(draw):
             for r_ref, r_got in zip(ref.iterations, got.iterations):
                 assert np.abs(r_got.x - r_ref.x).max() <= 1e-12, method
                 assert np.abs(r_got.v - r_ref.v).max() <= 1e-12, method
+
+
+# ---------------------------------------------------------------------------
+# the real-number boundary
+
+N, D = 3, 2
+#: a short budget, so runs from any valid start stay cheap
+SHORT = StopRule(tol=1e-10, max_iters=200)
+
+
+@functools.cache
+def boundary_problem():
+    return random_problem("sequential", N, np.random.default_rng(11), d=D,
+                          planted=True)
+
+
+def block_calls():
+    """``name -> (shape, call)``: every entry point that takes blocks or
+    spanners, with the other arguments valid."""
+    sp = boundary_problem()
+    p, w, v = sp.base, np.ones((N, D)), np.ones((N - 1, D))
+    blocks, gov = (N, D), (N - 1, D)
+    return {
+        "run_alg1-w0": (blocks, lambda x: run_alg1(p, x, v, 1.0, SHORT)),
+        "run_alg1-v0": (gov, lambda x: run_alg1(p, w, x, 1.0, SHORT)),
+        "run_alg2-v0": (gov, lambda x: run_alg2(p, x, 1.0, SHORT)),
+        "apply_T-w": (blocks, lambda x: apply_T(p, x, v)),
+        "apply_T-v": (gov, lambda x: apply_T(p, w, x)),
+        "apply_T_tilde-v": (gov, lambda x: apply_T_tilde(p, x)),
+        "solve_m_plus_a-w": (blocks, lambda x: solve_m_plus_a(p, x, v)),
+        "solve_m_plus_a-v": (gov, lambda x: solve_m_plus_a(p, w, x)),
+        "predict_limits_alg1-w0": (blocks,
+                                   lambda x: predict_limits_alg1(sp, x, v)),
+        "predict_limits_alg1-v0": (gov,
+                                   lambda x: predict_limits_alg1(sp, w, x)),
+        "predict_limits_alg2-v0": (gov, lambda x: predict_limits_alg2(sp, x)),
+        "proj_fix_T_tilde-v": (gov, lambda x: proj_fix_T_tilde(sp, x)),
+        "m_proj_fix_T-w": (blocks, lambda x: m_proj_fix_T(sp, x, v)),
+        "m_proj_fix_T-v": (gov, lambda x: m_proj_fix_T(sp, w, x)),
+        "x_from_v-v": (gov, lambda x: x_from_v(sp, x)),
+        "subspace_from_spanners": ((2, D),
+                                   lambda x: subspace_from_spanners(D, x)),
+    }
+
+
+def schedule_calls():
+    """``name -> (shapes, call)``: the theta of each run, a number or a
+    flat list, and its tol, a number."""
+    p, w, v = boundary_problem().base, np.ones((N, D)), np.ones((N - 1, D))
+    return {
+        "run_alg2-theta": ([(), (3,)], lambda x: run_alg2(p, v, x, SHORT)),
+        "run_alg1-theta": ([(), (3,)], lambda x: run_alg1(p, w, v, x, SHORT)),
+        "run_alg2-tol": ([()], lambda x: run_alg2(p, v, 1.0, StopRule(x, 200))),
+        "run_alg1-tol": ([()], lambda x: run_alg1(p, w, v, 1.0,
+                                                  StopRule(x, 200))),
+    }
+
+
+def _nested(flat: list, shape: tuple):
+    """``flat`` as nested lists of ``shape`` (its only entry for ())."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0]
+    return [_nested(flat[k * step:(k + 1) * step], shape[1:])
+            for k in range(shape[0])]
+
+
+#: entries that are not real numbers, or not finite ones
+BAD_ENTRIES = (st.sampled_from([True, False, np.bool_(True), "1", "nan",
+                                None, float("nan"), float("inf"),
+                                -float("inf")])
+               | st.integers(min_value=2 ** 1024)
+               | st.integers(max_value=-2 ** 1024))
+
+
+@st.composite
+def malformed(draw, shape: tuple):
+    """A value of ``shape`` made malformed in one place: a bad entry, a
+    ragged row (an entry nested one level deeper for shapes of fewer than
+    two axes), a nested entry, or a float64 array with a non-finite
+    entry."""
+    size = int(np.prod(shape))
+    flat = draw(st.lists(st.floats(0.0, 2.0), min_size=size, max_size=size))
+    at = draw(st.integers(0, size - 1))
+    kind = draw(st.sampled_from(["entry", "ragged", "nested", "array"]))
+    if kind == "array":
+        flat[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        return np.array(flat).reshape(shape)
+    if kind == "ragged" and len(shape) == 2:
+        value = _nested(flat, shape)
+        row = value[at // shape[1]]
+        if draw(st.booleans()):
+            row.append(1.0)
+        else:
+            row.pop()
+        return value
+    flat[at] = draw(BAD_ENTRIES) if kind == "entry" else [flat[at]]
+    return _nested(flat, shape)
+
+
+def assert_refused(call, value):
+    """``call(value)`` raises ValueError, with no warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            call(value)
+    assert not caught, [str(c.message) for c in caught]
+
+
+def bits(result):
+    """Every array of a result, with its dtype and shape, as bytes; other
+    fields as they are."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, (tuple, list)):
+        return tuple(map(bits, result))
+    if hasattr(result, "__dict__"):
+        return bits(list(vars(result).values()))
+    return result
+
+
+@st.composite
+def valid_forms(draw, shape: tuple, low=-4, high=4):
+    """``(value, reference)``: real numbers of ``shape`` as an int list, a
+    list of np.float64, or an int or float32 array, and the float64 array
+    of the same values."""
+    size = int(np.prod(shape))
+    form = draw(st.sampled_from(["int list", "float64 list", "int array",
+                                 "float32 array"]))
+    if form.startswith("int"):
+        entries = st.integers(low, high)
+    else:
+        entries = st.floats(low, high, width=32 if form.startswith("float32")
+                            else 64)
+    flat = draw(st.lists(entries, min_size=size, max_size=size))
+    if form == "float64 list":
+        value = _nested([np.float64(x) for x in flat], shape)
+    elif form == "int list":
+        value = _nested(flat, shape)
+    else:
+        value = np.array(flat, dtype=np.int64 if form == "int array"
+                         else np.float32).reshape(shape)
+    return value, np.asarray(value, dtype=np.float64)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_malformed_blocks_and_spanners_are_refused(data):
+    for name, (shape, call) in block_calls().items():
+        assert_refused(call, data.draw(malformed(shape), label=name))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_malformed_theta_and_tol_are_refused(data):
+    for name, (shapes, call) in schedule_calls().items():
+        bad = st.one_of([malformed(shape) for shape in shapes])
+        if len(shapes) > 1:
+            # a nested number [x] is a schedule of one theta
+            bad = bad.filter(lambda x: not (isinstance(x, list)
+                                            and len(x) == 1))
+        assert_refused(call, data.draw(bad, label=name))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_valid_forms_give_the_float64_result_bit_for_bit(data):
+    for name, (shape, call) in block_calls().items():
+        value, ref = data.draw(valid_forms(shape), label=name)
+        assert bits(call(value)) == bits(call(ref)), name
+    for name, (shapes, call) in schedule_calls().items():
+        shape = data.draw(st.sampled_from(shapes))
+        value, ref = data.draw(valid_forms(shape, 0, 2), label=name)
+        assert bits(call(value)) == bits(call(ref)), name
