@@ -33,17 +33,22 @@ a finite schedule); a non-finite residual raises ``DivergenceError``.  A
 constant theta is repeated lazily and the residuals grow with the run, so
 no array of a run is sized by its budget.
 
-When every node operator is the normal cone of a subspace, y -> x is
-linear: a matrix S of shape (n d, (n-1) d).  A problem builds S at its
-first run, by sweeping the (n-1) d unit inputs at once, and keeps it, so
-each later iteration is one matrix-vector product instead of n node
-steps.  S is used while it has at most ``SWEEP_MAP_MAX_ENTRIES`` entries
-(2 MiB).  The cap bounds memory and build time, not the cost of a step.
-S grows as (n d)^2: on complete G with d = 24 it holds 6.9 MiB and took
-70-100 ms to build at n = 40 (3.4 times the cap), and 15.6 MiB and
-190-260 ms at n = 60, while its product there took a sixth of the time
-of the node sweep (2-core x86-64).  Larger problems keep sweeping node
-by node.
+When every node operator is the normal cone of a subspace U_i, y -> x is
+linear, x = S y, and a run iterates its residual instead of its blocks.
+Each residual Z^T x lies in the range of R = (Z^T (x) I_d) blockdiag(B_i),
+B_i an orthonormal basis of U_i, and S vanishes on the complement of that
+range.  With q the Q factor of a QR of R (m = min(sum r_i, (n-1) d)
+columns, no rank decision), e = q^T Z^T x steps as e <- e - theta G e,
+G = q^T Z^T S q of size m x m, and its norm is the residual; v, x and w
+are running sums of the e_k, formed only for the stop test and the
+result (see ``_kernels._Linear``).  A problem builds q, G and kq, the
+node coordinates of S q, at its first run, by one batched sweep of q's
+columns, and keeps them.  They are used while they hold at most
+``LINEAR_MAP_MAX_ENTRIES`` entries (2 MiB).  The cap bounds memory and
+build time: with r_i = d / 2 they hold about as much as S, (n d)^2
+entries, at most three times as much, and S held 15.6 MiB on complete G
+with n = 60 and d = 24, where the node sweep needs a few kilobytes.
+Larger problems keep sweeping node by node.
 """
 
 from __future__ import annotations
@@ -62,14 +67,15 @@ import numpy as np
 from . import _kernels
 from .factor import OntoDecomposition
 from .graphs import GraphPair, degrees, laplacian
-from .operators import NormalConeOp, real_array, resolvent
+from .operators import NormalConeOp, real_array
 
 log = logging.getLogger("graphsplit")
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
-#: largest sweep map S, in float64 entries, that a subspace problem caches
-SWEEP_MAP_MAX_ENTRIES = 1 << 18
+#: largest residual map (q, g and S q), in float64 entries, that a subspace
+#: problem caches
+LINEAR_MAP_MAX_ENTRIES = 1 << 18
 
 
 class DivergenceError(RuntimeError):
@@ -137,21 +143,36 @@ class SplittingProblem:
                 q = dinv * op.subspace.projector()
                 maps.append(lambda s, q=q: s @ q)
             else:
-                maps.append(lambda s, op=op, g=dinv: resolvent(op, s * g, g))
+                maps.append(lambda s, op=op, g=dinv: op.resolvent(s * g, g))
         return list(zip(preds, maps))
 
     @cached_property
-    def _sweep_map(self) -> np.ndarray | None:
-        """The sweep map S (x = S y, flattened blocks) of a subspace
-        problem within the size cap, else None."""
-        n, d = self.n, self.d
-        m = (n - 1) * d
-        if not self.all_subspace or n * d * m > SWEEP_MAP_MAX_ENTRIES:
+    def _linear_map(self) -> _kernels.LinearMap | None:
+        """The residual map of a subspace problem whose q, g and kq have at
+        most ``LINEAR_MAP_MAX_ENTRIES`` entries, else None; see
+        :class:`_kernels.LinearMap`."""
+        if not self.all_subspace:
             return None
-        # column b of S is the sweep of the unit input y = e_b
-        units = np.eye(m).reshape(m, n - 1, d)
-        x = node_sweep(self, np.einsum("ij,bjc->ibc", self.z, units))
-        return np.ascontiguousarray(x.transpose(0, 2, 1).reshape(n * d, m))
+        n, d = self.n, self.d
+        bases = [op.subspace.basis for op in self.ops]
+        dims = [b.shape[1] for b in bases]
+        r, nd1 = max(dims), (n - 1) * d
+        m = min(sum(dims), nd1)
+        if (nd1 + n * r + m) * m > LINEAR_MAP_MAX_ENTRIES:
+            return None
+        basis = np.zeros((n, d, r))
+        for b, bi, k in zip(basis, bases, dims):
+            b[:, :k] = bi
+        live = (np.arange(r) < np.array(dims)[:, None]).reshape(-1)
+        # R = (Z^T (x) I_d) blockdiag(B_i), one column per basis vector
+        rr = (self.zt[:, None, :, None] * basis.transpose(1, 0, 2))
+        q, rf = np.linalg.qr(rr.reshape(nd1, n * r)[:, live])
+        # sweep q's columns at once, on node inputs Z y of shape (n, m, d)
+        x = node_sweep(self, (self.z @ q.reshape(n - 1, d * m))
+                       .reshape(n, d, m).transpose(0, 2, 1))
+        kq = (x @ basis).transpose(0, 2, 1).reshape(n * r, m)
+        # Z^T S q = R kq, and q^T R = rf
+        return _kernels.LinearMap(q, rf @ kq[live], kq, basis)
 
 
 def node_sweep(p: SplittingProblem, t: np.ndarray) -> np.ndarray:
@@ -171,13 +192,9 @@ def node_sweep(p: SplittingProblem, t: np.ndarray) -> np.ndarray:
 
 
 def _step(p: SplittingProblem):
-    """The map y -> x the drivers iterate: S when cached, else the node
-    sweep on t = Z y."""
-    s = p._sweep_map
-    if s is None:
-        return lambda y: node_sweep(p, p.z @ y)
-    shape = (p.n, p.d)
-    return lambda y: (s @ y.reshape(-1)).reshape(shape)
+    """What the driver iterates: the residual map when cached, else the
+    node sweep y -> x on t = Z y."""
+    return p._linear_map or (lambda y: node_sweep(p, p.z @ y))
 
 
 def solve_m_plus_a(p: SplittingProblem, w, v):
@@ -323,8 +340,9 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
     ``operators.real_array``, so bool, str, None, wrong nesting and
     non-finite values raise ``ValueError``.  With ``record_states`` the
     trace keeps every iterate.  Subspace problems within the memory cap
-    step on their cached sweep map S, all others on the node sweep.  A
-    non-finite residual raises :class:`DivergenceError`.
+    iterate their residual on the cached residual map, all others step on
+    the node sweep.  A non-finite residual raises
+    :class:`DivergenceError`.
     """
     return _run(p, None, v0, theta, stop, record_states)
 

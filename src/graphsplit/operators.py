@@ -23,6 +23,7 @@ runs, operator applications, predictions and the CLI; it coerces nothing.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -61,6 +62,14 @@ def real_array(value, what: str, shape: tuple):
     included, exactly as ``shape``.  bool, str, None, other nesting,
     non-finite values and integers beyond the float range raise
     ``ValueError`` naming ``what``."""
+    if shape == () and (type(value) is float or type(value) is int):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{what} is not finite: {value!r}")
+        return np.float64(value)
     arr = value
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         arr = np.array(value, dtype=object)
@@ -139,14 +148,14 @@ def complement(u: LinearSubspace) -> LinearSubspace:
     return LinearSubspace(u.dim_ambient, _null_space(u.basis.T))
 
 
-def project(u: LinearSubspace, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto ``u``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != u.dim_ambient:
-        raise ValueError(
-            f"dimension mismatch: point in R^{x.shape[-1]}, "
-            f"subspace in R^{u.dim_ambient}"
-        )
+def project(u: LinearSubspace, x) -> np.ndarray:
+    """Orthogonal projection of ``x`` (a point of R^d or a stack of them,
+    passing :func:`real_array`) onto ``u``."""
+    shape = np.shape(x)
+    if shape[-1:] != (u.dim_ambient,):
+        raise ValueError(f"dimension mismatch: point of shape {shape}, "
+                         f"subspace in R^{u.dim_ambient}")
+    x = real_array(x, "point", shape)
     return (x @ u.basis) @ u.basis.T
 
 
@@ -201,8 +210,10 @@ class CallbackOp:
 ResolventOp = NormalConeOp | CallbackOp
 
 
-def resolvent(op: ResolventOp, x: np.ndarray, gamma: float) -> np.ndarray:
-    """Evaluate J_{gamma A}(x) for the node operator ``op``."""
+def resolvent(op: ResolventOp, x, gamma: float) -> np.ndarray:
+    """Evaluate J_{gamma A}(x) for the node operator ``op``; ``x`` and
+    ``gamma`` pass :func:`real_array`."""
+    gamma = real_array(gamma, "resolvent scale gamma", ())
     if gamma <= 0:
         raise ValueError(f"resolvent scale gamma must be positive, got {gamma}")
-    return op.resolvent(np.asarray(x, dtype=np.float64), gamma)
+    return op.resolvent(real_array(x, "x", np.shape(x)), gamma)

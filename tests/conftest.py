@@ -77,7 +77,8 @@ def random_problem(name, n, rng, d=4, planted=False):
 
 def callback_twin(prob, subspaces):
     """``prob`` with each node a callback projecting onto its subspace:
-    the same iteration, stepped on the node sweep, never a sweep map."""
+    the same iteration, stepped on the node sweep, never the residual
+    map."""
     return engine.SplittingProblem(
         prob.pair, prob.dec,
         [operators.CallbackOp(lambda x, g, u=u: operators.project(u, x))

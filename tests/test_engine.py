@@ -29,6 +29,7 @@ from graphsplit.operators import (
     NormalConeOp,
     full_space,
     subspace_from_spanners,
+    zero_space,
 )
 from graphsplit.presets import preset
 
@@ -344,7 +345,7 @@ class TestRunAlg1:
         stop = StopRule(tol=0.0, max_iters=200)
         t1 = run_alg1(p, w0, v0, theta, stop, record_states=True)
         t2 = run_alg2(p, p.zt @ w0 + v0, theta, stop, record_states=True)
-        assert (p._sweep_map is None) == callback
+        assert (p._linear_map is None) == callback
         assert t1.k_final == t2.k_final == 200
         for r1, r2 in zip(t1.iterations, t2.iterations):
             assert np.abs(p.zt @ r1.w + r1.v - r2.v).max() <= 1e-12
@@ -405,8 +406,8 @@ class TestDivergenceGuard:
             assert np.array_equal(exc.residuals[:-1], before.residuals)
 
 
-def sweep_map_or_twin(callback, rng):
-    """A subspace problem, which steps on its sweep map, or its callback
+def residual_map_or_twin(callback, rng):
+    """A subspace problem, which steps on its residual map, or its callback
     twin, which steps on the node sweep."""
     sp = random_problem("generalized_ryu", 3, rng, d=3, planted=True)
     return callback_twin(sp.base, sp.subspaces) if callback else sp.base
@@ -418,7 +419,7 @@ class TestBudget:
 
     @pytest.mark.parametrize("callback", [False, True])
     def test_huge_budget_converging_run(self, callback, rng):
-        problem = sweep_map_or_twin(callback, rng)
+        problem = residual_map_or_twin(callback, rng)
         v0 = rng.standard_normal((2, 3))
         w0 = rng.standard_normal((3, 3))
         stop = StopRule(max_iters=10 ** 12)
@@ -427,14 +428,14 @@ class TestBudget:
             assert trace.converged and trace.residuals.base is None
         trace = run_alg2(problem, v0, [0.5] * 3, stop)
         assert trace.stop_reason == "schedule" and trace.k_final == 3
-        assert (problem._sweep_map is None) == callback
+        assert (problem._linear_map is None) == callback
 
     @pytest.mark.parametrize("callback", [False, True])
     def test_divergence_residuals_own_their_data(self, callback, rng):
         # a non-finite start is refused at the boundary, so the trigger is
         # a finite one whose squared residual overflows at once on either
         # step
-        problem = sweep_map_or_twin(callback, rng)
+        problem = residual_map_or_twin(callback, rng)
         v0 = np.array([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
         for run in (lambda: run_alg2(problem, v0, 1.0),
                     lambda: run_alg1(problem, np.zeros((3, 3)), v0, 1.0)):
@@ -443,6 +444,7 @@ class TestBudget:
                 run()
             assert info.value.iteration == 1
             assert info.value.residuals.base is None
+        assert (problem._linear_map is None) == callback
 
     def test_node_table_built_at_the_first_sweep(self, rng):
         sp = random_problem("malitsky_tam", 5, rng, d=3, planted=True)
@@ -501,7 +503,7 @@ class TestKernelPaths:
 
     def test_sweep_map_matches_node_sweep_under_cap(self, rng):
         # a callback with the same projections takes the node sweep, the
-        # normal cones take the cached sweep map
+        # normal cones take the cached residual map
         ps = preset("malitsky_tam", 5)
         subs = [subspace_from_spanners(3, rng.standard_normal((2, 3)))
                 for _ in range(5)]
@@ -520,23 +522,33 @@ class TestKernelPaths:
             assert t_ns.converged and t_ns.k_final == t_cb.k_final
             assert np.abs(t_ns.v - t_cb.v).max() < 1e-12
             assert np.abs(t_ns.w - t_cb.w).max() < 1e-12
-        assert p_ns._sweep_map is not None and p_cb._sweep_map is None
+        assert p_ns._linear_map is not None and p_cb._linear_map is None
 
     @pytest.mark.parametrize("name,n", PRESET_CASES)
     def test_sweep_map_is_the_node_sweep(self, name, n, rng):
+        # the residual map factors the sweep map as S = B kq q^T
         sp = random_problem(name, n, rng, d=3)
         p = sp.base
-        assert "_sweep_map" not in vars(p)  # set-up does not build it
-        s = p._sweep_map
-        assert s.shape == (n * 3, (n - 1) * 3)
+        assert "_linear_map" not in vars(p)  # set-up does not build it
+        lin = p._linear_map
+        m = min(sum(u.dim for u in sp.subspaces), (n - 1) * 3)
+        assert lin.q.shape == ((n - 1) * 3, m) and lin.g.shape == (m, m)
         for _ in range(3):
             y = rng.standard_normal((n - 1, 3))
             x_ref, _ = dense_m_plus_a_solve(p, p.z @ y, np.zeros((n - 1, 3)))
-            assert np.abs(s @ y.reshape(-1) - x_ref.reshape(-1)).max() < 1e-10
+            e = lin.q.T @ y.reshape(-1)
+            c = lin.kq @ e
+            assert np.abs(lin.g @ e
+                          - lin.q.T @ (p.zt @ x_ref).reshape(-1)).max() < 1e-10
+            coords = np.einsum("idr,id->ir", lin.basis, x_ref).reshape(-1)
+            assert np.abs(c - coords).max() < 1e-10
+            assert np.abs(lin.blocks(c) - x_ref.reshape(-1)).max() < 1e-10
 
     def test_node_sweep_above_cap_reaches_predicted_limits(self, rng):
         n, d = 10, 64
-        assert n * d * (n - 1) * d > engine.SWEEP_MAP_MAX_ENTRIES
+        # q, g and kq of rank-32 nodes: m = min(10 * 32, 9 * 64) columns
+        m = n * d // 2
+        assert ((n - 1) * d + m + m) * m > engine.LINEAR_MAP_MAX_ENTRIES
         ps = preset("malitsky_tam", n)
         common = rng.standard_normal(d)
         subs = [random_subspace(rng, d, d // 2, contains=common)
@@ -547,7 +559,7 @@ class TestKernelPaths:
         stop = StopRule(tol=1e-10, max_iters=5000)
         t2 = run_alg2(sp.base, v0, 1.0, stop)
         t1 = run_alg1(sp.base, w0, v0, 1.0, stop)
-        assert sp.base._sweep_map is None
+        assert sp.base._linear_map is None
         assert sp.u_common.dim == 1
         p2 = predict_limits_alg2(sp, v0)
         p1 = predict_limits_alg1(sp, w0, v0)
@@ -556,6 +568,144 @@ class TestKernelPaths:
         assert np.abs(t2.x - p2.u_bar).max() <= 1e-8
         assert np.abs(t1.v - p1.v_bar).max() <= 1e-8
         assert np.abs(t1.w - p1.u_bar).max() <= 1e-8
+
+
+def twin_runs_agree(p, subs, run):
+    """``run`` on the subspace problem ``p``, which steps on its residual
+    map, and on its callback twin, which steps on the node sweep: the
+    same stop, and every residual, record and returned block within
+    1e-12.  Returns the run on ``p``."""
+    twin = callback_twin(p, subs)
+    got, ref = run(p), run(twin)
+    assert p._linear_map is not None and twin._linear_map is None
+    assert got.k_final == ref.k_final
+    assert got.stop_reason == ref.stop_reason
+    assert np.abs(got.residuals - ref.residuals).max() <= 1e-12
+    pairs = [(got.x, ref.x), (got.v, ref.v)]
+    pairs += [(r.x, s.x) for r, s in zip(got.iterations, ref.iterations)]
+    pairs += [(r.v, s.v) for r, s in zip(got.iterations, ref.iterations)]
+    if got.w is not None:
+        pairs += [(got.w, ref.w)]
+        pairs += [(r.w, s.w) for r, s in zip(got.iterations, ref.iterations)]
+    assert len(got.iterations) == len(ref.iterations)
+    for a, b in pairs:
+        assert np.abs(a - b).max() <= 1e-12
+    return got
+
+
+def both_runs(w0, v0, theta, stop):
+    return (lambda q: run_alg2(q, v0, theta, stop, record_states=True),
+            lambda q: run_alg1(q, w0, v0, theta, stop, record_states=True))
+
+
+class TestResidualMap:
+    """Edge cases of the run on the residual map, each against the node
+    sweep of the callback twin."""
+
+    def test_zero_subspaces_give_an_empty_basis(self, rng):
+        subs = [zero_space(3)] * 4
+        ps = preset("malitsky_tam", 4)
+        p = SplittingProblem(ps.pair, ps.dec, [NormalConeOp(u) for u in subs], 3)
+        assert p._linear_map.q.shape == (9, 0)
+        for run in both_runs(rng.standard_normal((4, 3)),
+                             rng.standard_normal((3, 3)), 1.2, StopRule()):
+            trace = twin_runs_agree(p, subs, run)
+            assert trace.converged and not trace.x.any()
+
+    def test_full_spaces_outnumber_the_governing_blocks(self, rng):
+        # sum r_i = n d > (n - 1) d, so q is square
+        subs = [full_space(3)] * 5
+        ps = preset("generalized_ryu", 5)
+        p = SplittingProblem(ps.pair, ps.dec, [NormalConeOp(u) for u in subs], 3)
+        assert p._linear_map.q.shape == (12, 12)
+        for run in both_runs(rng.standard_normal((5, 3)),
+                             rng.standard_normal((4, 3)), 0.9, StopRule()):
+            assert twin_runs_agree(p, subs, run).converged
+
+    def test_schedule_with_zero_and_two(self, rng):
+        sp = random_problem("sequential", 4, rng, d=3, planted=True)
+        theta = [1.0, 0.0, 2.0, 0.5, 2.0, 0.0, 1.3] * 4
+        for run in both_runs(rng.standard_normal((4, 3)),
+                             rng.standard_normal((3, 3)), theta,
+                             StopRule(tol=0.0)):
+            trace = twin_runs_agree(sp.base, sp.subspaces, run)
+            assert trace.stop_reason == "schedule" and trace.k_final == 28
+
+    @pytest.mark.parametrize("theta,budget,reason", [
+        (1.1, 8, "max_iters"), ([0.7, 1.4] * 4, 20, "schedule")])
+    def test_returned_x_is_the_sweep_before_the_last_update(
+            self, theta, budget, reason, rng):
+        sp = random_problem("parallel_up", 4, rng, d=3, planted=True)
+        p = sp.base
+        w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        t2, t1 = (twin_runs_agree(p, sp.subspaces, run) for run in
+                  both_runs(w0, v0, theta,
+                            StopRule(tol=0.0, max_iters=budget)))
+        assert t2.stop_reason == t1.stop_reason == reason
+        assert t2.k_final == t1.k_final == 8
+        prev2, prev1 = t2.iterations[-2], t1.iterations[-2]
+        x2, _ = apply_T_tilde(p, prev2.v)
+        x1, _ = apply_T(p, prev1.w, prev1.v)
+        assert np.abs(t2.x - x2).max() <= 1e-12
+        assert np.abs(t1.x - x1).max() <= 1e-12
+        assert np.array_equal(t2.x, t2.iterations[-1].x)
+        assert np.array_equal(t1.w, t1.iterations[-1].w)
+        # and without records
+        stop = StopRule(tol=0.0, max_iters=budget)
+        assert np.abs(run_alg2(p, v0, theta, stop).x - x2).max() <= 1e-12
+        assert np.abs(run_alg1(p, w0, v0, theta, stop).x - x1).max() <= 1e-12
+
+    @pytest.mark.parametrize("name,n", PRESET_CASES)
+    def test_stops_at_the_first_iterate_passing_the_stop_rule(
+            self, name, n, rng):
+        # large blocks, so max(1, ||v||) and max(1, ||w||) are the norms,
+        # which the run forms only near the stop; the rule is checked on
+        # the recorded iterates, outside the driver
+        sp = random_problem(name, n, rng, d=3, planted=True)
+        w0 = 100.0 * rng.standard_normal((n, 3))
+        v0 = 100.0 * rng.standard_normal((n - 1, 3))
+        tol = 1e-10
+        norm = np.linalg.norm
+
+        def passes(trace, k):
+            """The stop rule at iteration k (1-based) on its pre-update
+            state, the start or the record of iteration k - 1."""
+            v, w = (v0, w0) if k == 1 else (trace.iterations[k - 2].v,
+                                            trace.iterations[k - 2].w)
+            done = trace.residuals[k - 1] <= tol * max(1.0, norm(v))
+            if trace.w is not None:
+                x = trace.iterations[k - 1].x
+                done &= norm(x - w) <= tol * max(1.0, norm(w))
+            return done
+
+        for theta in (0.6, 1.0, 1.7):
+            for run in both_runs(w0, v0, theta, StopRule(tol=tol)):
+                trace = run(sp.base)
+                k = trace.k_final
+                assert trace.converged and passes(trace, k)
+                assert not any(passes(trace, j) for j in range(1, k))
+
+    def test_records_are_rebuilt_after_the_loop(self, monkeypatch, rng):
+        # the blocks of every record come from one product per kind of
+        # block, whatever the number of iterations
+        sp = random_problem("complete", 4, rng, d=3, planted=True)
+        w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        calls = []
+        blocks = engine._kernels.LinearMap.blocks
+
+        def counting(self, c):
+            calls.append(c.shape)
+            return blocks(self, c)
+
+        monkeypatch.setattr(engine._kernels.LinearMap, "blocks", counting)
+        counts = []
+        for k in (5, 60):
+            for run in both_runs(w0, v0, 0.8, StopRule(tol=0.0, max_iters=k)):
+                calls.clear()
+                trace = twin_runs_agree(sp.base, sp.subspaces, run)
+                assert len(trace.iterations) == k
+                counts.append(len(calls))
+        assert counts[:2] == counts[2:]
 
 
 class TestCallbackEngine:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,23 @@ class TestSubspaceFromSpanners:
         assert real_array(a, "a", (2, 3)) is a
         ints = np.arange(6).reshape(2, 3)
         assert real_array(ints, "a", (2, 3)).dtype == np.float64
+
+    def test_plain_scalars_take_the_direct_path(self):
+        # a Python float or int: the value and type of the general path,
+        # and the same errors
+        for value in (1.5, -0.0, 7, 2 ** 60 + 1, 1e308):
+            got = real_array(value, "t", ())
+            want = np.array(value, dtype=object).astype(np.float64)[()]
+            assert type(got) is np.float64
+            assert np.array_equal(np.array([got]).view(np.int64),
+                                  np.array([want]).view(np.int64))
+        for bad, match in ((True, "real numbers"), (math.inf, "not finite"),
+                           (math.nan, "not finite"),
+                           (10 ** 400, "not finite")):
+            with pytest.raises(ValueError, match=f"t (must be|is) {match}"):
+                real_array(bad, "t", ())
+        with pytest.raises(ValueError, match="shape"):
+            real_array(1.0, "t", (1,))
 
     def test_zero_vectors_dropped(self):
         u = subspace_from_spanners(2, [[0.0, 0.0], [0.0, 3.0]])
@@ -176,6 +196,15 @@ class TestProject:
         with pytest.raises(ValueError, match="dimension mismatch"):
             project(full_space(3), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [["1", "0"], [True, False], [None, 0.0],
+                                     [[1.0, 0.0], [1.0]], [np.inf, 0.0]])
+    def test_non_real_points_rejected(self, bad):
+        # under -W error, so no coercion warning stands in for the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                project(full_space(2), bad)
+
 
 class TestResolvent:
     def test_normal_cone_projects(self):
@@ -198,6 +227,18 @@ class TestResolvent:
         op = CallbackOp(lambda x, gamma: np.zeros(x.shape[0] + 1))
         with pytest.raises(ValueError, match="shape"):
             resolvent(op, np.ones(2), 1.0)
+
+    @pytest.mark.parametrize("op", [NormalConeOp(full_space(2)),
+                                    CallbackOp(lambda x, gamma: x)])
+    @pytest.mark.parametrize("x,gamma", [([True, False], 1.0),
+                                         (["1", "0"], 1.0),
+                                         ([1.0, 0.0], True),
+                                         ([1.0, 0.0], "1")])
+    def test_non_real_input_rejected(self, op, x, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                resolvent(op, x, gamma)
 
     def test_gamma_must_be_positive(self):
         op = NormalConeOp(full_space(2))

@@ -106,7 +106,7 @@ def test_node_sweep_twin_matches_the_sweep_map(draw):
                     lambda q: run_alg1(q, w0, v0, 1.3, stop,
                                        record_states=True)):
             ref, got = run(p), run(twin)
-            assert p._sweep_map is not None and twin._sweep_map is None
+            assert p._linear_map is not None and twin._linear_map is None
             k = min(got.k_final, ref.k_final)
             assert k == 50 or max(got.residuals[k - 1],
                                   ref.residuals[k - 1]) <= 1e-12, method
