@@ -11,8 +11,9 @@ Two identities carry the rest of the module:
 * Membership.  Z maps (R^d)^{n-1} one-to-one onto the zero-sum blocks
   (Z Z^T = Lap(G') and G' is connected), so  e in E  iff  (Z e)_i in
   U_i^perp  at every node i.  ``closed_form_E`` solves it through
-  Z_top^-1, Z_top the first n-1 rows of Z; ``build_E`` keeps the Z^+
-  definition, so the two check each other.
+  Z_top^-1, Z_top the first n-1 rows of Z, for every onto factor: as
+  1^T Z = 0, any n-1 rows of Z are independent.  ``build_E`` keeps the
+  Z^+ definition, so the two check each other.
 * Limit formula.  The projection of y onto the reduced fixed-point set is
   alpha (x) u + e with u = P_U(alpha^T y) / ||alpha||^2 and e = P_E(y).
   The reduced iteration started at v0 converges to it at y = v0.  The
@@ -37,8 +38,14 @@ from functools import cached_property
 import numpy as np
 
 from .engine import SplittingProblem
-from .factor import AlphaVector, OntoDecomposition, alpha as compute_alpha
-from .graphs import GraphError, GraphPair, degree_balance, named_graph
+from .factor import OntoDecomposition, alpha as compute_alpha
+from .graphs import (
+    NAMED_KINDS,
+    GraphError,
+    GraphPair,
+    degree_balance,
+    named_graph,
+)
 from .operators import (
     LinearSubspace,
     NormalConeOp,
@@ -50,15 +57,8 @@ from .operators import (
     resolvent,
 )
 
-E_ROUTES = ("complete", "sequential", "ring", "parallel_up", "parallel_down")
-
-_ROUTE_METHODS = {
-    "complete": "complete_sparse",
-    "sequential": "tree_incidence",
-    "ring": "circulant",
-    "parallel_up": "tree_incidence",
-    "parallel_down": "tree_incidence",
-}
+#: the graph families ``closed_form_E`` takes by name
+E_ROUTES = NAMED_KINDS
 
 
 @dataclass(frozen=True)
@@ -93,25 +93,24 @@ class SubspaceProblem:
     """A splitting problem whose node operators are all subspace normal
     cones, together with the quantities the closed forms need.
 
-    Each derived quantity is computed at its first use and kept: U, the
-    E basis, and the orthonormal bases of the node complements U_i^perp,
-    which ``build_E`` and ``closed_form_E`` both read, so a problem pays
-    one complement SVD per node however many E routes it takes.
+    The node subspaces and alpha, the solution of Z alpha = delta, are
+    read off the base problem.  Each other derived quantity is computed at
+    its first use and kept: U, the E basis, and the orthonormal bases of
+    the node complements U_i^perp, which ``build_E`` and ``closed_form_E``
+    both read, so a problem pays one complement SVD per node however many
+    E routes it takes.
     """
 
-    def __init__(self, base: SplittingProblem, subspaces: list[LinearSubspace],
-                 alpha: AlphaVector):
+    def __init__(self, base: SplittingProblem):
+        if not base.all_subspace:
+            raise ValueError("analysis requires subspace operators")
         self.base = base
-        self.subspaces = subspaces
-        self.alpha = alpha
+        self.subspaces = [op.subspace for op in base.ops]
+        self.alpha = compute_alpha(base.dec, degree_balance(base.pair.g))
 
     @staticmethod
     def from_problem(base: SplittingProblem) -> "SubspaceProblem":
-        if not base.all_subspace:
-            raise ValueError("analysis requires subspace operators")
-        subspaces = [op.subspace for op in base.ops]
-        a = compute_alpha(base.dec, degree_balance(base.pair.g))
-        return SubspaceProblem(base, subspaces, a)
+        return SubspaceProblem(base)
 
     @property
     def n(self) -> int:
@@ -225,22 +224,9 @@ def build_E(sp: SubspaceProblem) -> EBasis:
 
 
 def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
-    """Per-graph closed form of E, through the membership identity.
-
-    ``name`` selects the graph family of G'; the problem's subgraph and
-    decomposition method must match (incidence factor for the tree
-    families, the sparse factor for complete, the trigonometric factor
-    for ring).
-
-    The blocks a = Z e range over a_i in U_i^perp for i < n with their sum
-    in U_n^perp (a_n is minus it, as Z^T 1 = 0), and e = Z_top^-1 a for
-    Z_top the first n-1 rows of Z, invertible as Z has full column rank.
-    Z_top^-1 is a cumulative sum for sequential, e_j = -a_{j+1} (a_n as
-    above) for parallel_up, the identity for parallel_down, the triangular
-    e_j = t_j ((n-j+1) a_j + a_1 + ... + a_{j-1}) / n of the sparse factor
-    for complete, and dense for ring.  The map from coefficients to images
-    has full column rank, so a reduced QR of the images is a basis of E.
-    """
+    """E through the membership identity, for a problem whose subgraph is
+    the ``name`` graph of its order; the onto factor of Lap(G') may be any
+    that applies to it."""
     if name not in E_ROUTES:
         raise ValueError(f"unknown E route {name!r}; choose from {E_ROUTES}")
     n = sp.n
@@ -250,12 +236,20 @@ def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
         reference = None
     if sp.base.pair.sub != reference:
         raise ValueError(f"subgraph is not the {name} graph of order {n}")
-    method = sp.base.dec.method
-    if method != _ROUTE_METHODS[name]:
-        raise ValueError(
-            f"E route {name!r} requires the {_ROUTE_METHODS[name]} "
-            f"decomposition, got {method!r}"
-        )
+    return _membership_E(sp)
+
+
+def _membership_E(sp: SubspaceProblem) -> EBasis:
+    """E by the membership identity, on any connected pair and any onto
+    factor Z.
+
+    The blocks a = Z e range over a_i in U_i^perp for i < n with their sum
+    in U_n^perp (a_n is minus it, as 1^T Z = 0), and e = Z_top^-1 a for
+    Z_top the first n-1 rows of Z.  Any n-1 rows of Z are independent: if
+    Z_top c = 0, then (Z c)_n = -sum_{i<n} (Z c)_i = 0, so Z c = 0, and
+    c = 0 as Z has full column rank.  The map from coefficients to images
+    has full column rank, so a reduced QR of the images is a basis of E.
+    """
     comp = sp.complement_bases[:-1]
     a = _block_images(comp, _null_space(sp.subspaces[-1].basis.T @ np.hstack(comp)))
     e = np.tensordot(np.linalg.inv(sp.base.z[:-1]), a, axes=1)

@@ -36,8 +36,8 @@ preset drawn from --seed, 42); its --tol is only the tolerance of the
 comparison with the predicted limits (1e-6) and leaves the stop rule to
 the config.
 
-Exit codes: 0 ok, 2 config or validation failure, 3 numeric divergence,
-4 verification failure.
+Exit codes: 0 ok, 2 config or validation failure (also a problem too
+large for memory), 3 numeric divergence, 4 verification failure.
 
 ``main`` may be called many times in one process: the argument parser is
 built at its first call and reused by every later one.
@@ -243,7 +243,7 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
                     operators.subspace_from_spanners(d, spanners)))
             else:
                 name = entry["callback"]
-                if name not in CALLBACKS:
+                if not isinstance(name, str) or name not in CALLBACKS:
                     raise ConfigError(
                         f"unknown callback {name!r} at operator {i + 1}; "
                         f"available: {sorted(CALLBACKS)}"
@@ -548,8 +548,8 @@ def main(argv=None) -> int:
     except engine.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

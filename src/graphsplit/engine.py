@@ -45,10 +45,10 @@ result (see ``_kernels._Linear``).  A problem builds q, G and kq, the
 node coordinates of S q, at its first run, by one batched sweep of q's
 columns, and keeps them.  They are used while they hold at most
 ``LINEAR_MAP_MAX_ENTRIES`` entries (2 MiB).  The cap bounds memory and
-build time: with r_i = d / 2 they hold about as much as S, (n d)^2
-entries, at most three times as much, and S held 15.6 MiB on complete G
-with n = 60 and d = 24, where the node sweep needs a few kilobytes.
-Larger problems keep sweeping node by node.
+build time: q, G and kq hold ((n-1) d + n r + m) m entries, r = max r_i,
+so on complete G with n = 60, d = 24 and r_i = 12 they would hold
+(1416 + 720 + 720) 720, about 2.06 M entries or 16 MB, where the node
+sweep needs a few kilobytes.  Larger problems keep sweeping node by node.
 """
 
 from __future__ import annotations
@@ -103,11 +103,14 @@ class SplittingProblem:
         which must live in R^d.  The operators are read at the first
         sweep and cached; do not replace them afterwards.
     d : int
-        Ambient dimension of each block.
+        Ambient dimension of each block: an int or numpy integer >= 1,
+        never a bool or a float.
     """
 
     def __init__(self, pair: GraphPair, dec: OntoDecomposition, ops, d: int):
-        n = pair.g.n
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+            raise ValueError(f"d must be an integer >= 1, got {d!r}")
+        d, n = int(d), pair.g.n
         ops = list(ops)
         if len(ops) != n:
             raise ValueError(f"expected {n} operators, got {len(ops)}")

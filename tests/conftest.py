@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from graphsplit import analysis, engine, operators, presets
+from graphsplit.factor import METHODS, FactorError, default_factor, factorize
 from graphsplit.graphs import laplacian, p_matrix
 
 #: (name, n) combinations exercised across the suite; n <= 5 keeps every
@@ -199,3 +200,34 @@ def span_residual(b1, b2):
             col = a[:, j]
             worst = max(worst, np.abs(col - lstsq_project(b, col)).max())
     return worst
+
+
+def accepted_factors(sub):
+    """Decompositions of Lap(G') by every method in ``METHODS`` that
+    applies to G', the default one and eigen among them."""
+    decs = []
+    for method in METHODS:
+        try:
+            decs.append(factorize(sub, method))
+        except FactorError:
+            continue
+    methods = [dec.method for dec in decs]
+    assert "eigen" in methods and default_factor(sub).method in methods
+    return decs
+
+
+def membership_gap(z, subspaces, eb):
+    """How far Z e, for the columns e of ``eb``, is from blocks in
+    U_i^perp that sum to zero: the largest entry of the block sum and of
+    each B_i^T (Z e)_i, with B_i the basis of ``subspaces[i]``."""
+    a = np.einsum("ij,jdq->idq", z,
+                  eb.basis.reshape(z.shape[1], eb.d, eb.dim))
+    return max([np.abs(a.sum(axis=0)).max(initial=0.0)]
+               + [np.abs(u.basis.T @ a_i).max(initial=0.0)
+                  for u, a_i in zip(subspaces, a)])
+
+
+def projector_gap(e1, e2):
+    """Largest entry of the difference of the projectors onto two E
+    bases."""
+    return np.abs(e1.basis @ e1.basis.T - e2.basis @ e2.basis.T).max(initial=0.0)

@@ -30,7 +30,6 @@ from graphsplit.factor import (
     alpha,
     factorize,
     factor_circulant,
-    factor_complete_sparse,
     factor_eigen,
     factor_tree,
 )
@@ -52,8 +51,11 @@ from graphsplit.operators import (
 from graphsplit.presets import preset
 
 from conftest import (
+    accepted_factors,
     apply_C_star,
     lstsq_project,
+    membership_gap,
+    projector_gap,
     random_graph_pair,
     random_problem,
     random_subspace,
@@ -227,14 +229,6 @@ class TestClosedFormE:
         with pytest.raises(ValueError, match="unknown E route"):
             closed_form_E("star", sp)
 
-    def test_method_mismatch_rejected(self):
-        sub = named_graph("sequential", 3)
-        pair = validate_pair(sub, sub)
-        dec = factor_eigen(laplacian(sub).astype(float))
-        sp = subspace_problem(pair, dec, [full_space(2)] * 3)
-        with pytest.raises(ValueError, match="tree_incidence"):
-            closed_form_E("sequential", sp)
-
     @pytest.mark.parametrize("name,n", [
         ("sequential", 2), ("sequential", 3), ("sequential", 5),
         ("parallel_up", 3), ("parallel_up", 5),
@@ -253,28 +247,23 @@ class TestClosedFormE:
     @pytest.mark.parametrize("route", E_ROUTES)
     @pytest.mark.parametrize("n,d", [(4, 3), (10, 8), (20, 16), (60, 4)])
     def test_every_route_matches_generic_construction(self, route, n, d, rng):
-        # E against its definition: Z e has blocks in U_i^perp summing to
-        # zero, and closed form and generic construction span the same space
+        # E against its definition, with every factor that applies: Z e has
+        # blocks in U_i^perp summing to zero, and closed form and generic
+        # construction give the same projector
         sub = named_graph(route, n)
         pair = validate_pair(sub, sub)
-        dec = (factor_circulant(sub) if route == "ring"
-               else factor_complete_sparse(n) if route == "complete"
-               else factor_tree(sub))
         common = rng.standard_normal(d)
         subs = [random_subspace(rng, d, int(r), contains=common)
                 for r in rng.integers(1, d, size=n)]
-        sp = subspace_problem(pair, dec, subs)
-        got, ref = closed_form_E(route, sp), build_E(sp)
-        assert got.dim == ref.dim > 0
-        for eb in (got, ref):
-            assert np.abs(eb.basis.T @ eb.basis - np.eye(eb.dim)).max() < 1e-12
-            a = np.einsum("ij,jdq->idq", sp.base.z,
-                          eb.basis.reshape(n - 1, d, eb.dim))
-            assert np.abs(a.sum(axis=0)).max() < 1e-10
-            for i, u in enumerate(subs):
-                assert np.abs(u.basis.T @ a[i]).max() < 1e-10
-        assert np.abs(got.basis @ got.basis.T
-                      - ref.basis @ ref.basis.T).max() < 1e-10
+        for dec in accepted_factors(sub):
+            sp = subspace_problem(pair, dec, subs)
+            got, ref = closed_form_E(route, sp), build_E(sp)
+            assert got.dim == ref.dim > 0, dec.method
+            for eb in (got, ref):
+                assert np.abs(eb.basis.T @ eb.basis
+                              - np.eye(eb.dim)).max() < 1e-12, dec.method
+                assert membership_gap(dec.z, subs, eb) < 1e-10, dec.method
+            assert projector_gap(got, ref) < 1e-10, dec.method
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_ring_route_via_circulant(self, n, rng):
@@ -333,15 +322,15 @@ class TestEDimension:
     @pytest.mark.parametrize("n,d", [(3, 2), (5, 3), (8, 4)])
     def test_every_route_and_build_E(self, route, n, d, rng):
         sub = named_graph(route, n)
-        dec = (factor_circulant(sub) if route == "ring"
-               else factor_complete_sparse(n) if route == "complete"
-               else factor_tree(sub))
+        decs = accepted_factors(sub)
         for _ in range(4):
             spanners = random_spanners(rng, n, d)
-            sp = problem_from_spanners(validate_pair(sub, sub), dec, spanners, d)
             expected = dim_E_by_count(spanners, d)
-            assert build_E(sp).dim == expected
-            assert closed_form_E(route, sp).dim == expected
+            for dec in decs:
+                sp = problem_from_spanners(validate_pair(sub, sub), dec,
+                                           spanners, d)
+                assert build_E(sp).dim == expected, dec.method
+                assert closed_form_E(route, sp).dim == expected, dec.method
 
     @pytest.mark.parametrize("kind", ["tree", "chords", "ring", "complete"])
     @pytest.mark.parametrize("seed", range(4))
@@ -373,7 +362,9 @@ class TestEDimension:
             a = alpha(dec, degree_balance(pair.g)).alpha
             assert np.abs(dec.z @ a - delta).max() < 1e-10
             sp = problem_from_spanners(pair, dec, spanners, d)
-            assert build_E(sp).dim == expected
+            ref, got = build_E(sp), analysis._membership_E(sp)
+            assert ref.dim == got.dim == expected, method
+            assert projector_gap(got, ref) < 1e-10, method
         assert "eigen" in accepted
         assert {"tree": "tree_incidence", "chords": "eigen",
                 "ring": "circulant", "complete": "complete_sparse"}[kind] in accepted

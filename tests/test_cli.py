@@ -109,6 +109,9 @@ HUGE = 10 ** 400
     ({"subspaces": {"random": {"dim": 1, "dimension": 2}}}, []),
     ({"subspaces": {"random": {"dim": 2, "dims": [1, 1, 1]}}}, []),
     ({"subspaces": {"random": {"dims": None}}}, []),
+    ({"subspaces": DROP, "operators": [{"callback": ["zero"]},
+                                       {"callback": "zero"},
+                                       {"callback": "zero"}]}, []),
 ], ids=["subspaces-int", "edges-not-pairs", "dims-int", "operator-not-object",
         "d-fraction", "d-bool", "d-zero", "n-fraction", "max-iters-fraction",
         "seed-fraction", "random-seed-fraction", "tol-null", "tol-list",
@@ -123,7 +126,7 @@ HUGE = 10 ** 400
         "problem-preset-and-method", "problem-graph-and-n",
         "graph-unknown-field", "subspaces-and-operators",
         "subspaces-unknown-field", "random-unknown-field",
-        "random-dim-and-dims", "random-dims-null"])
+        "random-dim-and-dims", "random-dims-null", "callback-list"])
 def test_malformed_config_exits_with_config_code(change, flags, tmp_path, capsys):
     cfg = {k: v for k, v in {**VALID, **change}.items() if v is not DROP}
     path = write_config(tmp_path, json.dumps(cfg))
@@ -149,6 +152,30 @@ def test_huge_budget_runs(tmp_path, capsys):
     path = write_config(tmp_path, json.dumps({**VALID, "max_iters": 10 ** 12}))
     assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_OK
     assert '"converged": true' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+    ("", "out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command, library_call", [
+    ("run", (cli.engine, "run_alg2")),
+    ("predict", (cli.analysis, "build_E")),
+], ids=["run", "predict"])
+def test_memory_error_exits_with_config_code(command, library_call, message,
+                                             shown, tmp_path, capsys,
+                                             monkeypatch):
+    # a problem too large for memory, as a huge d makes one; the failure is
+    # raised by hand, since a real huge request may succeed and fill memory
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*library_call, fail)
+    path = write_config(tmp_path, json.dumps(VALID))
+    argv = [command, "--config", path] + (["--no-trace"] if command == "run"
+                                          else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {shown}\n"
 
 
 @pytest.mark.parametrize("flag", ["--theta", "--tol", "--max-iters"])

@@ -78,6 +78,23 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="operator 2.*R\\^3, expected R\\^4"):
             SplittingProblem(ps.pair, ps.dec, ops, 4)
 
+    @pytest.mark.parametrize("d", [2.0, True, np.True_, 0, -1, "2", None])
+    def test_d_must_be_a_positive_integer(self, d):
+        # refused at construction: a float d would first fail inside a run,
+        # and a bool would run as d = 0 or 1
+        ps = preset("sequential", 3)
+        for ops in ([NormalConeOp(full_space(2))] * 3,
+                    [CallbackOp(lambda x, g: x)] * 3):
+            with pytest.raises(ValueError, match="d must be an integer >= 1"):
+                SplittingProblem(ps.pair, ps.dec, ops, d)
+
+    def test_numpy_integer_d_accepted(self):
+        ps = preset("sequential", 3)
+        p = SplittingProblem(ps.pair, ps.dec, [NormalConeOp(full_space(2))] * 3,
+                             np.int64(2))
+        assert type(p.d) is int and p.d == 2
+        assert run_alg2(p, np.ones((2, 2)), 1.0).converged
+
 
 class TestSolveMPlusA:
     def test_zero_input_identity_ops(self, rng):

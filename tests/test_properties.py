@@ -16,7 +16,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from graphsplit import analysis
 from graphsplit.analysis import (
+    build_E,
     m_proj_fix_T,
     predict_limits_alg1,
     predict_limits_alg2,
@@ -38,6 +40,8 @@ from graphsplit.operators import subspace_from_spanners
 
 from conftest import (
     callback_twin,
+    membership_gap,
+    projector_gap,
     random_graph_pair,
     random_problem,
     random_subspace,
@@ -89,6 +93,20 @@ def test_run_limits_equal_the_predictions(draw):
         assert np.abs(t2.x - p2.u_bar).max() <= 1e-7, method
         assert np.abs(t1.v - p1.v_bar).max() <= 1e-7, method
         assert np.abs(t1.w - p1.u_bar).max() <= 1e-7, method
+
+
+@PROPERTY_SETTINGS
+@given(pairs)
+def test_every_E_construction_gives_the_same_projector(draw):
+    # the membership construction through Z_top^-1 against the definition
+    # through Z^+, each inside E by its definition
+    problems, subs, _ = planted_problems(*draw)
+    for method, sp in problems:
+        ref, got = build_E(sp), analysis._membership_E(sp)
+        assert got.dim == ref.dim, method
+        assert projector_gap(got, ref) <= 1e-10, method
+        for eb in (got, ref):
+            assert membership_gap(sp.base.dec.z, subs, eb) <= 1e-10, method
 
 
 @PROPERTY_SETTINGS
