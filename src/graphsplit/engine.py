@@ -41,14 +41,22 @@ range.  With q the Q factor of a QR of R (m = min(sum r_i, (n-1) d)
 columns, no rank decision), e = q^T Z^T x steps as e <- e - theta G e,
 G = q^T Z^T S q of size m x m, and its norm is the residual; v, x and w
 are running sums of the e_k, formed only for the stop test and the
-result (see ``_kernels._Linear``).  A problem builds q, G and kq, the
-node coordinates of S q, at its first run, by one batched sweep of q's
-columns, and keeps them.  They are used while they hold at most
-``LINEAR_MAP_MAX_ENTRIES`` entries (2 MiB).  The cap bounds memory and
-build time: q, G and kq hold ((n-1) d + n r + m) m entries, r = max r_i,
-so on complete G with n = 60, d = 24 and r_i = 12 they would hold
-(1416 + 720 + 720) 720, about 2.06 M entries or 16 MB, where the node
-sweep needs a few kilobytes.  Larger problems keep sweeping node by node.
+result (see ``_kernels._Linear``).  The first 32 steps at a theta are
+single steps.  After them a run computes e_k .. e_(k+32) a block at a
+time, by 32 products with I - theta G or, with P = (I - theta G)^32, by
+one product of the last block's rows with P, and answers the stop test
+of each step from the block.  A run builds P by five squarings once it
+has taken 2m steps at its theta, and the map keeps P for the last three
+thetas.  A problem builds q, G and kq, the node coordinates of S q, at
+its first run, by one batched sweep of q's columns, and keeps them.
+They are used while they hold at most ``LINEAR_MAP_MAX_ENTRIES`` entries
+(2 MiB).  The cap bounds memory and build time: q, G and kq hold
+((n-1) d + n r + m) m entries, r = max r_i, so on complete G with
+n = 60, d = 24 and r_i = 12 they would hold (1416 + 720 + 720) 720,
+about 2.06 M entries or 16 MB, where the node sweep needs a few
+kilobytes.  The three powers add at most 3 m^2 entries, no more than
+the map, since m <= (n-1) d and m <= n r.  Larger problems keep sweeping
+node by node.
 """
 
 from __future__ import annotations
@@ -74,7 +82,8 @@ log = logging.getLogger("graphsplit")
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 #: largest residual map (q, g and S q), in float64 entries, that a subspace
-#: problem caches
+#: problem caches; the powers (I - theta g)^32 it keeps for up to three
+#: thetas add at most as many again
 LINEAR_MAP_MAX_ENTRIES = 1 << 18
 
 
@@ -343,9 +352,10 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
     ``operators.real_array``, so bool, str, None, wrong nesting and
     non-finite values raise ``ValueError``.  With ``record_states`` the
     trace keeps every iterate.  Subspace problems within the memory cap
-    iterate their residual on the cached residual map, all others step on
-    the node sweep.  A non-finite residual raises
-    :class:`DivergenceError`.
+    iterate their residual on the cached residual map, after 32 steps at
+    a theta in blocks of 32 (see the module docstring), with numpy's
+    overflow and invalid warnings off; all others step on the node sweep.
+    A non-finite residual raises :class:`DivergenceError`.
     """
     return _run(p, None, v0, theta, stop, record_states)
 
@@ -359,7 +369,8 @@ def run_alg1(p: SplittingProblem, w0, v0, theta=1.0,
     the freshly relaxed w^{k+1}).  The run stops on tolerance only when
     both the v-change residual and the shadow gap ||x - w|| are small; the
     recorded residual is the v-change.  The other arguments, ``w0``'s check,
-    the sweep and the divergence guard are as in :func:`run_alg2`.
+    the sweep, its blocks and the divergence guard are as in
+    :func:`run_alg2`.
     """
     return _run(p, w0, v0, theta, stop, record_states)
 

@@ -4,6 +4,7 @@ reports of ``verify`` and ``list-presets``."""
 
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -152,6 +153,22 @@ def test_huge_budget_runs(tmp_path, capsys):
     path = write_config(tmp_path, json.dumps({**VALID, "max_iters": 10 ** 12}))
     assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_OK
     assert '"converged": true' in capsys.readouterr().out
+
+
+def test_diverging_run_prints_only_its_error_line(tmp_path, capsys):
+    # the squared residual overflows at once; a warning, which a command
+    # line run would print to stderr, is recorded here instead
+    cfg = {**VALID, "problem": {"preset": "generalized_ryu", "n": 3}, "d": 3,
+           "v0": [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+    for algorithm in ("reduced", "expanded"):
+        path = write_config(tmp_path, json.dumps({**cfg,
+                                                  "algorithm": algorithm}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--no-trace", "--config", path])
+        assert code == cli.EXIT_DIVERGED and not caught
+        assert capsys.readouterr().err == \
+            "error: non-finite iterate at iteration 1\n"
 
 
 @pytest.mark.parametrize("message, shown", [

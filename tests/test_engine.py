@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -456,8 +457,7 @@ class TestBudget:
         v0 = np.array([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
         for run in (lambda: run_alg2(problem, v0, 1.0),
                     lambda: run_alg1(problem, np.zeros((3, 3)), v0, 1.0)):
-            with pytest.raises(DivergenceError) as info, \
-                    np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
                 run()
             assert info.value.iteration == 1
             assert info.value.residuals.base is None
@@ -648,8 +648,12 @@ class TestResidualMap:
             trace = twin_runs_agree(sp.base, sp.subspaces, run)
             assert trace.stop_reason == "schedule" and trace.k_final == 28
 
+    # budgets of 50, 64 and 65 end inside the first block, on its last
+    # position and on the first of the next
     @pytest.mark.parametrize("theta,budget,reason", [
-        (1.1, 8, "max_iters"), ([0.7, 1.4] * 4, 20, "schedule")])
+        (1.1, 8, "max_iters"), ([0.7, 1.4] * 4, 20, "schedule"),
+        (0.2, 50, "max_iters"), (0.2, 64, "max_iters"),
+        (0.2, 65, "max_iters")])
     def test_returned_x_is_the_sweep_before_the_last_update(
             self, theta, budget, reason, rng):
         sp = random_problem("parallel_up", 4, rng, d=3, planted=True)
@@ -659,7 +663,8 @@ class TestResidualMap:
                   both_runs(w0, v0, theta,
                             StopRule(tol=0.0, max_iters=budget)))
         assert t2.stop_reason == t1.stop_reason == reason
-        assert t2.k_final == t1.k_final == 8
+        k = budget if reason == "max_iters" else len(theta)
+        assert t2.k_final == t1.k_final == k
         prev2, prev1 = t2.iterations[-2], t1.iterations[-2]
         x2, _ = apply_T_tilde(p, prev2.v)
         x1, _ = apply_T(p, prev1.w, prev1.v)
@@ -716,13 +721,165 @@ class TestResidualMap:
 
         monkeypatch.setattr(engine._kernels.LinearMap, "blocks", counting)
         counts = []
-        for k in (5, 60):
+        # 140 iterations: 32 single steps, then records across four blocks
+        for k in (5, 60, 140):
             for run in both_runs(w0, v0, 0.8, StopRule(tol=0.0, max_iters=k)):
                 calls.clear()
                 trace = twin_runs_agree(sp.base, sp.subspaces, run)
                 assert len(trace.iterations) == k
                 counts.append(len(calls))
-        assert counts[:2] == counts[2:]
+        assert counts[:2] == counts[2:4] == counts[4:]
+
+
+def stop_ratios(trace, w0, v0):
+    """Per iteration k, the least tol at which the stop rule passes on its
+    pre-update state, from the records of a run with tol 0."""
+    norm = np.linalg.norm
+    ratios = []
+    for k, rec in enumerate(trace.iterations):
+        prev = trace.iterations[k - 1] if k else None
+        v = v0 if prev is None else prev.v
+        ratio = trace.residuals[k] / max(1.0, norm(v))
+        if w0 is not None:
+            w = w0 if prev is None else prev.w
+            ratio = max(ratio, norm(rec.x - w) / max(1.0, norm(w)))
+        ratios.append(ratio)
+    return np.array(ratios)
+
+
+class TestBlocks:
+    """A run on the residual map takes its first 32 steps at a theta one at
+    a time and then moves in blocks of 32; each case is checked against the
+    node sweep of the callback twin."""
+
+    @pytest.mark.parametrize("k", [31, 32, 33, 34, 64, 65])
+    def test_stop_at_and_around_block_boundaries(self, k):
+        # the 33rd step is the first in a block, the 65th the first of the
+        # second
+        rng = np.random.default_rng(3)
+        sp = random_problem("generalized_ryu", 4, rng, d=3, planted=True)
+        w0 = 10.0 * rng.standard_normal((4, 3))
+        v0 = 10.0 * rng.standard_normal((3, 3))
+        twin = callback_twin(sp.base, sp.subspaces)
+        for alg, run in zip((2, 1), both_runs(w0, v0, 0.5,
+                                              StopRule(0.0, 80))):
+            ratios = stop_ratios(run(twin), w0 if alg == 1 else None, v0)
+            # a tol between the k-th ratio and every earlier one
+            assert ratios[k - 1] < 0.99 * ratios[:k - 1].min()
+            tol = math.sqrt(ratios[k - 1] * ratios[:k - 1].min())
+            run = both_runs(w0, v0, 0.5, StopRule(tol, 80))[2 - alg]
+            trace = twin_runs_agree(sp.base, sp.subspaces, run)
+            assert trace.stop_reason == "tol" and trace.k_final == k
+
+    def test_first_32_steps_at_a_theta_are_single_steps(self, monkeypatch,
+                                                       rng):
+        # a block starts, and asks the map for its power, at the 33rd step
+        # at one theta
+        sp = random_problem("complete", 4, rng, d=3, planted=True)
+        asked = []
+        power = engine._kernels.LinearMap.power
+
+        def spy(self, theta):
+            asked.append(theta)
+            return power(self, theta)
+
+        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy)
+        v0 = rng.standard_normal((3, 3))
+        for theta, k, blocks in [(0.7, 32, 0), (0.7, 33, 1),
+                                 ([0.7] * 20 + [0.9] * 32, 52, 0),
+                                 ([0.7] * 20 + [0.9] * 33, 53, 1)]:
+            asked.clear()
+            run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=k))
+            assert len(asked) == blocks
+
+    def test_theta_changes_inside_a_block(self, rng):
+        # each change comes after more than 32 steps at one theta; small
+        # thetas keep a = prod (1 - theta_j) far from 0 at the changes
+        sp = random_problem("malitsky_tam", 5, rng, d=3, planted=True)
+        theta = [0.05] * 50 + [0.1] * 46 + [0.6] * 40
+        for run in both_runs(rng.standard_normal((5, 3)),
+                             rng.standard_normal((4, 3)), theta,
+                             StopRule(tol=0.0)):
+            trace = twin_runs_agree(sp.base, sp.subspaces, run)
+            assert trace.stop_reason == "schedule" and trace.k_final == 136
+
+    def test_constant_theta_zero_leaves_v_and_w_unchanged(self, rng):
+        sp = random_problem("sequential", 4, rng, d=3, planted=True)
+        w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        for run in both_runs(w0, v0, 0.0, StopRule(max_iters=100)):
+            trace = twin_runs_agree(sp.base, sp.subspaces, run)
+            assert trace.k_final == 100 and np.array_equal(trace.v, v0)
+            assert trace.w is None or np.array_equal(trace.w, w0)
+        assert 0.0 in sp.base._linear_map.powers
+
+    def test_divergence_inside_a_block(self):
+        # at theta = 2 the expanded residual grows, so a start scaled by c
+        # can make a residual inside the first block, the k-th, the first
+        # whose square overflows
+        rng = np.random.default_rng(0)
+        sp = random_problem("sequential", 4, rng, d=3)
+        w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        twin = callback_twin(sp.base, sp.subspaces)
+        stop = StopRule(tol=0.0, max_iters=64)
+        res = run_alg1(twin, w0, v0, 2.0, stop).residuals
+        k = next(k for k in range(40, 65)
+                 if res[:k - 1].max() < 0.999 * res[k - 1])
+        c = math.sqrt(np.finfo(float).max / (res[:k - 1].max() * res[k - 1]))
+        got = []
+        for problem in (sp.base, twin):
+            with pytest.raises(DivergenceError) as info:
+                run_alg1(problem, c * w0, c * v0, 2.0, stop)
+            assert info.value.residuals.base is None
+            got.append(info.value)
+        assert got[0].iteration == got[1].iteration == k
+        scale = got[1].residuals[:-1].max()
+        assert (np.abs(got[0].residuals[:-1] - got[1].residuals[:-1]).max()
+                <= 1e-12 * scale)
+
+    def test_cached_power_run_equals_a_cold_one(self, monkeypatch, rng):
+        # m = 40, so a cold run builds (I - theta g)^32 only after 2m = 80
+        # steps, at its third block, and the next run uses it from its
+        # second
+        n, d = 10, 5
+        ps = preset("malitsky_tam", n)
+        common = rng.standard_normal(d)
+        subs = [random_subspace(rng, d, d - 1, contains=common)
+                for _ in range(n)]
+        p = subspace_problem(ps.pair, ps.dec, subs).base
+        assert p._linear_map.g.shape == (40, 40)
+        hits = []
+        power = engine._kernels.LinearMap.power
+
+        def spy(self, theta):
+            found = power(self, theta)
+            hits.append(found is not None)
+            return found
+
+        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy)
+        w0, v0 = rng.standard_normal((n, d)), rng.standard_normal((n - 1, d))
+        for run in both_runs(w0, v0, 1.0, StopRule(tol=0.0, max_iters=140)):
+            p._linear_map.powers.clear()
+            hits.clear()
+            cold = twin_runs_agree(p, subs, run)
+            cached = twin_runs_agree(p, subs, run)
+            assert hits == [False, True]
+            for a, b in [(cold.x, cached.x), (cold.v, cached.v),
+                         (cold.residuals, cached.residuals)]:
+                assert np.abs(a - b).max() <= 1e-12
+
+    def test_powers_kept_for_the_last_three_thetas(self, rng):
+        sp = random_problem("generalized_ryu", 3, rng, d=3, planted=True)
+        lin = sp.base._linear_map
+        v0 = rng.standard_normal((2, 3))
+        for theta, kept in [(0.5, [0.5]), (0.8, [0.5, 0.8]),
+                            (1.1, [0.5, 0.8, 1.1]), (1.4, [0.8, 1.1, 1.4]),
+                            (0.8, [1.1, 1.4, 0.8]), (0.5, [1.4, 0.8, 0.5])]:
+            run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=70))
+            assert list(lin.powers) == kept
+        m = len(lin.g)
+        for theta, p in lin.powers.items():
+            step = np.eye(m) - theta * lin.g
+            assert np.abs(p - np.linalg.matrix_power(step, 32)).max() <= 1e-12
 
 
 class TestCallbackEngine:
