@@ -8,18 +8,11 @@ array; or the :class:`LinearMap` of a subspace problem, on which the run
 iterates the residual in a basis of its range instead of the blocks.  The
 expanded run carries w next to v and steps on y = Z^T w + v; the reduced
 run is the same loop without w and steps on y = v (see
-:mod:`graphsplit.engine` for why one map serves both).  ``thetas`` is any
-iterable, a repeated constant or a finite schedule, and the residuals grow
-in a list, so the loop holds nothing sized by the run's budget.
-
-A run on a :class:`LinearMap` takes its first 32 steps at a theta one at a
-time, then computes its residuals 32 steps ahead in blocks, one matrix
-product per block once it holds (I - theta g)^32, and answers the loop's
-per-step questions from them (see :class:`_Linear`).  It does only its own
-arithmetic, so it runs with numpy's overflow and invalid warnings off: a
-divergence is reported by its non-finite residual, and the rows a block
-computes past it raise nothing.  A node sweep calls the node resolvents,
-which keep the caller's error state.
+:mod:`graphsplit.engine` for why one map serves both).  The thetas come
+as stretches ``(theta, count)`` of equal theta, and the loop takes a block
+of steps at a time: one step on the node sweep, 1, 2, 4, 8, 16 and then
+32 steps per stretch on a :class:`LinearMap` (see :class:`_Linear`).  The
+residuals grow in a list, so the loop holds nothing sized by the budget.
 
 ``alg1_sweep`` and ``alg2_sweep`` are the entry points; each enters the
 loop itself, so a timer wrapped around one never also times the other.
@@ -38,8 +31,8 @@ USING_NUMBA = False
 #: relative slack of the upper bound on ||v|| that decides when the loop
 #: forms v; it covers the rounding of the bound, so no stop is missed
 _BOUND_SLACK = 1.0 + 1e-9
-#: a block advances 2^_SQUARINGS iterations, the power of I - theta g that
-#: squaring builds
+#: a full block advances 2^_SQUARINGS iterations, the power of I - theta g
+#: that squaring builds
 _SQUARINGS = 5
 _S = 1 << _SQUARINGS
 #: the most powers of I - theta g a residual map keeps, one per theta
@@ -57,14 +50,20 @@ class LinearMap:
     coordinate of node i in ``basis``, the B_i padded with zero columns
     to one (n, d, r) array, so S q = blockdiag(B_i) kq.
 
-    ``powers`` keeps (I - theta g)^32 for the last ``_POWERS`` thetas whose
-    runs built it, least recently used first: at most 3 m^2 entries, no
-    more than q, g and kq hold, since m is at most both (n-1) d and n r.
+    ``gp`` is g with a zero row and column appended, and ``g`` a view of
+    it, for the runs' extra column (see :class:`_Linear`).  ``powers``
+    keeps (I - theta g)^32, padded alike, for the last ``_POWERS`` thetas
+    whose runs built it, least recently used first: at most 3 (m + 1)^2
+    entries, about what q, g and kq hold, since m is at most both (n-1) d
+    and n r.
     """
 
     def __init__(self, q: np.ndarray, g: np.ndarray, kq: np.ndarray,
                  basis: np.ndarray):
-        self.q, self.g, self.kq, self.basis = q, g, kq, basis
+        m = len(g)
+        self.gp = np.zeros((m + 1, m + 1))
+        self.gp[:m, :m] = g
+        self.q, self.g, self.kq, self.basis = q, self.gp[:m, :m], kq, basis
         self.powers = {}
 
     def power(self, theta: float) -> np.ndarray | None:
@@ -90,15 +89,20 @@ class LinearMap:
 
 
 class _Blocks:
-    """A run on the blocks themselves, stepping through the node sweep."""
+    """A run on the blocks themselves, one step of the node sweep per
+    block."""
 
-    def __init__(self, step, zt, w0, v0):
+    def __init__(self, step, zt, w0, v0, record):
         self.step, self.zt, self.w, self.v = step, zt, w0, v0
         self.expanded = w0 is not None
-        self.x = self.g = None
-        self.records = []
+        self.v0_norm = math.sqrt(np.vdot(v0, v0))
+        self.record, self.records = record, []
+        self.x = None
 
-    def residual(self) -> float:
+    def block(self, theta: float, left: int) -> list:
+        if self.x is not None:
+            self._update()
+        self.theta = theta
         w, v, zt = self.w, self.v, self.zt
         if w is None:
             self.x = x = self.step(v)
@@ -106,76 +110,82 @@ class _Blocks:
         else:
             self.x = x = self.step(zt @ w + v)
             self.g = g = zt @ (w - 2.0 * x)
-        return math.sqrt(np.vdot(g, g))
+        return [math.sqrt(np.vdot(g, g))]
 
-    def v_norm(self) -> float:
-        return math.sqrt(np.vdot(self.v, self.v))
+    def v_norms(self) -> list:
+        return [math.sqrt(np.vdot(self.v, self.v))]
 
-    def gap_closed(self, tol: float) -> bool:
+    def gap_norms(self):
         w = self.w
         dw = self.x - w
-        return (math.sqrt(np.vdot(dw, dw))
-                <= tol * max(1.0, math.sqrt(np.vdot(w, w))))
+        return [math.sqrt(np.vdot(dw, dw))], [math.sqrt(np.vdot(w, w))]
 
-    def update(self, theta: float) -> None:
+    def _update(self) -> None:
+        """Take the step of the block."""
+        theta = self.theta
         # reduced: v - theta Z^T x, as v + (-theta) g bit for bit
         if self.w is None:
             self.v = self.v + -theta * self.g
         else:
             self.v = self.v + theta * self.g
             self.w = (1.0 - theta) * self.w + theta * self.x
+        if self.record:
+            # each step and update makes new arrays, so no copies
+            self.records.append((self.x, self.v, self.w))
 
-    def record(self) -> None:
-        # each step and update makes new arrays, so no copies
-        self.records.append((self.x, self.v, self.w))
-
-    def result(self):
+    def result(self, end: int):
+        self._update()
         return self.x, self.w, self.v, self.records
 
 
-#: the update of the state rows, [g e; state] -> state, is M0 + theta M1.
-#: Reduced, the rows are e and sigma = sum theta_j e_j.  Expanded, they are
-#: e; r = q^T Z^T (w - 2x); sigma; tau, which relaxes towards sigma; and
-#: rho = sum theta_j r_j.
-_REDUCED = (np.eye(2, 3, 1), np.array([[-1.0, 0, 0], [0, 1, 0]]))
-_EXPANDED = (np.eye(5, 6, 1),
-             np.array([[-1.0, 0, 0, 0, 0, 0], [2, -1, -1, 0, 0, 0],
-                       [0, 1, 0, 0, 0, 0], [0, 0, 0, 1, -1, 0],
-                       [0, 0, 1, 0, 0, 0]]))
+#: a step at theta maps the state rows and then g e to the state rows
+#: after it by A0 + theta A1.  Reduced, the rows are sigma = sum theta_j
+#: e_j and e.  Expanded, they are sigma; e; tau, which relaxes towards
+#: sigma; rho = sum theta_j r_j; and r = q^T Z^T (w - 2x).  The residual's
+#: row is the last.
+_REDUCED = (np.eye(2, 3), np.array([[0.0, 1, 0], [0, 0, -1]]))
+_EXPANDED = (np.eye(5, 6),
+             np.array([[0.0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1],
+                       [1, 0, -1, 0, 0, 0], [0, 0, 0, 0, 1, 0],
+                       [0, -1, 0, 0, -1, 2]]))
 
 
-@functools.lru_cache(maxsize=16)
-def _tables(theta: float, expanded: bool):
-    """The state of a block at each position, as coefficients of the
-    block, and the powers of 1 - theta: ``(t, pw)``, read-only.
+@functools.lru_cache(maxsize=64)
+def _tables(theta: float, expanded: bool, s: int):
+    """The states of a block of s steps at theta as coefficients of its
+    rows, read-only: ``(t, head)``.
 
-    A block holds e_0 .. e_s (s = 32) of a stretch at one theta, then the
-    state rows after e at position 0: r_0 (expanded) and the running sums.
-    ``t[j] @ block`` is the state [e; (r;) sums] at position j.  t is the
-    single step's update applied to coefficients, its g e column fed
-    theta g e_l = e_l - e_(l+1).  a_j = a_0 pw_j, b_j = b_0 + a_0 (1 - pw_j).
+    A block holds the k state rows at its first position, then
+    g e_0 .. g e_(s-1).  ``t[j] @ block`` is the state at position j, and
+    ``head`` the block's one product: the rows of its state at position s
+    and of its residual at positions s - 1 .. 1.
     """
-    m0, m1 = _EXPANDED if expanded else _REDUCED
-    mat = m0 + theta * m1
-    mat[:, 0] = m1[:, 0]
-    k = len(m0)
-    rows = np.eye(_S + 1, _S + k)
-    state = np.zeros((k, _S + k))
-    state[0, 0] = 1.0
-    state[1:, _S + 1:] = np.eye(k - 1)
-    t = [state]
-    for j in range(_S):
-        state = mat @ np.vstack([rows[j] - rows[j + 1], state])
-        t.append(state)
-    t, pw = np.array(t), (1.0 - theta) ** np.arange(_S + 1.0)
-    t.flags.writeable = pw.flags.writeable = False
-    return t, pw
+    a0, a1 = _EXPANDED if expanded else _REDUCED
+    step = a0 + theta * a1
+    k = len(step)
+    t = np.zeros((s + 1, k, k + s))
+    t[0, :, :k] = np.eye(k)
+    for j in range(s):
+        np.dot(step[:, :k], t[j], out=t[j + 1])
+        t[j + 1, :, k + j] = step[:, k]
+    head = np.concatenate([t[s], t[s - 1:0:-1, -1]])
+    t.flags.writeable = head.flags.writeable = False
+    return t, head
 
 
-def _fill(block, step) -> None:
-    """Rows 1 .. s of ``block`` from row 0, by s products with ``step``."""
-    for i in range(_S):
-        np.dot(step, block[i], out=block[i + 1])
+def _head(theta: float, expanded: bool, s: int) -> np.ndarray:
+    """``head`` of :func:`_tables`.  A block of one step's is the step
+    matrix, built without a table, so a run whose theta changes at every
+    step builds none."""
+    if s > 1:
+        return _tables(theta, expanded, s)[1]
+    a0, a1 = _EXPANDED if expanded else _REDUCED
+    return a0 + theta * a1
+
+
+def _norms(u: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``u``."""
+    return np.sqrt(np.vecdot(u, u))
 
 
 class _Linear:
@@ -190,232 +200,167 @@ class _Linear:
         Z^T (w - 2x) = q r + a qp,     v = v0 + q rho + b qp,
         w = a w0 + B kq ((1 - a) u0 - tau).
 
-    A step is the product g e and one product [g e; state] -> state, into
-    the other of two buffers, which so keep the state before the step.
-    The first 32 steps at each theta are such single steps; after them the
-    run moves in blocks (see :func:`_tables`): e_k .. e_(k+32) are 32
-    products with I - theta g or, once P = (I - theta g)^32 exists, one
-    product of the last block's rows with P.  A run builds P by five
-    squarings after 2m steps at its theta, when the products it saves
-    repay them, and keeps it on the map for the runs that follow.  The
-    residuals of a block are the norms of its rows, expanded after one
-    product with a table.  Its sums are formed at the block's end, and at
-    every position only for a stop candidate, records or a change of
-    theta, one product each; a change of theta goes back to single steps
-    from the current position.  The block and its spare hold at most
-    2 x 37 m entries, and I - theta g m^2 until P exists.  v, x and w are
-    formed only for the stop test and the result, and a theta of 0 leaves
-    them exactly as they were.
+    A stretch of equal theta moves in blocks of 1, 2, 4, 8, 16 and then 32
+    steps.  A block of s steps holds the state rows at its first position
+    and g e_0 .. g e_(s-1): g e_0, then products with I - theta g or, for
+    a full block after a full one, one product of that block's rows with
+    P = (I - theta g)^32, from the map's cache or, after 2m steps at theta
+    when it repays them, five squarings.  One product with the block's
+    head (see :func:`_tables`) gives its residual rows and the next
+    block's first rows; v, x and w are formed only for the stop test,
+    records and result, and a theta of 0 leaves them exactly as they were.
+    Every row has one more column, m, which the steps carry as they carry
+    the others: 1 in sigma, 1 - a in tau, b |qp| in rho and a |qp| in r,
+    0 in e and g e.  So a residual is the norm of its row.  The two blocks
+    hold 2 x 37 (m + 1) entries, and I - theta g (m + 1)^2.
     """
 
-    def __init__(self, lin: LinearMap, zt, w0, v0):
+    def __init__(self, lin: LinearMap, zt, w0, v0, record):
         q, g = lin.q, lin.g
-        self.lin, self.g = lin, g
+        self.lin, self.m = lin, len(g)
         self.shape = v0.shape
         self.v0 = v0.reshape(-1)
+        self.v0_norm = math.sqrt(np.dot(self.v0, self.v0))
         self.expanded = w0 is not None
-        self.m0, self.m1 = _EXPANDED if self.expanded else _REDUCED
-        self.cur, self.prev = np.zeros((2, len(self.m0) + 1, q.shape[1]))
-        self.a = 1.0
-        self.b = self.qp2 = 0.0
-        self.theta = self.mat = None
-        # steps at theta; the block, None while stepping one at a time,
-        # that is for the first _S steps at each theta
-        self.steps, self.block = 0, None
-        # the running sums, sigma (tau, rho), are the last rows
-        self.sums = slice(3 if self.expanded else 2, None)
-        self.records = []
+        # the state rows: sigma, e (, tau, rho, r)
+        self.k = 5 if self.expanded else 2
+        # the rows of this block and of the one before it
+        self.buf, self.last = np.zeros((2, self.k + _S, self.m + 1))
+        # the steps of the block that the run takes, 0 before the first
+        self.theta, self.end = None, 0
+        self.record, self.records = record, []
         if not self.expanded:
             self.u0 = q.T @ self.v0
-            self.cur[1] = g @ self.u0
-            self.res = self.cur[1]
+            e = self.buf[1, :-1] = g @ self.u0
+            self.res = math.sqrt(np.dot(e, e))
             return
         self.w0 = w0.reshape(-1)
         zw = (zt @ w0).reshape(-1)
         omega0, u0 = np.array([zw, self.v0]) @ q
         self.u0 = u0 + omega0
-        self.qp = zw - q @ omega0
-        self.qp2 = float(np.dot(self.qp, self.qp))
-        e = self.cur[1] = g @ self.u0
-        self.cur[2] = omega0 - 2.0 * e
-        self.res = self.cur[2]
+        qp = zw - q @ omega0
+        qn = math.sqrt(np.dot(qp, qp))
+        # qp / |qp|, the direction b |qp| in rho scales
+        self.qp = qp / qn if qn else qp
+        self.buf[0, -1] = 1.0
+        self.buf[1, :-1] = g @ self.u0
+        r = self.buf[4]
+        r[:-1], r[-1] = omega0 - 2.0 * self.buf[1, :-1], qn
+        self.res = math.sqrt(np.dot(r, r))
 
-    def residual(self) -> float:
-        if self.block is not None:
-            return self.norms[self.j]
-        r = self.res
-        return math.sqrt(np.dot(r, r) + self.a * self.a * self.qp2)
-
-    def update(self, theta: float) -> None:
+    def block(self, theta: float, left: int) -> list:
+        """The residuals at the positions of the next block: the next
+        steps at ``theta``, at most ``left`` of them."""
+        if self.end:
+            # move to the end of the last block
+            if self.record:
+                self._keep()
+            self.buf, self.last = self.last, self.buf
         if theta != self.theta:
-            if self.block is not None:
-                self._leave()
-            self.theta, self.steps = theta, 0
-            self.mat = self.m0 + theta * self.m1
-        self.steps += 1
-        if self.steps > _S:
-            if self.block is None:
-                self._enter()
-            elif self.j == _S:
-                self._roll()
-            self.j += 1
-            return
-        cur, prev = self.cur, self.prev
-        np.dot(self.g, cur[1], out=cur[0])
-        np.dot(self.mat, cur, out=prev[1:])
-        self.cur, self.prev = prev, cur
-        self.res = self.cur[2 if self.expanded else 1]
-        self.b += theta * self.a
-        self.a *= 1.0 - theta
+            self.theta, self.steps, self.step, self.power = theta, 0, None, None
+        steps = self.steps
+        s = self.s = min(left, _S, steps + 1)
+        head = _head(theta, self.expanded, s)
+        k, buf = self.k, self.buf
+        if s == _S and steps > _S and self._power() is not None:
+            np.dot(self.last[k:], self.power.T, out=buf[k:])
+        else:
+            ge = np.dot(self.lin.gp, buf[1], out=buf[k])
+            if s > 1:
+                step = self._step()
+                for i in range(k + 1, k + s):
+                    ge = np.dot(step, ge, out=buf[i])
+        self.steps, self.end = steps + s, s
+        rows = self.rows = buf[:k + s]
+        rows = np.dot(head, rows, out=self.last[:k + s - 1])[k - 1:]
+        # squares at positions s .. 1; the last is the next block's first
+        sq = np.vecdot(rows, rows).tolist()
+        res = [self.res, *map(math.sqrt, reversed(sq))]
+        self.res = res.pop()
+        return res
 
-    def _enter(self) -> None:
-        """Blocks from the current state, the first one by single products."""
-        theta, m = float(self.theta), len(self.g)
-        self.tables = _tables(theta, self.expanded)
-        step = self.g * -theta
-        step.flat[::m + 1] += 1.0
-        self.power = self.lin.power(theta)
-        # I - theta g, kept only until the power exists
-        self.step = step if self.power is None else None
-        block = self.block = np.empty((_S + len(self.cur) - 1, m))
-        block[0] = self.cur[1]
-        block[_S + 1:] = self.cur[2:]
-        self.spare = np.empty_like(block)
-        _fill(block, step)
-        self._start_block()
+    def _step(self):
+        """I - theta g, built at its first use at theta."""
+        if self.step is None:
+            m = self.m
+            self.step = self.lin.gp * -self.theta
+            # the first m entries of the diagonal
+            self.step.ravel()[:m * (m + 2):m + 2] += 1.0
+        return self.step
 
-    def _roll(self) -> None:
-        """The next block, which starts at the last position of this one."""
-        s, block, new = _S, self.block, self.spare
-        new[0] = block[s]
-        new[s + 1:] = self.tables[0][s, 1:] @ block
-        if self.power is None and self.steps > 2 * len(self.g):
-            p, self.step = self.step, None
-            for _ in range(_SQUARINGS):
-                p = p @ p
-            self.power = self.lin.keep_power(float(self.theta), p)
+    def _power(self):
+        """P for this theta: the map's, or built once the run has taken
+        more than 2m steps at theta; None before then."""
         if self.power is None:
-            _fill(new, self.step)
-        else:
-            np.dot(block[1:s + 1], self.power.T, out=new[1:s + 1])
-        pw = self.tables[1][s]
-        self.a, self.b = self.a * pw, self.b + self.a * (1.0 - pw)
-        self.block, self.spare = new, block
-        self._start_block()
+            self.power = self.lin.power(self.theta)
+            if self.power is None and self.steps > 2 * self.m:
+                p = self._step()
+                for _ in range(_SQUARINGS):
+                    p = p @ p
+                self.power = self.lin.keep_power(self.theta, p)
+        return self.power
 
-    def _start_block(self) -> None:
-        """The residuals at every position of a new block."""
-        self.j = 0
-        self.filled = self.stops = None
-        block = self.block
-        if self.expanded:
-            r = self.tables[0][:, 1] @ block
-            a = self.a * self.tables[1]
-            sq = np.einsum("ij,ij->i", r, r) + a * a * self.qp2
-        else:
-            sq = np.einsum("ij,ij->i", block[:_S + 1], block[:_S + 1])
-        self.norms = np.sqrt(sq).tolist()
+    def _states(self, first: int, stop: int) -> np.ndarray:
+        """The states at positions ``first`` .. ``stop - 1`` of the block."""
+        t = _tables(self.theta, self.expanded, self.s)[0]
+        return t[first:stop] @ self.rows
 
-    def _filled(self):
-        """The sums, a and b at every position of the block."""
-        if self.filled is None:
-            t, pw = self.tables
-            t = t[:, self.sums.start - 1:]
-            sums = (t.reshape(-1, t.shape[2]) @ self.block).reshape(
-                *t.shape[:2], len(self.g))
-            self.filled = sums, self.a * pw, self.b + self.a * (1.0 - pw)
-        return self.filled
+    def v_norms(self) -> list:
+        """||v|| at each position of the block before its end."""
+        self.stop_states = states = self._states(0, self.s)
+        return _norms(self._v(states)).tolist()
 
-    def _stop_norms(self) -> list:
-        """||v||, and expanded ||x - w|| and ||w||, at each position from
-        the first stop candidate of the block to its end."""
-        if self.stops is None:
-            self.first = j = self.j
-            sums, a, b = (t[j:] for t in self._filled())
-            if self.expanded:
-                x, v, w = self._blocks(sums[:, 0], sums, a, b)
-                rows = (v, x - w, w)
-            else:
-                rows = (self._v(sums, b),)
-            self.stops = [np.sqrt(np.einsum("ij,ij->i", u, u)).tolist()
-                          for u in rows]
-        return self.stops
+    def gap_norms(self):
+        """||x - w|| and ||w|| at the positions of :meth:`v_norms`."""
+        states = self.stop_states
+        x, w = self._xw(states[:, 0], states)
+        return _norms(x - w).tolist(), _norms(w).tolist()
 
-    def _leave(self) -> None:
-        """Single steps again, from the current position of the block."""
-        self.cur[1:] = self.tables[0][self.j] @ self.block
-        pw = self.tables[1][self.j]
-        self.a, self.b = float(self.a * pw), float(self.b + self.a * (1 - pw))
-        self.block = None
+    def _keep(self) -> None:
+        """Record the states after each step of the block the run takes."""
+        states = self._states(0, self.end + 1)
+        self.records.append((states[:-1, 0], states[1:]))
 
-    def _v(self, sums, b):
-        """v, flat, from the running sums (..., 1 or 3, m) after a step."""
+    def _v(self, states):
+        """v at ``states``, flat; stacks of states give stacks of v."""
+        q, m = self.lin.q, self.m
         if not self.expanded:
-            return self.v0 - sums[..., 0, :] @ self.lin.q.T
-        b = np.asarray(b)[..., None]
-        return self.v0 + sums[..., 2, :] @ self.lin.q.T + b * self.qp
+            return self.v0 - states[:, 0, :m] @ q.T
+        rho = states[:, 3]
+        return self.v0 + rho[:, :m] @ q.T + rho[:, m:] * self.qp
 
-    def _blocks(self, sigma, sums, a, b):
-        """x at ``sigma`` before a step, and v and w (None when reduced)
-        after it, flat; stacks (k, ...) of states give stacks of blocks."""
-        lin = self.lin
-        x = lin.blocks((self.u0 - sigma) @ lin.kq.T)
-        v = self._v(sums, b)
+    def _xw(self, sigma, states):
+        """x at ``sigma`` and w (None when reduced) at ``states``, flat."""
+        lin, m = self.lin, self.m
+        x = lin.blocks((self.u0 - sigma[:, :m]) @ lin.kq.T)
         if not self.expanded:
-            return x, v, None
-        a = np.asarray(a)[..., None]
-        w = lin.blocks(((1.0 - a) * self.u0 - sums[..., 1, :]) @ lin.kq.T)
-        return x, v, w + a * self.w0
+            return x, None
+        tau = states[:, 2]
+        # 1 - a
+        one = tau[:, m:]
+        w = lin.blocks((one * self.u0 - tau[:, :m]) @ lin.kq.T)
+        return x, w + (1.0 - one) * self.w0
 
-    def v_norm(self) -> float:
-        if self.block is not None:
-            return self._stop_norms()[0][self.j - self.first]
-        v = self._v(self.cur[self.sums], self.b)
-        return math.sqrt(np.dot(v, v))
-
-    def gap_closed(self, tol: float) -> bool:
-        if self.block is not None:
-            _, gap, w_norm = self._stop_norms()
-            i = self.j - self.first
-            return gap[i] <= tol * max(1.0, w_norm[i])
-        sums = self.cur[self.sums]
-        x, _, w = self._blocks(sums[0], sums, self.a, self.b)
-        dw = x - w
-        return (math.sqrt(np.dot(dw, dw))
-                <= tol * max(1.0, math.sqrt(np.dot(w, w))))
-
-    def record(self) -> None:
-        if self.block is None:
-            self.records.append((self.cur[self.sums].copy(), self.a, self.b))
+    def result(self, end: int):
+        """The blocks after the first ``end`` steps of the last block, and
+        of each recorded step, rebuilt by one product per kind of block."""
+        self.end = end
+        if self.record:
+            self._keep()
+            sigma, states = map(np.concatenate, zip(*self.records))
         else:
-            sums, a, b = self._filled()
-            self.records.append((sums[self.j], a[self.j], b[self.j]))
-
-    def result(self):
-        """The blocks of the last step and of each recorded step, rebuilt
-        after the loop by one product per kind of block."""
-        recorded = bool(self.records)
-        if recorded:
-            sums, a, b = map(np.array, zip(*self.records))
-            self.records = None
-            sigma = np.concatenate([np.zeros_like(sums[:1, 0]), sums[:-1, 0]])
-        elif self.block is None:
-            sums, a, b = self.cur[None, self.sums], self.a, self.b
-            sigma = self.prev[None, self.sums.start]
-        else:
-            j = self.j
-            sums, a, b = self._filled()
-            sigma = sums[j - 1:j, 0]
-            sums, a, b = sums[j:j + 1], a[j:j + 1], b[j:j + 1]
+            states = self._states(end - 1, end + 1)
+            sigma, states = states[:1, 0], states[1:]
         n1, d = self.shape
-        x, v, w = self._blocks(sigma, sums, a, b)
+        (x, w), v = self._xw(sigma, states), self._v(states)
         x, v = x.reshape(-1, n1 + 1, d), v.reshape(-1, n1, d)
         w = [None] * len(x) if w is None else w.reshape(-1, n1 + 1, d)
-        return x[-1], w[-1], v[-1], list(zip(x, v, w)) if recorded else []
+        return x[-1], w[-1], v[-1], list(zip(x, v, w)) if self.record else []
 
 
-def _drive(it, thetas, tol, record_states):
-    """Iterate the run ``it`` (a :class:`_Blocks` or :class:`_Linear`).
+def _drive(it, stretches, tol):
+    """Iterate the run ``it`` (a :class:`_Blocks` or :class:`_Linear`)
+    through ``stretches`` of (theta, count), a block of steps at a time.
 
     Expanded, x = step(Z^T w + v) and both lines read the pre-update w:
 
@@ -425,64 +370,80 @@ def _drive(it, thetas, tol, record_states):
     ||Z^T (w - 2x)||, or ||Z^T x|| reduced.  A run stops when it is at
     most tol * max(1, ||v||); the expanded run also needs ||x - w|| <=
     tol * max(1, ||w||), since a small v-change alone does not make w a
-    fixed point.  ||v|| is formed only when the residual passes the test
-    against an upper bound of it, ||v_j|| + sum_{l >= j} theta_l res_l
-    from the last v formed, so every stop is the one the exact test
-    gives.
+    fixed point.  ||v|| is formed only for a block whose least residual
+    passes the test against an upper bound of ||v||, ||v_j|| +
+    sum_{l >= j} theta_l res_l from v0 or the last v formed; then the exact
+    test runs at each position of the block, so every stop is the exact
+    test's.  The first non-finite residual ends the run as a divergence.
 
     Returns x, w (None when reduced), v, the residuals, the stop reason
     -- ``tol``, ``end`` (every theta used) or ``diverged`` (the last
-    residual is not finite, and no blocks are returned) -- and, with
-    ``record_states``, the records ``(x, v, residual, w)`` after each
-    iteration.
+    residual is not finite, and no blocks are returned) -- and, for a run
+    that records, the records ``(x, v, residual, w)`` after each step.
     """
     residuals = []
-    reason = "end"
-    bound = math.inf
-    for theta in thetas:
-        res = it.residual()
-        residuals.append(res)
-        if not math.isfinite(res):
-            return None, None, None, np.array(residuals), "diverged", []
-        done = False
-        # the first test always passes: bound is inf, also when tol is 0
-        if res / max(1.0, bound * _BOUND_SLACK) <= tol:
-            bound = it.v_norm()
-            done = (res <= tol * max(1.0, bound)
-                    and (not it.expanded or it.gap_closed(tol)))
-        bound += theta * res
-        it.update(theta)
-        if record_states:
-            it.record()
-        if done:
-            reason = "tol"
-            break
-    x, w, v, blocks = it.result()
+    bound = it.v0_norm
+    for theta, count in stretches:
+        while count:
+            res = it.block(theta, count)
+            s = len(res)
+            count -= s
+            total = sum(res)
+            if not math.isfinite(total):
+                bad = [j for j, r in enumerate(res) if not math.isfinite(r)]
+                if bad:
+                    residuals += res[:bad[0] + 1]
+                    return None, None, None, np.array(residuals), "diverged", []
+            # no residual of the block can pass when the least fails
+            # against the bound at its end; NaN, from an unbounded ||v||
+            # and tol 0, passes
+            if min(res) > tol * max(_BOUND_SLACK * (bound + theta * total), 1.0):
+                bound += theta * total
+            else:
+                v = it.v_norms()
+                done = [j for j, (r, vj) in enumerate(zip(res, v))
+                        if r <= tol * max(1.0, vj)]
+                if done and it.expanded:
+                    gap, w = it.gap_norms()
+                    done = [j for j in done if gap[j] <= tol * max(1.0, w[j])]
+                if done:
+                    s = done[0] + 1
+                    return _result(it, s, residuals + res[:s], "tol")
+                bound = v[-1] + theta * res[-1]
+            residuals += res
+    return _result(it, s, residuals, "end")
+
+
+def _result(it, end, residuals, reason):
+    """What :func:`_drive` returns, ``end`` steps into the last block."""
+    x, w, v, blocks = it.result(end)
     records = [(bx, bv, res, bw) for (bx, bv, bw), res in zip(blocks, residuals)]
     return x, w, v, np.array(residuals), reason, records
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _drive_linear(lin, zt, w0, v0, thetas, tol, record_states):
+def _drive_linear(lin, zt, w0, v0, stretches, tol, record_states):
     """:func:`_drive` on a run of ``lin``, with numpy's overflow and invalid
-    warnings off: all its arithmetic is the run's own.  A node sweep calls
-    the node resolvents, so its run keeps the caller's error state."""
-    return _drive(_Linear(lin, zt, w0, v0), thetas, tol, record_states)
+    warnings off: all its arithmetic is the run's own, a divergence shows
+    as a non-finite residual, and the rows a block computes past it raise
+    nothing.  A node sweep calls the node resolvents, so its run keeps the
+    caller's error state."""
+    return _drive(_Linear(lin, zt, w0, v0, record_states), stretches, tol)
 
 
-def _start(step, zt, w0, v0, thetas, tol, record_states):
+def _start(step, zt, w0, v0, stretches, tol, record_states):
     """The run from (w0, v0), or from v0 alone when ``w0`` is None, driven
     to its end."""
     if isinstance(step, LinearMap):
-        return _drive_linear(step, zt, w0, v0, thetas, tol, record_states)
-    return _drive(_Blocks(step, zt, w0, v0), thetas, tol, record_states)
+        return _drive_linear(step, zt, w0, v0, stretches, tol, record_states)
+    return _drive(_Blocks(step, zt, w0, v0, record_states), stretches, tol)
 
 
-def alg2_sweep(step, zt, v0, thetas, tol, record_states=False):
+def alg2_sweep(step, zt, v0, stretches, tol, record_states=False):
     """Reduced iteration from ``v0``; see :func:`_drive`."""
-    return _start(step, zt, None, v0, thetas, tol, record_states)
+    return _start(step, zt, None, v0, stretches, tol, record_states)
 
 
-def alg1_sweep(step, zt, w0, v0, thetas, tol, record_states=False):
+def alg1_sweep(step, zt, w0, v0, stretches, tol, record_states=False):
     """Expanded iteration from ``(w0, v0)``; see :func:`_drive`."""
-    return _start(step, zt, w0, v0, thetas, tol, record_states)
+    return _start(step, zt, w0, v0, stretches, tol, record_states)

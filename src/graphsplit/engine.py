@@ -29,9 +29,10 @@ for theta > 0), so it is invariant under relaxation scaling and is still
 meaningful at theta = 0.  Both run in the one loop of ``_kernels``, the
 reduced one as the expanded loop without w.  A run stops on its stop rule
 (``tol``) or at the end of its thetas (``max_iters``, or ``schedule`` for
-a finite schedule); a non-finite residual raises ``DivergenceError``.  A
-constant theta is repeated lazily and the residuals grow with the run, so
-no array of a run is sized by its budget.
+a finite schedule); a non-finite residual raises ``DivergenceError``.  The
+loop takes the thetas as stretches of equal theta: a constant is one
+stretch of ``max_iters`` steps, a schedule its runs of equal values.  The
+residuals grow with the run, so no array of a run is sized by its budget.
 
 When every node operator is the normal cone of a subspace U_i, y -> x is
 linear, x = S y, and a run iterates its residual instead of its blocks.
@@ -41,12 +42,12 @@ range.  With q the Q factor of a QR of R (m = min(sum r_i, (n-1) d)
 columns, no rank decision), e = q^T Z^T x steps as e <- e - theta G e,
 G = q^T Z^T S q of size m x m, and its norm is the residual; v, x and w
 are running sums of the e_k, formed only for the stop test and the
-result (see ``_kernels._Linear``).  The first 32 steps at a theta are
-single steps.  After them a run computes e_k .. e_(k+32) a block at a
-time, by 32 products with I - theta G or, with P = (I - theta G)^32, by
-one product of the last block's rows with P, and answers the stop test
-of each step from the block.  A run builds P by five squarings once it
-has taken 2m steps at its theta, and the map keeps P for the last three
+result (see ``_kernels._Linear``).  A run moves through each stretch in
+blocks of 1, 2, 4, 8, 16 and then 32 steps, whose rows are products with
+I - theta G or, for a full block after a full one, one product of the
+last block's rows with P = (I - theta G)^32; the loop tests a whole
+block's residuals at once.  A run builds P by five squarings once it has
+taken 2m steps at its theta, and the map keeps P for the last three
 thetas.  A problem builds q, G and kq, the node coordinates of S q, at
 its first run, by one batched sweep of q's columns, and keeps them.
 They are used while they hold at most ``LINEAR_MAP_MAX_ENTRIES`` entries
@@ -54,14 +55,13 @@ They are used while they hold at most ``LINEAR_MAP_MAX_ENTRIES`` entries
 ((n-1) d + n r + m) m entries, r = max r_i, so on complete G with
 n = 60, d = 24 and r_i = 12 they would hold (1416 + 720 + 720) 720,
 about 2.06 M entries or 16 MB, where the node sweep needs a few
-kilobytes.  The three powers add at most 3 m^2 entries, no more than
-the map, since m <= (n-1) d and m <= n r.  Larger problems keep sweeping
-node by node.
+kilobytes.  The three powers add at most 3 (m + 1)^2 entries, about
+what the map holds, since m <= (n-1) d and m <= n r.  Larger problems
+keep sweeping node by node.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -289,9 +289,10 @@ class Trace:
 
 
 def _schedule(theta, stop: StopRule):
-    """The thetas of a run, a constant repeated ``stop.max_iters`` times or
-    a finite schedule cut to the budget, and its tol as a float.  The one
-    check of a run's theta, tol and max_iters."""
+    """The thetas of a run as stretches ``(theta, count)`` of equal theta,
+    a constant for ``stop.max_iters`` steps or the runs of a finite
+    schedule cut to the budget, and its tol as a float.  The one check of a
+    run's theta, tol and max_iters."""
     m = stop.max_iters
     if (isinstance(m, bool) or not isinstance(m, numbers.Integral)
             or not 1 <= m <= sys.maxsize):
@@ -310,12 +311,16 @@ def _schedule(theta, stop: StopRule):
         if th == 0.0 or th == 2.0:
             log.warning("constant relaxation %.1f gives no convergence "
                         "guarantee", th)
-        return itertools.repeat(th, m), tol
+        return [(th, m)], tol
     if arr.size == 0:
         raise ValueError("relaxation schedule is empty")
     if not ((0.0 <= arr) & (arr <= 2.0)).all():
         raise ValueError("relaxation schedule must lie in [0, 2]")
-    return arr[:m], tol
+    arr = arr[:m]
+    # where theta changes, with the two ends
+    edges = [0, *(np.flatnonzero(arr[1:] != arr[:-1]) + 1).tolist(), arr.size]
+    values = arr.tolist()
+    return [(values[a], b - a) for a, b in zip(edges, edges[1:])], tol
 
 
 def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
@@ -323,15 +328,15 @@ def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
     """The expanded run from (w0, v0), or the reduced run from v0 when
     ``w0`` is None, through its own entry point into the driver."""
     stop = stop or StopRule()
-    thetas, tol = _schedule(theta, stop)
+    stretches, tol = _schedule(theta, stop)
     w0 = None if w0 is None else real_array(w0, "w0", (p.n, p.d))
     v0 = real_array(v0, "v0", (p.n - 1, p.d))
     if w0 is None:
         x, w, v, residuals, reason, recs = _kernels.alg2_sweep(
-            _step(p), p.zt, v0, thetas, tol, record_states)
+            _step(p), p.zt, v0, stretches, tol, record_states)
     else:
         x, w, v, residuals, reason, recs = _kernels.alg1_sweep(
-            _step(p), p.zt, w0, v0, thetas, tol, record_states)
+            _step(p), p.zt, w0, v0, stretches, tol, record_states)
     if reason == "diverged":
         raise DivergenceError(residuals)
     if reason == "end":
@@ -352,9 +357,10 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
     ``operators.real_array``, so bool, str, None, wrong nesting and
     non-finite values raise ``ValueError``.  With ``record_states`` the
     trace keeps every iterate.  Subspace problems within the memory cap
-    iterate their residual on the cached residual map, after 32 steps at
-    a theta in blocks of 32 (see the module docstring), with numpy's
-    overflow and invalid warnings off; all others step on the node sweep.
+    iterate their residual on the cached residual map, in blocks of 1, 2,
+    4, 8, 16 and then 32 steps per stretch of equal theta (see the module
+    docstring), with numpy's overflow and invalid warnings off; all others
+    step on the node sweep, one step per block.
     A non-finite residual raises :class:`DivergenceError`.
     """
     return _run(p, None, v0, theta, stop, record_states)

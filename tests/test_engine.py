@@ -648,12 +648,14 @@ class TestResidualMap:
             trace = twin_runs_agree(sp.base, sp.subspaces, run)
             assert trace.stop_reason == "schedule" and trace.k_final == 28
 
-    # budgets of 50, 64 and 65 end inside the first block, on its last
-    # position and on the first of the next
+    # a budget of 8 ends a stretch in a block cut short, and the schedule
+    # runs blocks of one; budgets of 50, 63, 64 and 65 end in the first
+    # full block cut short, at its end, and in blocks of one and two
+    # steps after it
     @pytest.mark.parametrize("theta,budget,reason", [
         (1.1, 8, "max_iters"), ([0.7, 1.4] * 4, 20, "schedule"),
-        (0.2, 50, "max_iters"), (0.2, 64, "max_iters"),
-        (0.2, 65, "max_iters")])
+        (0.2, 50, "max_iters"), (0.2, 63, "max_iters"),
+        (0.2, 64, "max_iters"), (0.2, 65, "max_iters")])
     def test_returned_x_is_the_sweep_before_the_last_update(
             self, theta, budget, reason, rng):
         sp = random_problem("parallel_up", 4, rng, d=3, planted=True)
@@ -721,7 +723,8 @@ class TestResidualMap:
 
         monkeypatch.setattr(engine._kernels.LinearMap, "blocks", counting)
         counts = []
-        # 140 iterations: 32 single steps, then records across four blocks
+        # 140 iterations: records across blocks of 1 .. 32 steps, three
+        # full blocks and one cut short
         for k in (5, 60, 140):
             for run in both_runs(w0, v0, 0.8, StopRule(tol=0.0, max_iters=k)):
                 calls.clear()
@@ -747,50 +750,128 @@ def stop_ratios(trace, w0, v0):
     return np.array(ratios)
 
 
-class TestBlocks:
-    """A run on the residual map takes its first 32 steps at a theta one at
-    a time and then moves in blocks of 32; each case is checked against the
-    node sweep of the callback twin."""
+class ScriptedRun:
+    """A reduced run for ``_drive`` alone: its residuals come from a list,
+    and at theta = 1 its ||v|| grows from ``v0_norm`` by each residual, as
+    fast as the loop's bound on it allows."""
 
-    @pytest.mark.parametrize("k", [31, 32, 33, 34, 64, 65])
+    expanded = False
+
+    def __init__(self, res, v0_norm):
+        self.res, self.v0_norm = res, v0_norm
+        self.v = v0_norm + np.concatenate([[0.0], np.cumsum(res)[:-1]])
+        self.pos = 0
+
+    def block(self, theta, left):
+        s = min(left, 32, self.pos + 1)
+        self.first, self.pos = self.pos, self.pos + s
+        return self.res[self.first:self.pos]
+
+    def v_norms(self):
+        return self.v[self.first:self.pos].tolist()
+
+    def result(self, end):
+        return None, None, None, []
+
+
+class TestBlocks:
+    """A run on the residual map moves through each stretch of equal theta
+    in blocks of 1, 2, 4, 8, 16 and then 32 steps; each case is checked
+    against the node sweep of the callback twin."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 34,
+                                   63, 64, 65, 95, 96])
     def test_stop_at_and_around_block_boundaries(self, k):
-        # the 33rd step is the first in a block, the 65th the first of the
-        # second
+        # blocks start at steps 1, 2, 4, 8, 16, 32, 64 and 96
         rng = np.random.default_rng(3)
         sp = random_problem("generalized_ryu", 4, rng, d=3, planted=True)
         w0 = 10.0 * rng.standard_normal((4, 3))
         v0 = 10.0 * rng.standard_normal((3, 3))
         twin = callback_twin(sp.base, sp.subspaces)
         for alg, run in zip((2, 1), both_runs(w0, v0, 0.5,
-                                              StopRule(0.0, 80))):
+                                              StopRule(0.0, 100))):
             ratios = stop_ratios(run(twin), w0 if alg == 1 else None, v0)
             # a tol between the k-th ratio and every earlier one
-            assert ratios[k - 1] < 0.99 * ratios[:k - 1].min()
-            tol = math.sqrt(ratios[k - 1] * ratios[:k - 1].min())
-            run = both_runs(w0, v0, 0.5, StopRule(tol, 80))[2 - alg]
+            earlier = ratios[:k - 1].min() if k > 1 else 4.0 * ratios[0]
+            assert ratios[k - 1] < 0.99 * earlier
+            tol = math.sqrt(ratios[k - 1] * earlier)
+            run = both_runs(w0, v0, 0.5, StopRule(tol, 100))[2 - alg]
             trace = twin_runs_agree(sp.base, sp.subspaces, run)
             assert trace.stop_reason == "tol" and trace.k_final == k
 
-    def test_first_32_steps_at_a_theta_are_single_steps(self, monkeypatch,
-                                                       rng):
-        # a block starts, and asks the map for its power, at the 33rd step
-        # at one theta
-        sp = random_problem("complete", 4, rng, d=3, planted=True)
-        asked = []
-        power = engine._kernels.LinearMap.power
+    def test_bound_on_v_follows_its_growth(self):
+        # ||v|| grows from 1 to about 400.  Step 41 passes only against the
+        # bound, so the block of steps 32 .. 63 is a candidate that fails;
+        # step 95, the last of the next block, is the first to pass, by a
+        # margin below the growth of the step before that block
+        tol = 1e-3
+        res = ([1.0] * 31 + [10.0] * 9 + [0.0] + [10.0] * 21 + [50.0]
+               + [0.5] * 32 + [0.1] * 9)
+        v = ScriptedRun(res, 1.0).v
+        res[40] = tol * (v[40] + v[63]) / 2
+        v = ScriptedRun(res, 1.0).v
+        res[94] = tol * v[94] * (1.0 - 1e-7)
+        run = ScriptedRun(res, 1.0)
+        first = next(j for j, r in enumerate(res) if r <= tol * max(1.0, v[j]))
+        assert first == 94
+        got = engine._kernels._drive(run, [(1.0, len(res))], tol)
+        assert got[4] == "tol" and len(got[3]) == first + 1
 
-        def spy(self, theta):
-            asked.append(theta)
+    def test_failed_candidate_then_stop_in_one_block(self):
+        # an expanded run whose residual passes the stop test some steps
+        # before its gap ||x - w|| does, both inside one block: the block's
+        # first candidate fails and a later position of it stops
+        rng = np.random.default_rng(1)
+        sp = random_problem("sequential", 4, rng, d=3, planted=True)
+        w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        twin = callback_twin(sp.base, sp.subspaces)
+        run = both_runs(w0, v0, 1.0, StopRule(0.0, 100))[1]
+        trace = run(twin)
+        res = stop_ratios(trace, None, v0)
+        both = stop_ratios(trace, w0, v0)
+        # the first block after 8 steps with a stop at k preceded, in its
+        # block, by a residual that passes at tol, just above both[k - 1]
+        k, tol = next((k, 1.001 * both[k - 1])
+                      for lo, hi in [(8, 16), (16, 32)]
+                      for k in range(lo + 1, hi)
+                      if (both[:k - 1] > 1.01 * both[k - 1]).all()
+                      and (res[lo - 1:k - 1] <= 0.99 * both[k - 1]).any())
+        run = both_runs(w0, v0, 1.0, StopRule(tol, 100))[1]
+        got = twin_runs_agree(sp.base, sp.subspaces, run)
+        assert got.stop_reason == "tol" and got.k_final == k
+
+    def test_blocks_double_up_to_32_in_each_stretch(self, monkeypatch, rng):
+        # block sizes per stretch of the schedule, and the blocks that ask
+        # the map for its power: only a full block after a full one
+        sp = random_problem("complete", 4, rng, d=3, planted=True)
+        sizes, asked = [], []
+        head, power = engine._kernels._head, engine._kernels.LinearMap.power
+
+        def spy_head(theta, expanded, s):
+            sizes.append(s)
+            return head(theta, expanded, s)
+
+        def spy_power(self, theta):
+            asked.append(len(sizes))
             return power(self, theta)
 
-        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy)
-        v0 = rng.standard_normal((3, 3))
-        for theta, k, blocks in [(0.7, 32, 0), (0.7, 33, 1),
-                                 ([0.7] * 20 + [0.9] * 32, 52, 0),
-                                 ([0.7] * 20 + [0.9] * 33, 53, 1)]:
-            asked.clear()
-            run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=k))
-            assert len(asked) == blocks
+        monkeypatch.setattr(engine._kernels, "_head", spy_head)
+        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy_power)
+        w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        full = [1, 2, 4, 8, 16, 32]
+        for theta, k, want, asks in [
+                (0.7, 100, full + [32, 5], [7]),
+                (0.7, 140, full + [32, 32, 13], [7]),
+                ([0.7] * 20 + [0.9] * 40, 60,
+                 [1, 2, 4, 8, 5, 1, 2, 4, 8, 16, 9], []),
+                ([0.7, 0.9] * 3 + [0.7] * 70, 76, [1] * 6 + full + [7], []),
+                (np.linspace(0.5, 1.5, 5), 5, [1] * 5, [])]:
+            for run in both_runs(w0, v0, theta,
+                                 StopRule(tol=0.0, max_iters=k)):
+                sizes.clear()
+                asked.clear()
+                twin_runs_agree(sp.base, sp.subspaces, run)
+                assert sizes == want and asked == asks
 
     def test_theta_changes_inside_a_block(self, rng):
         # each change comes after more than 32 steps at one theta; small
@@ -814,32 +895,36 @@ class TestBlocks:
 
     def test_divergence_inside_a_block(self):
         # at theta = 2 the expanded residual grows, so a start scaled by c
-        # can make a residual inside the first block, the k-th, the first
-        # whose square overflows
+        # can make a residual inside a block, the k-th, the first whose
+        # square overflows: in one of the growing blocks (k < 32) and in a
+        # full one; a k that is no power of two is not a block's first step
         rng = np.random.default_rng(0)
         sp = random_problem("sequential", 4, rng, d=3)
         w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
         twin = callback_twin(sp.base, sp.subspaces)
         stop = StopRule(tol=0.0, max_iters=64)
         res = run_alg1(twin, w0, v0, 2.0, stop).residuals
-        k = next(k for k in range(40, 65)
-                 if res[:k - 1].max() < 0.999 * res[k - 1])
-        c = math.sqrt(np.finfo(float).max / (res[:k - 1].max() * res[k - 1]))
-        got = []
-        for problem in (sp.base, twin):
-            with pytest.raises(DivergenceError) as info:
-                run_alg1(problem, c * w0, c * v0, 2.0, stop)
-            assert info.value.residuals.base is None
-            got.append(info.value)
-        assert got[0].iteration == got[1].iteration == k
-        scale = got[1].residuals[:-1].max()
-        assert (np.abs(got[0].residuals[:-1] - got[1].residuals[:-1]).max()
-                <= 1e-12 * scale)
+        for first in (2, 40):
+            k = next(k for k in range(first, 65) if k & (k - 1)
+                     and res[:k - 1].max() < 0.999 * res[k - 1])
+            assert (k < 32) == (first < 32)
+            c = math.sqrt(np.finfo(float).max
+                          / (res[:k - 1].max() * res[k - 1]))
+            got = []
+            for problem in (sp.base, twin):
+                with pytest.raises(DivergenceError) as info:
+                    run_alg1(problem, c * w0, c * v0, 2.0, stop)
+                assert info.value.residuals.base is None
+                got.append(info.value)
+            assert got[0].iteration == got[1].iteration == k
+            scale = got[1].residuals[:-1].max()
+            assert (np.abs(got[0].residuals[:-1]
+                           - got[1].residuals[:-1]).max() <= 1e-12 * scale)
 
     def test_cached_power_run_equals_a_cold_one(self, monkeypatch, rng):
-        # m = 40, so a cold run builds (I - theta g)^32 only after 2m = 80
-        # steps, at its third block, and the next run uses it from its
-        # second
+        # m = 40: a cold run asks for (I - theta g)^32 at its full blocks
+        # after 63 and 95 steps and builds it at the second, the first after
+        # 2m = 80 steps; the next run finds it after 63
         n, d = 10, 5
         ps = preset("malitsky_tam", n)
         common = rng.standard_normal(d)
@@ -849,20 +934,26 @@ class TestBlocks:
         assert p._linear_map.g.shape == (40, 40)
         hits = []
         power = engine._kernels.LinearMap.power
+        keep = engine._kernels.LinearMap.keep_power
 
         def spy(self, theta):
             found = power(self, theta)
             hits.append(found is not None)
             return found
 
+        def spy_keep(self, theta, q):
+            hits.append("built")
+            return keep(self, theta, q)
+
         monkeypatch.setattr(engine._kernels.LinearMap, "power", spy)
+        monkeypatch.setattr(engine._kernels.LinearMap, "keep_power", spy_keep)
         w0, v0 = rng.standard_normal((n, d)), rng.standard_normal((n - 1, d))
         for run in both_runs(w0, v0, 1.0, StopRule(tol=0.0, max_iters=140)):
             p._linear_map.powers.clear()
             hits.clear()
             cold = twin_runs_agree(p, subs, run)
             cached = twin_runs_agree(p, subs, run)
-            assert hits == [False, True]
+            assert hits == [False, False, "built", True]
             for a, b in [(cold.x, cached.x), (cold.v, cached.v),
                          (cold.residuals, cached.residuals)]:
                 assert np.abs(a - b).max() <= 1e-12
@@ -874,12 +965,16 @@ class TestBlocks:
         for theta, kept in [(0.5, [0.5]), (0.8, [0.5, 0.8]),
                             (1.1, [0.5, 0.8, 1.1]), (1.4, [0.8, 1.1, 1.4]),
                             (0.8, [1.1, 1.4, 0.8]), (0.5, [1.4, 0.8, 0.5])]:
-            run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=70))
+            # the 100 steps hold two full blocks
+            run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=100))
             assert list(lin.powers) == kept
         m = len(lin.g)
         for theta, p in lin.powers.items():
+            # padded with a zero row and column, as the map's gp
             step = np.eye(m) - theta * lin.g
-            assert np.abs(p - np.linalg.matrix_power(step, 32)).max() <= 1e-12
+            assert np.abs(p[:m, :m]
+                          - np.linalg.matrix_power(step, 32)).max() <= 1e-12
+            assert not p[m].any() and not p[:, m].any()
 
 
 class TestCallbackEngine:
