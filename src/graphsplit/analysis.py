@@ -52,7 +52,6 @@ from .operators import (
     _null_space,
     complement,
     orthonormalize,
-    project,
     real_array,
     resolvent,
 )
@@ -257,13 +256,20 @@ def _membership_E(sp: SubspaceProblem) -> EBasis:
     return _orthonormal_images(e)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _limit(sp: SubspaceProblem, y: np.ndarray) -> LimitPrediction:
     """The limit formula at y of shape (n-1, d): u = P_U(alpha^T y) /
-    ||alpha||^2, e = P_E(y) and v_bar = alpha (x) u + e."""
-    a = sp.alpha.alpha
-    u = project(sp.u_common, a @ y) / sp.alpha.norm_sq
+    ||alpha||^2, e = P_E(y) and v_bar = alpha (x) u + e.  A y whose limit
+    overflows float64 raises ``ValueError``."""
+    a, b = sp.alpha.alpha, sp.u_common.basis
+    u = ((a @ y) @ b) @ b.T / sp.alpha.norm_sq
     e = sp.e_basis.project(y)
-    return LimitPrediction(u, e, np.outer(a, u) + e)
+    v_bar = np.outer(a, u) + e
+    # alpha != 0, so a non-finite u or e leaves v_bar non-finite
+    if not np.isfinite(v_bar).all():
+        raise ValueError("the predicted limit is not finite: it overflows "
+                         "float64")
+    return LimitPrediction(u, e, v_bar)
 
 
 def predict_limits_alg2(sp: SubspaceProblem, v0) -> LimitPrediction:
@@ -272,6 +278,7 @@ def predict_limits_alg2(sp: SubspaceProblem, v0) -> LimitPrediction:
     return _limit(sp, real_array(v0, "v0", (sp.n - 1, sp.d)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
     """Exact limit of the expanded iteration started at (w0, v0): the
     limit formula at y = Z^T w0 + v0; all shadow and w blocks converge to
@@ -281,6 +288,8 @@ def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
     a = sp.alpha.alpha
     delta = degree_balance(sp.base.pair.g).delta.astype(np.float64)
     y = sp.base.zt @ w0 + v0
+    # first, so a y that overflows is reported as such, not as a gap
+    lim = _limit(sp, y)
     s = delta @ w0 + a @ v0
     # the two stated forms of the projected seed agree because Z alpha = delta
     gap = np.abs(s - a @ y).max()
@@ -289,7 +298,7 @@ def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
             f"alpha does not match the degree balance: delta^T w + alpha^T v "
             f"and alpha^T (Z^T w + v) differ by {gap:.3e}"
         )
-    return _limit(sp, y)
+    return lim
 
 
 def proj_fix_T_tilde(sp: SubspaceProblem, v) -> np.ndarray:
@@ -297,6 +306,7 @@ def proj_fix_T_tilde(sp: SubspaceProblem, v) -> np.ndarray:
     return _limit(sp, real_array(v, "v", (sp.n - 1, sp.d))).v_bar
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def m_proj_fix_T(sp: SubspaceProblem, w, v):
     """M-projection onto the expanded fixed-point set: (w_bar, v_bar) with
     every block of w_bar the u and v_bar the limit formula at Z^T w + v."""

@@ -2,10 +2,11 @@
 
 Subcommands: ``decompose``, ``run``, ``predict``, ``verify`` and
 ``list-presets``.  Experiments are described by a JSON config (one file
-per experiment); all floats are emitted with 17 significant digits so
-reports round-trip losslessly and are byte-identical across runs for a
-fixed seed.  The environment variable GRAPH_SPLIT_LOG in {error, info,
-debug} controls log verbosity.
+per experiment).  Reports are written by ``json.dumps``, which writes each
+float as its ``repr``, the shortest text that reads back as the same
+float64 (``0.1``, ``1.0``, ``-0.0``), so reports round-trip losslessly and
+are byte-identical across runs for a fixed seed.  The environment variable
+GRAPH_SPLIT_LOG in {error, info, debug} controls log verbosity.
 
 A config is a JSON object, inline or in a file, with the fields (default):
 
@@ -101,32 +102,10 @@ def _object(value, what: str, fields: tuple | None = None) -> dict:
     return value
 
 
-# ---------------------------------------------------------------------------
-# deterministic JSON with fixed float formatting
-
-def render_json(obj) -> str:
-    """Serialize with floats at 17 significant digits, keys in insertion
-    order."""
-    if isinstance(obj, dict):
-        inner = ", ".join(
-            f"{json.dumps(str(k))}: {render_json(v)}" for k, v in obj.items()
-        )
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(render_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return render_json(obj.tolist())
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+def _tolist(value):
+    """A numpy array or scalar in a report as the Python lists and
+    numbers ``json.dumps`` writes."""
+    return value.tolist()
 
 
 def _read_json(text_or_path: str, what: str) -> dict:
@@ -338,10 +317,10 @@ def cmd_decompose(args) -> int:
         "Z": dec.z,
         "Z_dagger": dec.z_dagger,
         "alpha": a.alpha,
-        "delta": [int(x) for x in delta.delta],
+        "delta": delta.delta,
         "method": dec.method,
     }
-    _output(render_json(doc), args.out)
+    _output(json.dumps(doc, default=_tolist), args.out)
     return EXIT_OK
 
 
@@ -378,7 +357,7 @@ def cmd_run(args) -> int:
                            if trace.k_final else None),
         "v_final": trace.v,
     }
-    print(render_json(summary))
+    print(json.dumps(summary, default=_tolist))
     return EXIT_OK
 
 
@@ -394,7 +373,7 @@ def cmd_predict(args) -> int:
         "dim_E": sp.e_basis.dim,
         "dim_U": sp.u_common.dim,
     }
-    _output(render_json(doc), args.out)
+    _output(json.dumps(doc, default=_tolist), args.out)
     return EXIT_OK
 
 
@@ -440,7 +419,7 @@ def cmd_verify(args) -> int:
         case["pass"] = case["reduced"]["pass"] and case["expanded"]["pass"]
         report["cases"].append(case)
     report["pass"] = all(case["pass"] for case in report["cases"])
-    _output(render_json(report), args.out)
+    _output(json.dumps(report, default=_tolist), args.out)
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
 

@@ -35,29 +35,11 @@ stretch of ``max_iters`` steps, a schedule its runs of equal values.  The
 residuals grow with the run, so no array of a run is sized by its budget.
 
 When every node operator is the normal cone of a subspace U_i, y -> x is
-linear, x = S y, and a run iterates its residual instead of its blocks.
-Each residual Z^T x lies in the range of R = (Z^T (x) I_d) blockdiag(B_i),
-B_i an orthonormal basis of U_i, and S vanishes on the complement of that
-range.  With q the Q factor of a QR of R (m = min(sum r_i, (n-1) d)
-columns, no rank decision), e = q^T Z^T x steps as e <- e - theta G e,
-G = q^T Z^T S q of size m x m, and its norm is the residual; v, x and w
-are running sums of the e_k, formed only for the stop test and the
-result (see ``_kernels._Linear``).  A run moves through each stretch in
-blocks of 1, 2, 4, 8, 16 and then 32 steps, whose rows are products with
-I - theta G or, for a full block after a full one, one product of the
-last block's rows with P = (I - theta G)^32; the loop tests a whole
-block's residuals at once.  A run builds P by five squarings once it has
-taken 2m steps at its theta, and the map keeps P for the last three
-thetas.  A problem builds q, G and kq, the node coordinates of S q, at
-its first run, by one batched sweep of q's columns, and keeps them.
-They are used while they hold at most ``LINEAR_MAP_MAX_ENTRIES`` entries
-(2 MiB).  The cap bounds memory and build time: q, G and kq hold
-((n-1) d + n r + m) m entries, r = max r_i, so on complete G with
-n = 60, d = 24 and r_i = 12 they would hold (1416 + 720 + 720) 720,
-about 2.06 M entries or 16 MB, where the node sweep needs a few
-kilobytes.  The three powers add at most 3 (m + 1)^2 entries, about
-what the map holds, since m <= (n-1) d and m <= n r.  Larger problems
-keep sweeping node by node.
+linear, x = S y.  A subspace problem whose residual map holds at most
+``LINEAR_MAP_MAX_ENTRIES`` entries builds that map at its first run and
+keeps it, and its runs iterate the residual on it instead of the blocks
+(see ``_kernels.LinearMap`` and ``_kernels._Linear``).  Every other
+problem steps through the node sweep.
 """
 
 from __future__ import annotations
@@ -81,9 +63,14 @@ log = logging.getLogger("graphsplit")
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
-#: largest residual map (q, g and S q), in float64 entries, that a subspace
-#: problem caches; the powers (I - theta g)^32 it keeps for up to three
-#: thetas add at most as many again
+#: largest residual map (q, g and kq), in float64 entries (2 MiB), that a
+#: subspace problem caches; larger problems keep sweeping node by node.  The
+#: cap bounds memory and build time: q, g and kq hold ((n-1) d + n r + m) m
+#: entries, r = max r_i and m = min(sum r_i, (n-1) d), so on complete G with
+#: n = 60, d = 24 and r_i = 12 they would hold (1416 + 720 + 720) 720, about
+#: 2.06 M entries or 16 MB, where the node sweep needs a few kilobytes.  The
+#: powers (I - theta g)^32 the map keeps for up to three thetas add at most
+#: as many again.
 LINEAR_MAP_MAX_ENTRIES = 1 << 18
 
 
@@ -357,10 +344,9 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
     ``operators.real_array``, so bool, str, None, wrong nesting and
     non-finite values raise ``ValueError``.  With ``record_states`` the
     trace keeps every iterate.  Subspace problems within the memory cap
-    iterate their residual on the cached residual map, in blocks of 1, 2,
-    4, 8, 16 and then 32 steps per stretch of equal theta (see the module
-    docstring), with numpy's overflow and invalid warnings off; all others
-    step on the node sweep, one step per block.
+    iterate their residual on the cached residual map (see
+    ``_kernels._Linear``), with numpy's overflow and invalid warnings off;
+    all others step on the node sweep.
     A non-finite residual raises :class:`DivergenceError`.
     """
     return _run(p, None, v0, theta, stop, record_states)
@@ -406,12 +392,6 @@ def trace_to_csv(trace: Trace, path, n: int, d: int) -> None:
 
 #: a number's slot in a template, written by json.dumps as a string
 _SLOT = "%s"
-#: json's spelling of the floats it cannot write as repr
-_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
-
-
-def _json_number(x):
-    return _NON_FINITE.get(x, "NaN" if x != x else x)
 
 
 @lru_cache(maxsize=64)
@@ -432,8 +412,9 @@ def _json_records(records):
         w = () if rec.w is None else rec.w.ravel().tolist()
         nums = [rec.k, rec.residual, *rec.x.ravel().tolist(),
                 *rec.v.ravel().tolist(), *w]
+        # %s writes a finite number as json.dumps does, but not NaN or inf
         if not math.isfinite(sum(nums)):
-            nums = [_json_number(x) for x in nums]
+            nums = [json.dumps(x) for x in nums]
         shapes = (rec.x.shape, rec.v.shape,
                   None if rec.w is None else rec.w.shape)
         yield sep + _json_record_template(shapes) % tuple(nums)

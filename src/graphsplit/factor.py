@@ -26,6 +26,7 @@ from .graphs import (
     AlgorithmicGraph,
     DegreeBalance,
     GraphError,
+    _order,
     incidence,
     is_circulant,
     is_complete,
@@ -117,9 +118,9 @@ def factor_circulant(sub: AlgorithmicGraph) -> OntoDecomposition:
 
 def factor_complete_sparse(n: int) -> OntoDecomposition:
     """Sparse lower-triangular decomposition of the complete-graph
-    Laplacian, with t_j = sqrt(n / ((n-j)(n-j+1))) and Z^+ = Z^T / n."""
-    if n < 2:
-        raise FactorError(f"complete graph factor requires n >= 2, got {n}")
+    Laplacian, with t_j = sqrt(n / ((n-j)(n-j+1))) and Z^+ = Z^T / n, for
+    an integer n >= 2."""
+    n = _order(n)
     t = complete_t_values(n)
     z = np.tril(np.broadcast_to(-t, (n, n - 1)), -1)
     np.fill_diagonal(z, (n - np.arange(1, n)) * t)
@@ -127,7 +128,9 @@ def factor_complete_sparse(n: int) -> OntoDecomposition:
 
 
 def complete_t_values(n: int) -> np.ndarray:
-    """The scaling constants t_j of the sparse complete-graph factor."""
+    """The scaling constants t_j of the sparse complete-graph factor, for
+    an integer n >= 2."""
+    n = _order(n)
     j = np.arange(1, n, dtype=np.float64)
     return np.sqrt(n / ((n - j) * (n - j + 1)))
 

@@ -48,10 +48,11 @@ class AlgorithmicGraph:
         for key in data:
             if key not in ("n", "edges"):
                 raise GraphError(f"graph JSON does not take the field {key!r}")
-        edges = data["edges"]
+        n, edges = data["n"], data["edges"]
         if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
             raise GraphError("graph 'edges' must be a list of [i, j] pairs")
-        return new_graph(data["n"], [tuple(e) for e in edges])
+        # an integer-valued float such as 3.0, as the edge labels take it
+        return new_graph(int(n) if _is_label(n) else n, [tuple(e) for e in edges])
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,13 @@ def _is_label(x) -> bool:
 
 
 def _order(n) -> int:
-    """The node count as an int, checked to be an integer of at least 2."""
+    """The node count as an int, checked to be an integer of at least 2;
+    bool and every float, 3.0 included, are rejected."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise GraphError(f"node count must be an integer, got {type(n).__name__}")
+        raise GraphError(f"node count n must be an integer, got {n!r}")
     n = int(n)
     if n < 2:
-        raise GraphError(f"node count must be at least 2, got {n}")
+        raise GraphError(f"node count n must be at least 2, got {n}")
     return n
 
 

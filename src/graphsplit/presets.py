@@ -20,7 +20,7 @@ from .factor import (
     factor_complete_sparse,
     factor_tree,
 )
-from .graphs import GraphPair, degree_balance, named_graph, validate_pair
+from .graphs import GraphPair, _order, degree_balance, named_graph, validate_pair
 
 PRESET_NAMES = (
     "douglas_rachford",
@@ -57,17 +57,17 @@ class Preset:
 def preset(name: str, n: int) -> Preset:
     """Build a named configuration of order ``n``.
 
+    ``n`` is an int or numpy integer, never a bool or a float.
     ``douglas_rachford`` fixes n = 2; ``generalized_ryu`` and
     ``malitsky_tam`` need n >= 3; the remaining families accept n >= 2.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    n = _order(n)
     if name == "douglas_rachford" and n != 2:
         raise ValueError("douglas_rachford is the order-2 scheme; use n = 2")
     if name in ("generalized_ryu", "malitsky_tam") and n < 3:
         raise ValueError(f"{name} requires n >= 3, got {n}")
-    if n < 2:
-        raise ValueError(f"presets require n >= 2, got {n}")
 
     g_kind, sub_kind, _ = _TABLE[name]
     pair = validate_pair(named_graph(g_kind, n), named_graph(sub_kind, n))
@@ -97,9 +97,9 @@ def preset(name: str, n: int) -> Preset:
 
 
 def ryu_norm_sq(n: int) -> float:
-    """||alpha||^2 for the generalized Ryu scheme: (n-1)((n-1)^2 + 2)/3."""
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
+    """||alpha||^2 for the generalized Ryu scheme: (n-1)((n-1)^2 + 2)/3,
+    for an integer n >= 2."""
+    n = _order(n)
     return (n - 1) * ((n - 1) ** 2 + 2) / 3
 
 

@@ -6,9 +6,12 @@ import json
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from graphsplit import cli
+from graphsplit.factor import factorize
+from graphsplit.graphs import named_graph
 from graphsplit.presets import PRESET_NAMES
 
 
@@ -276,11 +279,45 @@ def test_decompose_preset_order_zero_exits_with_config_code(capsys):
 
 
 def test_integer_valued_floats_accepted(tmp_path, capsys):
-    path = write_config(tmp_path, json.dumps({
-        **VALID, "problem": {"preset": "sequential", "n": 3.0}, "d": 2.0,
-        "max_iters": 50.0}))
-    assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_OK
-    assert '"converged": true' in capsys.readouterr().out
+    for problem in ({"preset": "sequential", "n": 3.0},
+                    {"graph": {**PATH, "n": 3.0}}):
+        path = write_config(tmp_path, json.dumps({
+            **VALID, "problem": problem, "d": 2.0, "max_iters": 50.0}))
+        assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_OK
+        assert '"converged": true' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("start", [
+    {"v0": [[1e308, 1e308]] * 2},
+    {"v0": [[1e308, 1e308]] * 2, "algorithm": "expanded"},
+    {"w0": [[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]], "algorithm": "expanded"},
+], ids=["reduced", "expanded", "expanded-w0"])
+def test_overflowing_prediction_prints_only_its_error_line(start, tmp_path,
+                                                           capsys):
+    # every input is finite, but alpha^T v0, or Z^T w0, overflows float64
+    cfg = {"problem": {"preset": "sequential", "n": 3}, "d": 2,
+           "subspaces": [[[1.0, 0.0]]] * 3, **start}
+    path = write_config(tmp_path, json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["predict", "--config", path])
+    assert code == cli.EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == \
+        "error: the predicted limit is not finite: it overflows float64\n"
+
+
+def test_decompose_reads_back_bit_for_bit(capsys):
+    # the eigen factor of the complete graph holds signed zeros on some
+    # hosts; each float, -0.0 included, must read back as written
+    graph = named_graph("complete", 4)
+    argv = ["decompose", "--graph", json.dumps(graph.to_dict()),
+            "--method", "eigen"]
+    assert cli.main(argv) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    dec = factorize(graph, "eigen")
+    for key, expected in (("Z", dec.z), ("Z_dagger", dec.z_dagger)):
+        got = np.array(doc[key])
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 #: a config whose runs take about 150 iterations

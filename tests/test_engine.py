@@ -1079,18 +1079,29 @@ class TestTraceWriterBytes:
             reference(trace, ref)
             assert got.read_bytes() == ref.read_bytes(), suffix
 
+    def assert_run_same_bytes(self, p, expanded, rng, tmp_path):
+        v0 = rng.standard_normal((p.n - 1, p.d))
+        stop = StopRule(max_iters=40)
+        trace = (run_alg1(p, rng.standard_normal((p.n, p.d)), v0, 1.3, stop,
+                          record_states=True) if expanded
+                 else run_alg2(p, v0, 0.7, stop, record_states=True))
+        assert len(trace.iterations) > 1 and (trace.w is not None) == expanded
+        self.assert_same_bytes(trace, p.n, p.d, tmp_path)
+
     @pytest.mark.parametrize("expanded", [False, True])
     @pytest.mark.parametrize("n,d", [(4, 3), (2, 1)])
     def test_runs(self, expanded, n, d, rng, tmp_path):
         p = (random_problem("malitsky_tam", n, rng, d=d, planted=True).base
              if d > 1 else drs_problem([[1.0]], [], d=1))
-        v0 = rng.standard_normal((n - 1, d))
-        stop = StopRule(max_iters=40)
-        trace = (run_alg1(p, rng.standard_normal((n, d)), v0, 1.3, stop,
-                          record_states=True) if expanded
-                 else run_alg2(p, v0, 0.7, stop, record_states=True))
-        assert len(trace.iterations) > 1 and (trace.w is not None) == expanded
-        self.assert_same_bytes(trace, n, d, tmp_path)
+        self.assert_run_same_bytes(p, expanded, rng, tmp_path)
+
+    @pytest.mark.parametrize("expanded", [False, True])
+    def test_node_sweep_runs(self, expanded, rng, tmp_path):
+        # the records of a run stepped on the node sweep, which no subspace
+        # problem under the cap takes
+        sp = random_problem("malitsky_tam", 4, rng, d=3, planted=True)
+        self.assert_run_same_bytes(callback_twin(sp.base, sp.subspaces),
+                                   expanded, rng, tmp_path)
 
     @pytest.mark.parametrize("with_w", [False, True])
     def test_empty_records(self, with_w, tmp_path):

@@ -3,7 +3,11 @@ import pytest
 
 from graphsplit.engine import run_alg2, StopRule
 from graphsplit.analysis import subspace_problem
-from graphsplit.factor import alpha as compute_alpha
+from graphsplit.factor import (
+    alpha as compute_alpha,
+    complete_t_values,
+    factor_complete_sparse,
+)
 from graphsplit.graphs import degree_balance, named_graph
 from graphsplit.operators import subspace_from_spanners
 from graphsplit.presets import PRESET_NAMES, preset, preset_table, ryu_norm_sq
@@ -82,6 +86,19 @@ class TestValidation:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset("forward_backward", 3)
+
+    @pytest.mark.parametrize("n", [None, "4", 2.5, 3.0, True])
+    @pytest.mark.parametrize("build", [
+        lambda n: preset("sequential", n), ryu_norm_sq,
+        factor_complete_sparse, complete_t_values,
+    ], ids=["preset", "ryu_norm_sq", "factor_complete_sparse",
+            "complete_t_values"])
+    def test_order_must_be_an_integer(self, build, n):
+        with pytest.raises(ValueError, match="node count n must be an integer"):
+            build(n)
+
+    def test_numpy_integer_order_is_stored_as_int(self):
+        assert type(preset("sequential", np.int64(3)).n) is int
 
 
 class TestRyuNormSq:
