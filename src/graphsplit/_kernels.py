@@ -82,7 +82,9 @@ class LinearMap:
         return p
 
     def blocks(self, c: np.ndarray) -> np.ndarray:
-        """The flat blocks B_i c_i of node coordinates c, (..., n r)."""
+        """The flat blocks B_i c_i of node coordinates c, (..., n r).  Runs
+        form blocks only for their records and result; the stop test reads
+        its norms from node coordinates (see :meth:`_Linear.gap_norms`)."""
         n, d, r = self.basis.shape
         lead = c.shape[:-1]
         return (self.basis @ c.reshape(*lead, n, r, 1)).reshape(*lead, n * d)
@@ -153,12 +155,14 @@ _EXPANDED = (np.eye(5, 6),
 @functools.lru_cache(maxsize=64)
 def _tables(theta: float, expanded: bool, s: int):
     """The states of a block of s steps at theta as coefficients of its
-    rows, read-only: ``(t, head)``.
+    rows, read-only: ``(t, head, stop)``.
 
     A block holds the k state rows at its first position, then
     g e_0 .. g e_(s-1).  ``t[j] @ block`` is the state at position j, and
     ``head`` the block's one product: the rows of its state at position s
-    and of its residual at positions s - 1 .. 1.
+    and of its residual at positions s - 1 .. 1.  ``stop @ block`` is the
+    rows the stop test reads at positions 0 .. s - 1: sigma reduced;
+    sigma - tau, tau and rho expanded, s rows of each.
     """
     a0, a1 = _EXPANDED if expanded else _REDUCED
     step = a0 + theta * a1
@@ -169,8 +173,10 @@ def _tables(theta: float, expanded: bool, s: int):
         np.dot(step[:, :k], t[j], out=t[j + 1])
         t[j + 1, :, k + j] = step[:, k]
     head = np.concatenate([t[s], t[s - 1:0:-1, -1]])
-    t.flags.writeable = head.flags.writeable = False
-    return t, head
+    stop = (np.concatenate([t[:s, 0] - t[:s, 2], t[:s, 2], t[:s, 3]])
+            if expanded else t[:s, 0].copy())
+    t.flags.writeable = head.flags.writeable = stop.flags.writeable = False
+    return t, head, stop
 
 
 def _head(theta: float, expanded: bool, s: int) -> np.ndarray:
@@ -181,11 +187,6 @@ def _head(theta: float, expanded: bool, s: int) -> np.ndarray:
         return _tables(theta, expanded, s)[1]
     a0, a1 = _EXPANDED if expanded else _REDUCED
     return a0 + theta * a1
-
-
-def _norms(u: np.ndarray) -> np.ndarray:
-    """The norm of each row of ``u``."""
-    return np.sqrt(np.vecdot(u, u))
 
 
 class _Linear:
@@ -207,8 +208,12 @@ class _Linear:
     P = (I - theta g)^32, from the map's cache or, after 2m steps at theta
     when it repays them, five squarings.  One product with the block's
     head (see :func:`_tables`) gives its residual rows and the next
-    block's first rows; v, x and w are formed only for the stop test,
-    records and result, and a theta of 0 leaves them exactly as they were.
+    block's first rows.  The stop test reads ||v||, ||x - w|| and ||w||
+    from the rows of sigma (and expanded tau and rho) and from the splits
+    of v0 over q and of w0 over the node bases, made once per run at its
+    first candidate block, as sums of squares of orthogonal parts; v, x
+    and w are formed only for records and the result, and a theta of 0
+    leaves them exactly as they were.
     Every row has one more column, m, which the steps carry as they carry
     the others: 1 in sigma, 1 - a in tau, b |qp| in rho and a |qp| in r,
     0 in e and g e.  So a residual is the norm of its row.  The two blocks
@@ -229,15 +234,18 @@ class _Linear:
         # the steps of the block that the run takes, 0 before the first
         self.theta, self.end = None, 0
         self.record, self.records = record, []
+        # the squared norms of the splits of v0 and w0, made when the stop
+        # test first needs them
+        self.c2 = self.w2 = None
         if not self.expanded:
-            self.u0 = q.T @ self.v0
+            self.u0 = self.uv = q.T @ self.v0
             e = self.buf[1, :-1] = g @ self.u0
             self.res = math.sqrt(np.dot(e, e))
             return
         self.w0 = w0.reshape(-1)
         zw = (zt @ w0).reshape(-1)
-        omega0, u0 = np.array([zw, self.v0]) @ q
-        self.u0 = u0 + omega0
+        omega0, self.uv = np.array([zw, self.v0]) @ q
+        self.u0 = self.uv + omega0
         qp = zw - q @ omega0
         qn = math.sqrt(np.dot(qp, qp))
         # qp / |qp|, the direction b |qp| in rho scales
@@ -306,15 +314,63 @@ class _Linear:
         return t[first:stop] @ self.rows
 
     def v_norms(self) -> list:
-        """||v|| at each position of the block before its end."""
-        self.stop_states = states = self._states(0, self.s)
-        return _norms(self._v(states)).tolist()
+        """||v|| at each position of the block before its end, from the
+        split of v0: ||v||^2 = ||uv - sigma||^2 + c2 reduced (sigma's extra
+        column is 0), and ||uv + rho||^2 + (h + rho_m)^2 + c2 expanded,
+        rho_m the extra column."""
+        if self.c2 is None:
+            self._split_v()
+        s = self.s
+        st = _tables(self.theta, self.expanded, s)[2] @ self.rows
+        self.stop_states = st
+        dv = self.vc + st[2 * s:] if self.expanded else self.vc - st
+        return np.sqrt(np.vecdot(dv, dv) + self.c2).tolist()
 
     def gap_norms(self):
-        """||x - w|| and ||w|| at the positions of :meth:`v_norms`."""
-        states = self.stop_states
-        x, w = self._xw(states[:, 0], states)
-        return _norms(x - w).tolist(), _norms(w).tolist()
+        """||x - w|| and ||w|| at the positions of :meth:`v_norms`, from
+        the split of w0.  With B orthonormal per node, a = 1 - tau_m the
+        extra column of sigma - tau, ku = kq u0 and dk = ku - c0,
+
+            ||x - w||^2 = ||kq (sigma - tau) - a dk||^2 + a^2 w2,
+            ||w||^2 = ||kq tau + a dk - ku||^2 + a^2 w2."""
+        if self.w2 is None:
+            self._split_w()
+        s, m = self.s, self.m
+        st = self.stop_states
+        c = st[:2 * s, :m] @ self.lin.kq.T
+        a = st[:s, m:]
+        ad = a * self.dk
+        c[:s] -= ad
+        c[s:] += ad
+        c[s:] -= self.ku
+        sq = np.vecdot(c, c)
+        aw = np.square(a[:, 0]) * self.w2
+        return np.sqrt(sq[:s] + aw).tolist(), np.sqrt(sq[s:] + aw).tolist()
+
+    def _split_v(self) -> None:
+        """Split v0 into q uv, h p (expanded, p the unit qp; else h = 0) and
+        a remainder, whose squared norm is c2, and keep vc = [uv, h].  h is
+        taken from v0 - q uv, not v0: where Z^T w0 lies in range(q), qp is
+        rounding, and p is not orthogonal to q."""
+        rem = self.v0 - self.lin.q @ self.uv
+        h = 0.0
+        if self.expanded:
+            h = np.dot(self.qp, rem)
+            rem -= h * self.qp
+        self.vc = np.append(self.uv, h)
+        self.c2 = np.dot(rem, rem)
+
+    def _split_w(self) -> None:
+        """Split w0 into B c0, c0 its node coordinates over the padded
+        bases, and a remainder orthogonal to every B_i: keep w2, the
+        remainder's squared norm, ku = kq u0 and dk = ku - c0."""
+        lin = self.lin
+        n, d, r = lin.basis.shape
+        c0 = (self.w0.reshape(n, 1, d) @ lin.basis).reshape(n * r)
+        rem = self.w0 - lin.blocks(c0)
+        self.w2 = np.dot(rem, rem)
+        self.ku = lin.kq @ self.u0
+        self.dk = self.ku - c0
 
     def _keep(self) -> None:
         """Record the states after each step of the block the run takes."""
@@ -370,11 +426,13 @@ def _drive(it, stretches, tol):
     ||Z^T (w - 2x)||, or ||Z^T x|| reduced.  A run stops when it is at
     most tol * max(1, ||v||); the expanded run also needs ||x - w|| <=
     tol * max(1, ||w||), since a small v-change alone does not make w a
-    fixed point.  ||v|| is formed only for a block whose least residual
-    passes the test against an upper bound of ||v||, ||v_j|| +
-    sum_{l >= j} theta_l res_l from v0 or the last v formed; then the exact
-    test runs at each position of the block, so every stop is the exact
-    test's.  The first non-finite residual ends the run as a divergence.
+    fixed point.  ||v|| is asked of the run only for a block whose least
+    residual passes the test against an upper bound of ||v||, ||v_j|| +
+    sum_{l >= j} theta_l res_l from v0 or the last ||v|| asked; then the
+    exact test runs at each position of the block, so every stop is the
+    exact test's.  A :class:`_Linear` run answers from the splits of v0
+    and w0, without forming v, x or w.  The first non-finite residual
+    ends the run as a divergence.
 
     Returns x, w (None when reduced), v, the residuals, the stop reason
     -- ``tol``, ``end`` (every theta used) or ``diverged`` (the last

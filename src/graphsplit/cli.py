@@ -38,7 +38,8 @@ comparison with the predicted limits (1e-6) and leaves the stop rule to
 the config.
 
 Exit codes: 0 ok, 2 config or validation failure (also a problem too
-large for memory), 3 numeric divergence, 4 verification failure.
+large for memory, or an output file that cannot be written), 3 numeric
+divergence, 4 verification failure.
 
 ``main`` may be called many times in one process: the argument parser is
 built at its first call and reused by every later one.
@@ -344,10 +345,13 @@ def cmd_run(args) -> int:
     trace = _run(prob, opts, opts["algorithm"], record)
     out = args.out or "trace.csv"
     if record:
-        if out.endswith(".json"):
-            engine.trace_to_json(trace, out)
-        else:
-            engine.trace_to_csv(trace, out, prob.n, prob.d)
+        try:
+            if out.endswith(".json"):
+                engine.trace_to_json(trace, out)
+            else:
+                engine.trace_to_csv(trace, out, prob.n, prob.d)
+        except OSError as exc:
+            raise ConfigError(f"cannot write trace file: {exc}") from exc
     summary = {
         "algorithm": opts["algorithm"],
         "converged": trace.converged,
@@ -439,8 +443,11 @@ _HEADER = ("name", "G", "G'", "alpha_j")
 
 def _output(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     else:
         print(text)
 

@@ -174,6 +174,31 @@ def test_diverging_run_prints_only_its_error_line(tmp_path, capsys):
             "error: non-finite iterate at iteration 1\n"
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("argv, what", [
+    (["run", "--config", "{config}"], "trace file"),
+    (["decompose", "--preset", "sequential", "-n", "3"], "output file"),
+    (["predict", "--config", "{config}"], "output file"),
+    (["verify", "--config", "{config}"], "output file"),
+    (["list-presets"], "output file"),
+], ids=["run", "decompose", "predict", "verify", "list-presets"])
+def test_unwritable_output_exits_with_config_code(argv, what, target,
+                                                  tmp_path, capsys):
+    # files in a directory that does not exist (run writes a JSON or a CSV
+    # trace by the suffix), or a directory itself
+    config = write_config(tmp_path, json.dumps(VALID))
+    paths = {"missing": [tmp_path / "missing" / "out.json",
+                         tmp_path / "missing" / "out.csv"],
+             "directory": [tmp_path]}[target]
+    for path in paths:
+        code = cli.main([a.format(config=config) for a in argv]
+                        + ["--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {what}: ")
+        assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("message, shown", [
     ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
     ("", "out of memory"),

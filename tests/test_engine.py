@@ -977,6 +977,122 @@ class TestBlocks:
             assert not p[m].any() and not p[:, m].any()
 
 
+def split_norm_errors(p, w0, v0, stretches):
+    """Drive a run of ``p`` on its residual map block by block and return,
+    per norm of the stop test, its largest error over every position of
+    every block: the norm from the splits of v0 and w0 against the norm
+    of the blocks rebuilt by ``_v``/``_xw``, relative to the scale the
+    stop test compares it at, max(1, ||v||) or max(1, ||w||).  The
+    reduced run when ``w0`` is None."""
+    it = engine._kernels._Linear(p._linear_map, p.zt, w0, v0, False)
+    norm = np.linalg.norm
+    worst = {}
+
+    def err(name, got, ref, scale):
+        rel = np.abs(np.array(got) - ref) / np.maximum(scale, 1.0)
+        worst[name] = max(worst.get(name, 0.0), rel.max())
+
+    for theta, count in stretches:
+        while count:
+            count -= len(it.block(theta, count))
+            states = it._states(0, it.s)
+            v = norm(it._v(states), axis=1)
+            err("v", it.v_norms(), v, v)
+            if w0 is not None:
+                x, w = it._xw(states[:, 0], states)
+                w_ref = norm(w, axis=1)
+                gap, w_norm = it.gap_norms()
+                err("gap", gap, norm(x - w, axis=1), w_ref)
+                err("w", w_norm, w_ref, w_ref)
+    return worst
+
+
+class TestSplitNorms:
+    """The stop test reads ||v||, ||x - w|| and ||w|| from the splits of
+    v0 and w0; at every position of every block they match the norms of
+    the blocks themselves to 1e-12, relative to the stop test's scale."""
+
+    STRETCHES = [(0.7, 40), (1.3, 70)]
+
+    def assert_norms_match(self, p, w0, v0, stretches=STRETCHES):
+        for start in (None, w0):
+            worst = split_norm_errors(p, start, v0, stretches)
+            assert set(worst) == ({"v"} if start is None
+                                  else {"v", "gap", "w"})
+            assert max(worst.values()) <= 1e-12, worst
+
+    def padded_problem(self, rng):
+        # dims 1 .. 3 in R^4: bases padded to r = 3, and sum r_i < 4 (n-1),
+        # so v0 keeps a part outside range(q)
+        ps = preset("malitsky_tam", 5)
+        c = rng.standard_normal(4)
+        subs = [random_subspace(rng, 4, r, contains=c)
+                for r in (1, 2, 3, 1, 2)]
+        sp = subspace_problem(ps.pair, ps.dec, subs)
+        assert sp.base._linear_map.basis.shape == (5, 4, 3)
+        return sp
+
+    def test_unequal_dims_pad_the_bases(self, rng):
+        sp = self.padded_problem(rng)
+        assert len(sp.base._linear_map.g) == 9
+        self.assert_norms_match(sp.base, rng.standard_normal((5, 4)),
+                                rng.standard_normal((4, 4)))
+
+    def test_zero_w0_has_no_part_outside_q(self, rng):
+        # Z^T w0 = 0, so qp = 0 and h = 0
+        sp = self.padded_problem(rng)
+        self.assert_norms_match(sp.base, np.zeros((5, 4)),
+                                rng.standard_normal((4, 4)))
+
+    def test_w0_in_the_node_subspaces(self, rng):
+        # w0_i in U_i, so w0 = B c0 and w2 = 0
+        sp = self.padded_problem(rng)
+        w0 = np.array([u.basis @ rng.standard_normal(u.dim)
+                       for u in sp.subspaces])
+        self.assert_norms_match(sp.base, w0, rng.standard_normal((4, 4)))
+
+    def test_empty_basis(self, rng):
+        # zero subspaces: m = 0, every norm is the split's remainder
+        ps = preset("sequential", 4)
+        p = SplittingProblem(ps.pair, ps.dec,
+                             [NormalConeOp(zero_space(3))] * 4, 3)
+        assert p._linear_map.q.shape == (9, 0)
+        self.assert_norms_match(p, rng.standard_normal((4, 3)),
+                                rng.standard_normal((3, 3)))
+
+    def test_theta_zero_stretch(self, rng):
+        sp = self.padded_problem(rng)
+        self.assert_norms_match(sp.base, rng.standard_normal((5, 4)),
+                                rng.standard_normal((4, 4)),
+                                [(0.6, 10), (0.0, 40), (1.4, 60)])
+
+    def test_large_start_with_small_limit(self, rng):
+        # the start minus its own limit, a fixed point, scaled by 1e3, plus
+        # 1e-3 times the start: the limit is 1e-3 times the start's, so
+        # ||v|| falls from thousands to below 1, where the stop test's
+        # scale is 1.  Both the split and the blocks round at about
+        # eps ||v0||, which a start ten times larger would put above 1e-12
+        # of that scale; squares of ||v0|| subtracted would err by about
+        # sqrt(eps) ||v0||
+        sp = self.padded_problem(rng)
+        w0, v0 = rng.standard_normal((5, 4)), rng.standard_normal((4, 4))
+        pred1 = predict_limits_alg1(sp, w0, v0)
+        pred2 = predict_limits_alg2(sp, v0)
+        stretches = [(1.0, 400)]
+        big_w = 1e3 * (w0 - pred1.u_bar) + 1e-3 * w0
+        big_v1 = 1e3 * (v0 - pred1.v_bar) + 1e-3 * v0
+        big_v2 = 1e3 * (v0 - pred2.v_bar) + 1e-3 * v0
+        worst = split_norm_errors(sp.base, None, big_v2, stretches)
+        worst1 = split_norm_errors(sp.base, big_w, big_v1, stretches)
+        stop = StopRule(tol=0.0, max_iters=400)
+        for trace, start in [(run_alg2(sp.base, big_v2, 1.0, stop), big_v2),
+                             (run_alg1(sp.base, big_w, big_v1, 1.0, stop),
+                              big_v1)]:
+            assert np.linalg.norm(trace.v) < 1e-2 < 1e3 < np.linalg.norm(start)
+        assert max(*worst.values(), *worst1.values()) <= 1e-12, (worst,
+                                                                  worst1)
+
+
 class TestCallbackEngine:
     def test_callback_identity_matches_full_space_cone(self, rng):
         # the A = Id callback and U = H normal cone differ, but A = 0

@@ -1,0 +1,142 @@
+"""Compare the outputs of two graphsplit source trees on the benchmark's
+corpora.
+
+    python tools/exactness.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold the ``graphsplit`` package,
+such as the ``src`` of two checkouts.  Each tree runs in a fresh process
+of its own, on inputs built by ``perfbench/workloads.py`` (imported, not
+changed):
+
+- the cli-small corpora of seeds 1 and 77: every ``run`` (with its trace
+  file), ``run --no-trace``, ``predict`` and ``decompose`` call;
+- the multistart runs of seeds 1, 2 and 3.
+
+The report gives the calls whose exit code moved, the runs whose
+``converged``, ``stop_reason`` or iteration count moved (each count that
+moved is listed), the worst difference of the final v relative to
+max(1, ||v||), as the stop rule scales it, and whether run stdout,
+traces, predict and decompose output are byte for byte the same.  The
+exit status is 1 when an exit code, ``converged``, a stop reason or an
+iteration count moved, else 0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import multiprocessing
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CLI_SEEDS = (1, 77)
+MULTISTART_SEEDS = (1, 2, 3)
+#: the cli-small calls of one graph pair, in the corpus's order
+CLI_KINDS = ("run", "run --no-trace", "predict", "decompose")
+
+
+def collect(src: str) -> dict:
+    """Every outcome of the tree at ``src``, keyed by (corpus, seed, op
+    index, op label):
+    ``(kind, exit code, stdout, trace digest)`` for a cli call and
+    ``(converged, stop_reason, iterations, v)`` for a multistart run."""
+    sys.path[:0] = [src, str(PERFBENCH)]
+    import workloads
+
+    gs = workloads.fresh_import()
+    if Path(gs.__file__).resolve().parent.parent != Path(src).resolve():
+        raise RuntimeError(f"graphsplit came from {gs.__file__}, not {src}")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in CLI_SEEDS:
+            work = Path(tmp) / f"cli{seed}"
+            for i, op in enumerate(workloads.cli_small(seed, work)):
+                code, stdout = op.run()
+                trace = hashlib.sha256()
+                for path in work.glob("trace*"):
+                    trace.update(path.read_bytes())
+                    path.unlink()
+                out["cli-small", seed, i, op.label] = (
+                    CLI_KINDS[i % 4], code, stdout, trace.digest())
+        for seed in MULTISTART_SEEDS:
+            for i, op in enumerate(workloads.multistart(seed, Path(tmp))):
+                tr = op.run()
+                out["multistart", seed, i, op.label] = (
+                    tr.converged, tr.stop_reason, tr.k_final, tr.v)
+    return out
+
+
+def in_own_process(src: str) -> dict:
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(collect, (src,))
+
+
+def run_facts(value):
+    """``(converged, stop_reason, iterations, v)`` of a run, or None."""
+    if value[0] in ("run", "run --no-trace"):
+        _, code, stdout, _ = value
+        if code:
+            return None
+        doc = json.loads(stdout)
+        return (doc["converged"], doc["stop_reason"], doc["iterations"],
+                np.array(doc["v_final"]))
+    if isinstance(value[0], str):
+        return None
+    return value
+
+
+def compare(old: dict, new: dict) -> int:
+    if old.keys() != new.keys():
+        raise RuntimeError("the two trees ran different corpora")
+    codes, flags, counts, worst = [], [], [], 0.0
+    same = dict.fromkeys(["run stdout", "traces", "predict", "decompose"],
+                         True)
+    for key in old:
+        a, b = old[key], new[key]
+        if isinstance(a[0], str):
+            if a[1] != b[1]:
+                codes.append((key, a[1], b[1]))
+            kind = "run stdout" if a[0].startswith("run") else a[0]
+            same[kind] &= a[2] == b[2]
+            same["traces"] &= a[3] == b[3]
+        fa, fb = run_facts(a), run_facts(b)
+        if fa is None or fb is None:
+            continue
+        if fa[:2] != fb[:2]:
+            flags.append((key, fa[:2], fb[:2]))
+        if fa[2] != fb[2]:
+            counts.append((key, fa[2], fb[2]))
+        diff = np.linalg.norm(fb[3] - fa[3])
+        worst = max(worst, diff / max(1.0, np.linalg.norm(fa[3])))
+    runs = sum(run_facts(v) is not None for v in old.values())
+    print(f"{len(old)} ops, {runs} of them runs")
+    for title, moved in [("exit codes", codes),
+                         ("converged or stop_reason", flags),
+                         ("iteration counts", counts)]:
+        print(f"{title} moved: {len(moved)}")
+        for (corpus, seed, i, label), a, b in moved:
+            print(f"  {corpus} seed {seed} op {i} ({label}): {a} -> {b}")
+    print(f"worst relative difference in v_final: {worst:.3g}")
+    for kind, equal in same.items():
+        print(f"{kind} byte-identical: {'yes' if equal else 'no'}")
+    return 1 if codes or flags or counts else 0
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/exactness.py OLD_SRC NEW_SRC",
+              file=sys.stderr)
+        return 2
+    # as the benchmark runs: one BLAS thread, inherited by the workers
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    old, new = (in_own_process(os.path.abspath(p)) for p in argv)
+    return compare(old, new)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
