@@ -50,7 +50,7 @@ from .operators import (
     LinearSubspace,
     NormalConeOp,
     _null_space,
-    complement,
+    _range_split,
     orthonormalize,
     real_array,
     resolvent,
@@ -93,11 +93,11 @@ class SubspaceProblem:
     cones, together with the quantities the closed forms need.
 
     The node subspaces and alpha, the solution of Z alpha = delta, are
-    read off the base problem.  Each other derived quantity is computed at
-    its first use and kept: U, the E basis, and the orthonormal bases of
-    the node complements U_i^perp, which ``build_E`` and ``closed_form_E``
-    both read, so a problem pays one complement SVD per node however many
-    E routes it takes.
+    read off the base problem.  U and the E basis are computed at their
+    first use and kept.  The orthonormal bases of the node complements
+    U_i^perp, which ``intersection``, ``build_E`` and ``closed_form_E`` all
+    read, are the subspaces' ``perp``, from the one SVD of each node, so a
+    problem factors no node again however many E routes it takes.
     """
 
     def __init__(self, base: SplittingProblem):
@@ -124,11 +124,6 @@ class SubspaceProblem:
         return intersection(self.subspaces)
 
     @cached_property
-    def complement_bases(self) -> list[np.ndarray]:
-        """Orthonormal bases of U_i^perp, one (d, d - r_i) array per node."""
-        return [complement(u).basis for u in self.subspaces]
-
-    @cached_property
     def e_basis(self) -> EBasis:
         return build_E(self)
 
@@ -137,22 +132,33 @@ def subspace_problem(pair: GraphPair, dec: OntoDecomposition,
                      subspaces: list[LinearSubspace]) -> SubspaceProblem:
     """Assemble the splitting problem with normal-cone operators for the
     given subspaces (all in the same ambient dimension)."""
-    dims = {u.dim_ambient for u in subspaces}
-    if len(dims) != 1:
-        raise ValueError(f"subspaces live in different ambient dimensions: {dims}")
-    d = dims.pop()
+    d = _ambient(subspaces)
     base = SplittingProblem(pair, dec, [NormalConeOp(u) for u in subspaces], d)
     return SubspaceProblem.from_problem(base)
 
 
-def intersection(subspaces: list[LinearSubspace]) -> LinearSubspace:
-    """Intersection of subspaces: the null space of the stacked I - P_i."""
+def _ambient(subspaces: list[LinearSubspace]) -> int:
+    """The one ambient dimension of a nonempty list of subspaces."""
+    if not subspaces:
+        raise ValueError("need at least one subspace, got none")
     dims = {u.dim_ambient for u in subspaces}
     if len(dims) != 1:
         raise ValueError(f"subspaces live in different ambient dimensions: {dims}")
-    d = dims.pop()
-    stack = np.vstack([np.eye(d) - u.projector() for u in subspaces])
-    return LinearSubspace(d, _null_space(stack))
+    return dims.pop()
+
+
+def intersection(subspaces: list[LinearSubspace]) -> LinearSubspace:
+    """Intersection of subspaces: the left null space of the stacked
+    complement bases H = [C_1 ... C_n], whose range is U^perp.
+
+    H H^T = sum_i (I - P_i), so H has the singular values of the stack of
+    the I - P_i and ``operators._rank`` decides the same rank on either.
+    All d left singular vectors are kept: past the rank they span U, and
+    up to it U^perp.
+    """
+    d = _ambient(subspaces)
+    perp, basis = _range_split(np.hstack([u.perp for u in subspaces]))
+    return LinearSubspace(d, basis, perp)
 
 
 def _block_images(bases: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
@@ -215,7 +221,7 @@ def build_E(sp: SubspaceProblem) -> EBasis:
     complement bases, and Z^+ injective on zero-sum blocks because G' is
     connected), so no rank decision is needed there.
     """
-    comp = sp.complement_bases
+    comp = [u.perp for u in sp.subspaces]
     a = _block_images(comp, _null_space(np.hstack(comp)))
     images = np.tensordot(sp.base.dec.z_dagger, a, axes=1)
     del a  # the QR is the memory peak; on complete n=60 d=24 this is 8 MB
@@ -249,7 +255,7 @@ def _membership_E(sp: SubspaceProblem) -> EBasis:
     c = 0 as Z has full column rank.  The map from coefficients to images
     has full column rank, so a reduced QR of the images is a basis of E.
     """
-    comp = sp.complement_bases[:-1]
+    comp = [u.perp for u in sp.subspaces[:-1]]
     a = _block_images(comp, _null_space(sp.subspaces[-1].basis.T @ np.hstack(comp)))
     e = np.tensordot(np.linalg.inv(sp.base.z[:-1]), a, axes=1)
     del a  # as in build_E, before the QR

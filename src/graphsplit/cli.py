@@ -17,8 +17,9 @@ A config is a JSON object, inline or in a file, with the fields (default):
 * ``d`` (required): integer >= 1, the dimension of each block;
 * ``subspaces``: n lists of spanners of d numbers, or ``{"random": {"dim":
   integer (1) or "dims": n integers, "seed": integer (the config's),
-  "common": true or d numbers}}``; or else ``operators``: n objects
-  ``{"spanners": [...]}`` or ``{"callback": "identity" | "zero"}``;
+  "common": true or d numbers, not all zero}}``; or else ``operators``: n
+  objects ``{"spanners": [...]}`` or ``{"callback": "identity" |
+  "zero"}``;
 * ``algorithm``: "reduced" (default) or "expanded"; ``theta``: a number
   or a list of numbers (1.0); ``tol``: a number (1e-10); ``max_iters``:
   integer in [1, sys.maxsize] (100000); ``seed``: integer >= 0 (0);
@@ -178,6 +179,10 @@ def _random_spec_spanners(opts: dict, n: int, d: int, seed: int) -> list:
         common = rng.standard_normal(d) if common else None
     else:
         common = operators.real_array(common, "common", (d,))
+        if not common.any():
+            # a zero spanner is dropped: each node would lose a dimension
+            raise ConfigError("subspaces.random.common must be a nonzero "
+                              "vector, got all zeros")
     return random_spanners(rng, d, dims, common)
 
 

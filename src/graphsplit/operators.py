@@ -10,11 +10,15 @@ kinds are supported:
   the iteration engines but rejected by the closed-form analysis.
 
 Subspaces are represented by an orthonormal basis (possibly with zero
-columns, for the trivial subspace).  Every basis comes from one
-rank-revealing SVD: a singular value counts as zero when it is at most
-1e-10 times the largest one (or 1e-10 when the largest is below 1).
-:func:`orthonormalize` scales each spanner to unit length first, so the
-rank does not depend on the spanners' relative scales.
+columns, for the trivial subspace) together with an orthonormal basis of
+the orthogonal complement.  Every rank is decided on SVD singular values:
+one counts as zero when it is at most 1e-10 times the largest one (or
+1e-10 when the largest is below 1).  :func:`subspace_from_spanners` takes
+one SVD per subspace, keeping all d left singular vectors: those up to the
+rank are the basis and the rest the complement, so :func:`complement`
+factors nothing.  Each spanner is scaled to unit length first, so the rank
+does not depend on the spanners' relative scales, and the scaling neither
+overflows nor underflows: only an all-zero spanner is dropped.
 
 :func:`real_array` is the one check of real-number input, for spanners,
 runs, operator applications, predictions and the CLI; it coerces nothing.
@@ -37,14 +41,17 @@ _DROP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LinearSubspace:
-    """Closed linear subspace of R^d, stored as an orthonormal basis.
+    """Closed linear subspace of R^d, stored as an orthonormal basis and
+    an orthonormal basis of its orthogonal complement.
 
-    ``basis`` has shape (d, r); r = 0 encodes the zero subspace and r = d
-    the whole space.
+    ``basis`` has shape (d, r) and ``perp`` shape (d, d - r); r = 0
+    encodes the zero subspace and r = d the whole space.  Both come from
+    one factorisation, so ``[basis, perp]`` is an orthogonal matrix.
     """
 
     dim_ambient: int
     basis: np.ndarray
+    perp: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -93,7 +100,7 @@ def real_array(value, what: str, shape: tuple):
 
 def _rank(s: np.ndarray) -> int:
     """Rank from singular values in descending order."""
-    return int(np.sum(s > _DROP_TOL * max(s[0], 1.0)))
+    return np.count_nonzero(s > _DROP_TOL * max(s[0], 1.0))
 
 
 def _null_space(mat: np.ndarray) -> np.ndarray:
@@ -109,43 +116,70 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
     return vt[_rank(s):].T
 
 
+def _range_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the range of the d x k ``mat`` and of its
+    complement: all d left singular vectors, split at the rank.  Only a
+    matrix with fewer than d columns needs the full factor; with k >= d
+    the thin one already has d columns and skips the k x k right one."""
+    d, k = mat.shape
+    if k == 0:
+        return np.zeros((d, 0)), np.eye(d)
+    u, s, _ = np.linalg.svd(mat, full_matrices=k < d)
+    r = _rank(s)
+    return u[:, :r], u[:, r:]
+
+
+def _unit_columns(vectors, d: int) -> np.ndarray:
+    """The nonzero vectors scaled to unit length, as the columns of a
+    (d, k) array.  Each vector passes :func:`real_array` as d numbers,
+    named by its 0-based index, and is divided by its largest |entry|
+    before its norm is taken, so no finite vector overflows or underflows
+    to a zero or infinite norm."""
+    rows = [real_array(v, f"spanner {j}", (d,)) for j, v in enumerate(vectors)]
+    mat = np.array(rows) if rows else np.zeros((0, d))
+    peak = np.abs(mat).max(axis=1, initial=0.0)
+    keep = peak > 0
+    mat = mat[keep] / peak[keep, None]
+    mat /= np.sqrt(np.einsum("ij,ij->i", mat, mat))[:, None]
+    return mat.T
+
+
 def orthonormalize(vectors, d: int) -> np.ndarray:
     """Orthonormal basis of span(vectors), as columns.
 
     Zero vectors are dropped and the others scaled to unit length; the
-    basis is the leading left singular vectors of their stack, so a vector
-    1e-12 times smaller than the others still counts.  Each vector passes
-    :func:`real_array` as d numbers, named by its 0-based index.
+    basis is the leading left singular vectors of their stack, from the
+    thin SVD, so a vector 1e-12 times smaller than the others still
+    counts.  Each vector passes :func:`real_array` as d numbers, named by
+    its 0-based index.
     """
-    rows = [real_array(v, f"spanner {j}", (d,)) for j, v in enumerate(vectors)]
-    mat = np.array(rows) if rows else np.zeros((0, d))
-    norms = np.linalg.norm(mat, axis=1)
-    keep = norms > 0
-    if not keep.any():
+    cols = _unit_columns(vectors, d)
+    if cols.shape[1] == 0:
         return np.zeros((d, 0))
-    u, s, _ = np.linalg.svd((mat[keep] / norms[keep, None]).T,
-                            full_matrices=False)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, :_rank(s)]
 
 
 def subspace_from_spanners(d: int, spanners) -> LinearSubspace:
     """Subspace spanned by the given vectors (an empty list gives the zero
-    subspace)."""
-    return LinearSubspace(d, orthonormalize(spanners, d))
+    subspace), with its complement from the same SVD of the unit
+    spanners.  The spanners are checked and scaled as by
+    :func:`orthonormalize`."""
+    return LinearSubspace(d, *_range_split(_unit_columns(spanners, d)))
 
 
 def full_space(d: int) -> LinearSubspace:
-    return LinearSubspace(d, np.eye(d))
+    return LinearSubspace(d, np.eye(d), np.zeros((d, 0)))
 
 
 def zero_space(d: int) -> LinearSubspace:
-    return LinearSubspace(d, np.zeros((d, 0)))
+    return LinearSubspace(d, np.zeros((d, 0)), np.eye(d))
 
 
 def complement(u: LinearSubspace) -> LinearSubspace:
-    """Orthogonal complement: the trailing left singular vectors of the
-    basis of ``u``."""
-    return LinearSubspace(u.dim_ambient, _null_space(u.basis.T))
+    """Orthogonal complement: ``u`` with its two bases swapped; nothing is
+    factored."""
+    return LinearSubspace(u.dim_ambient, u.perp, u.basis)
 
 
 def project(u: LinearSubspace, x) -> np.ndarray:

@@ -103,6 +103,30 @@ class TestIntersection:
         with pytest.raises(ValueError, match="ambient"):
             intersection([full_space(2), full_space(3)])
 
+    def test_no_subspaces_rejected(self):
+        with pytest.raises(ValueError, match="at least one subspace"):
+            intersection([])
+        ps = preset("douglas_rachford", 2)
+        with pytest.raises(ValueError, match="at least one subspace"):
+            subspace_problem(ps.pair, ps.dec, [])
+
+    @pytest.mark.parametrize("n,d", [(1, 4), (2, 5), (3, 7), (3, 3)])
+    def test_fewer_normals_than_dimensions(self, n, d, rng):
+        # n hyperplanes give H n columns, fewer than d but in (3, 3), and
+        # U has d - n dimensions: all d left singular vectors of H count
+        normals = rng.standard_normal((n, d))
+        u = intersection([complement(subspace_from_spanners(d, [a]))
+                          for a in normals])
+        assert u.dim == d - n
+        assert np.abs(normals @ u.basis).max(initial=0.0) < 1e-12
+        perp = complement(u)
+        assert perp.dim == n
+        assert np.abs(u.projector() + perp.projector() - np.eye(d)).max() < 1e-12
+
+    def test_full_spaces_meet_in_the_full_space(self):
+        u = intersection([full_space(3), full_space(3)])
+        assert u.dim == 3 and complement(u).dim == 0
+
     @pytest.mark.parametrize("n,d,planted", [(2, 3, 0), (5, 8, 1), (5, 8, 3),
                                              (12, 16, 2), (20, 16, 0)])
     def test_matches_scipy_null_space(self, n, d, planted, rng, scipy_linalg):
@@ -192,20 +216,26 @@ class TestOrthonormalImages:
         assert blocked <= np.linalg.cond(a) * np.finfo(float).eps
 
     @pytest.mark.parametrize("name", ["complete", "malitsky_tam", "parallel_up"])
-    def test_one_complement_per_node(self, name, monkeypatch, rng):
-        calls = []
+    def test_one_svd_per_node_and_three_per_problem(self, name, monkeypatch,
+                                                    rng):
+        # one SVD per node gives its basis and complement, one gives U,
+        # and each E route takes one null space
+        svd, calls = np.linalg.svd, []
 
-        def counted(u):
-            calls.append(u)
-            return complement(u)
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "complement", counted)
-        n = 6
-        sp = random_problem(name, n, rng)
-        route = preset(name, n).e_route
+        n, d = 6, 4
+        ps = preset(name, n)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        subs = [subspace_from_spanners(d, rng.standard_normal((int(r), d)))
+                for r in rng.integers(1, d, size=n)]
+        sp = subspace_problem(ps.pair, ps.dec, subs)
+        sp.u_common
         sp.e_basis
-        closed_form_E(route, sp)
-        assert len(calls) == n
+        closed_form_E(ps.e_route, sp)
+        assert len(calls) <= n + 3
 
 
 class TestClosedFormE:

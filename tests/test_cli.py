@@ -151,6 +151,38 @@ def test_huge_preset_order_exits_with_config_code(name, n, tmp_path, capsys):
     assert len(err) == 2 and all(e.startswith("error: ") for e in err)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_spanners_beyond_the_square_range_predict(scale, tmp_path, capsys):
+    # their squares overflow or underflow, yet they span the line they name
+    path = write_config(tmp_path, json.dumps({
+        "problem": {"preset": "douglas_rachford"}, "d": 2,
+        "subspaces": [[[scale, 0.0]], [[scale, 0.0], [0.0, 0.0]]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["predict", "--config", path])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_OK and not caught and not err
+    assert json.loads(out)["dim_U"] == 1
+
+
+def test_zero_common_vector_exits_with_config_code(tmp_path, capsys):
+    # a zero common spanner would be dropped, one dimension at every node
+    spec = {"dims": [2, 2, 2], "common": [0, 0, 0]}
+    cfg = {**VALID, "d": 3, "subspaces": {"random": spec}}
+    path = write_config(tmp_path, json.dumps(cfg))
+    assert cli.main(["predict", "--config", path]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert not out and len(err.splitlines()) == 1
+    assert err.startswith("error: subspaces.random.common must be a nonzero")
+    # any nonzero common vector, however small, is planted at every node
+    for common in ([0, 1, 0], [0, 0, 1e-300]):
+        spec["common"] = common
+        path = write_config(tmp_path, json.dumps(cfg))
+        assert cli.main(["predict", "--config", path]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["dim_U"], doc["dim_E"]) == (1, 1)
+
+
 def test_huge_budget_runs(tmp_path, capsys):
     # the budget bounds the run; nothing of its size is allocated
     path = write_config(tmp_path, json.dumps({**VALID, "max_iters": 10 ** 12}))

@@ -7,8 +7,10 @@ import pytest
 from graphsplit.operators import (
     CallbackOp,
     NormalConeOp,
+    _null_space,
     complement,
     full_space,
+    orthonormalize,
     project,
     real_array,
     resolvent,
@@ -86,6 +88,21 @@ class TestSubspaceFromSpanners:
         with pytest.raises(ValueError, match="spanner 1 is not finite"):
             subspace_from_spanners(2, [[0.0, 1.0], [bad, 1.0]])
 
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308, 1e-170, 1e-320])
+    def test_spanners_whose_square_leaves_the_float_range_count(self, scale):
+        # the squares overflow to inf or underflow to 0; the scaled rows
+        # do neither, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            line = subspace_from_spanners(2, [[scale, 0.0]])
+            plane = subspace_from_spanners(2, [[scale, scale], [1.0, 0.0]])
+            cols = orthonormalize([[0.0, -scale]], 2)
+        assert line.dim == 1
+        assert np.abs(np.abs(line.basis[:, 0]) - [1, 0]).max() < 1e-15
+        assert plane.dim == 2
+        assert cols.shape == (2, 1)
+        assert np.abs(np.abs(cols[:, 0]) - [0, 1]).max() < 1e-15
+
 
 class TestRankRevealingPrimitive:
     """Bases from the SVD primitive against scipy's null space, which
@@ -156,6 +173,44 @@ class TestComplement:
             c = complement(u)
             assert u.dim + c.dim == d
             assert np.abs(u.projector() + c.projector() - np.eye(d)).max() < 1e-10
+
+
+class TestSingleFactorisation:
+    """The complement is kept from the SVD that gives the basis."""
+
+    @staticmethod
+    def cases(rng):
+        d = 6
+        r = rng.standard_normal((2, 3)) @ rng.standard_normal((3, d))
+        spanners = {
+            "zero": [],
+            "zero vectors": np.zeros((2, d)),
+            "full": rng.standard_normal((d, d)),
+            "more than d": rng.standard_normal((d + 3, d)),
+            "partial": rng.standard_normal((2, d)),
+            "rank-deficient": np.vstack([r, r[0] - 2 * r[1]]),
+        }
+        subs = {name: subspace_from_spanners(d, rows)
+                for name, rows in spanners.items()}
+        subs["full_space"], subs["zero_space"] = full_space(d), zero_space(d)
+        return subs
+
+    def test_double_complement_is_the_same_subspace(self, rng):
+        for u in self.cases(rng).values():
+            cc = complement(complement(u))
+            assert cc.basis is u.basis and cc.perp is u.perp
+
+    def test_stored_complement_is_the_null_space(self, rng):
+        dims = {"zero": 0, "zero vectors": 0, "full": 6, "more than d": 6,
+                "partial": 2, "rank-deficient": 2, "full_space": 6,
+                "zero_space": 0}
+        for name, u in self.cases(rng).items():
+            ker = _null_space(u.basis.T)
+            assert u.dim == dims[name], name
+            assert u.perp.shape == ker.shape == (6, 6 - u.dim), name
+            assert np.abs(u.perp @ u.perp.T - ker @ ker.T).max() < 1e-12, name
+            q = np.hstack([u.basis, u.perp])
+            assert np.abs(q.T @ q - np.eye(6)).max() < 1e-12, name
 
 
 class TestProject:

@@ -15,10 +15,13 @@ changed):
 The report gives the calls whose exit code moved, the runs whose
 ``converged``, ``stop_reason`` or iteration count moved (each count that
 moved is listed), the worst difference of the final v relative to
-max(1, ||v||), as the stop rule scales it, and whether run stdout,
-traces, predict and decompose output are byte for byte the same.  The
-exit status is 1 when an exit code, ``converged``, a stop reason or an
-iteration count moved, else 0.
+max(1, ||v||), as the stop rule scales it, per corpus, and whether run
+stdout, traces, predict and decompose output are byte for byte the same.
+When some predict output is not, it also gives the worst difference of
+``u_bar``, ``e_bar`` and ``v_bar``, each relative to max(1, ||old||), and
+whether every ``dim_E`` and ``dim_U`` matched.  The exit status is 1 when
+an exit code, ``converged``, a stop reason or an iteration count moved,
+else 0.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ CLI_SEEDS = (1, 77)
 MULTISTART_SEEDS = (1, 2, 3)
 #: the cli-small calls of one graph pair, in the corpus's order
 CLI_KINDS = ("run", "run --no-trace", "predict", "decompose")
+#: the predicted arrays of ``predict`` output, and its dimensions
+PREDICTED = ("u_bar", "e_bar", "v_bar")
+DIMS = ("dim_E", "dim_U")
 
 
 def collect(src: str) -> dict:
@@ -90,10 +96,18 @@ def run_facts(value):
     return value
 
 
+def rel_diff(a, b) -> float:
+    """||b - a|| relative to max(1, ||a||)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.linalg.norm(b - a)) / max(1.0, float(np.linalg.norm(a)))
+
+
 def compare(old: dict, new: dict) -> int:
     if old.keys() != new.keys():
         raise RuntimeError("the two trees ran different corpora")
-    codes, flags, counts, worst = [], [], [], 0.0
+    codes, flags, counts = [], [], []
+    worst = dict.fromkeys(sorted({key[0] for key in old}), 0.0)
+    predicted, dims_match = dict.fromkeys(PREDICTED, 0.0), True
     same = dict.fromkeys(["run stdout", "traces", "predict", "decompose"],
                          True)
     for key in old:
@@ -104,6 +118,12 @@ def compare(old: dict, new: dict) -> int:
             kind = "run stdout" if a[0].startswith("run") else a[0]
             same[kind] &= a[2] == b[2]
             same["traces"] &= a[3] == b[3]
+            if a[0] == "predict" and a[1] == b[1] == 0 and a[2] != b[2]:
+                da, db = json.loads(a[2]), json.loads(b[2])
+                for name in PREDICTED:
+                    predicted[name] = max(predicted[name],
+                                          rel_diff(da[name], db[name]))
+                dims_match &= all(da[k] == db[k] for k in DIMS)
         fa, fb = run_facts(a), run_facts(b)
         if fa is None or fb is None:
             continue
@@ -111,8 +131,7 @@ def compare(old: dict, new: dict) -> int:
             flags.append((key, fa[:2], fb[:2]))
         if fa[2] != fb[2]:
             counts.append((key, fa[2], fb[2]))
-        diff = np.linalg.norm(fb[3] - fa[3])
-        worst = max(worst, diff / max(1.0, np.linalg.norm(fa[3])))
+        worst[key[0]] = max(worst[key[0]], rel_diff(fa[3], fb[3]))
     runs = sum(run_facts(v) is not None for v in old.values())
     print(f"{len(old)} ops, {runs} of them runs")
     for title, moved in [("exit codes", codes),
@@ -121,9 +140,15 @@ def compare(old: dict, new: dict) -> int:
         print(f"{title} moved: {len(moved)}")
         for (corpus, seed, i, label), a, b in moved:
             print(f"  {corpus} seed {seed} op {i} ({label}): {a} -> {b}")
-    print(f"worst relative difference in v_final: {worst:.3g}")
+    for corpus, diff in worst.items():
+        print(f"worst relative difference in v_final, {corpus}: {diff:.3g}")
     for kind, equal in same.items():
         print(f"{kind} byte-identical: {'yes' if equal else 'no'}")
+    if not same["predict"]:
+        for name, diff in predicted.items():
+            print(f"worst relative difference in predict {name}: {diff:.3g}")
+        print(f"predict {' and '.join(DIMS)} all match: "
+              f"{'yes' if dims_match else 'no'}")
     return 1 if codes or flags or counts else 0
 
 
