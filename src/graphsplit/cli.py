@@ -187,8 +187,8 @@ def _random_spec_spanners(opts: dict, n: int, d: int, seed: int) -> list:
 
 
 def _spanners(value, what: str):
-    """A config's list of spanners; ``operators.orthonormalize`` checks
-    each one, and names it."""
+    """A config's list of spanners; ``operators.subspace_from_spanners``
+    checks them, and an error names the first bad one."""
     if not isinstance(value, list):
         raise ConfigError(f"the spanners of {what} must be a list, got "
                           f"{value!r}")

@@ -57,7 +57,7 @@ import numpy as np
 from . import _kernels
 from .factor import OntoDecomposition
 from .graphs import GraphPair, degrees, laplacian
-from .operators import NormalConeOp, real_array
+from .operators import NormalConeOp, _dimension, real_array
 
 log = logging.getLogger("graphsplit")
 
@@ -104,9 +104,7 @@ class SplittingProblem:
     """
 
     def __init__(self, pair: GraphPair, dec: OntoDecomposition, ops, d: int):
-        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-            raise ValueError(f"d must be an integer >= 1, got {d!r}")
-        d, n = int(d), pair.g.n
+        d, n = _dimension(d), pair.g.n
         ops = list(ops)
         if len(ops) != n:
             raise ValueError(f"expected {n} operators, got {len(ops)}")

@@ -22,12 +22,17 @@ overflows nor underflows: only an all-zero spanner is dropped.
 
 :func:`real_array` is the one check of real-number input, for spanners,
 runs, operator applications, predictions and the CLI; it coerces nothing.
+A subspace's spanners pass it once, as one (k, d) stack; only when that
+fails are they checked one by one, so the error names the first bad
+spanner.  Every constructor of a subspace takes d as an int or numpy
+integer >= 1 and stores it as an int.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -129,17 +134,45 @@ def _range_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :r], u[:, r:]
 
 
+def _dimension(d) -> int:
+    """``d`` as an int: an int or numpy integer >= 1, never a bool."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    return int(d)
+
+
 def _unit_columns(vectors, d: int) -> np.ndarray:
     """The nonzero vectors scaled to unit length, as the columns of a
-    (d, k) array.  Each vector passes :func:`real_array` as d numbers,
-    named by its 0-based index, and is divided by its largest |entry|
-    before its norm is taken, so no finite vector overflows or underflows
-    to a zero or infinite norm."""
-    rows = [real_array(v, f"spanner {j}", (d,)) for j, v in enumerate(vectors)]
-    mat = np.array(rows) if rows else np.zeros((0, d))
-    peak = np.abs(mat).max(axis=1, initial=0.0)
+    (d, k) array.
+
+    The k vectors pass :func:`real_array` once, as one (k, d) stack: int
+    or float ndarrays of shape (d,) are stacked with ``np.array``, and any
+    other input is checked as one nested list.  Only when that check
+    fails is each vector checked on its own, as d numbers named by its
+    0-based index, so the error names the first bad one.
+    Each vector is divided by its largest |entry| before its norm is
+    taken, so no finite vector overflows or underflows to a zero or
+    infinite norm."""
+    rows = stack = list(vectors)
+    if all(type(v) is np.ndarray and v.dtype.kind in "iuf"
+           and v.shape == (d,) for v in rows):
+        stack = np.array(rows)
+    if len(rows) == 0:
+        return np.zeros((d, 0))
+    try:
+        mat = real_array(stack, "spanners", (len(rows), d))
+    except (ValueError, RuntimeWarning):
+        # each vector's own check raises the first bad one's error, a
+        # RuntimeWarning too (an overflowing cast under -W error), or
+        # passes where only the stack fails: a masked array hides its
+        # masked entries from its own check
+        mat = np.array([real_array(v, f"spanner {j}", (d,))
+                        for j, v in enumerate(rows)])
+    peak = np.abs(mat).max(axis=1)
     keep = peak > 0
-    mat = mat[keep] / peak[keep, None]
+    if not keep.all():
+        mat, peak = mat[keep], peak[keep]
+    mat = mat / peak[:, None]
     mat /= np.sqrt(np.einsum("ij,ij->i", mat, mat))[:, None]
     return mat.T
 
@@ -147,12 +180,14 @@ def _unit_columns(vectors, d: int) -> np.ndarray:
 def orthonormalize(vectors, d: int) -> np.ndarray:
     """Orthonormal basis of span(vectors), as columns.
 
-    Zero vectors are dropped and the others scaled to unit length; the
-    basis is the leading left singular vectors of their stack, from the
-    thin SVD, so a vector 1e-12 times smaller than the others still
-    counts.  Each vector passes :func:`real_array` as d numbers, named by
-    its 0-based index.
+    ``d`` is checked as by :func:`subspace_from_spanners`.  Zero vectors
+    are dropped and the others scaled to unit length; the basis is the
+    leading left singular vectors of their stack, from the thin SVD, so a
+    vector 1e-12 times smaller than the others still counts.  The vectors
+    are checked once, as one stack (see :func:`_unit_columns`); an error
+    names the first bad one by its 0-based index.
     """
+    d = _dimension(d)
     cols = _unit_columns(vectors, d)
     if cols.shape[1] == 0:
         return np.zeros((d, 0))
@@ -161,18 +196,22 @@ def orthonormalize(vectors, d: int) -> np.ndarray:
 
 
 def subspace_from_spanners(d: int, spanners) -> LinearSubspace:
-    """Subspace spanned by the given vectors (an empty list gives the zero
-    subspace), with its complement from the same SVD of the unit
-    spanners.  The spanners are checked and scaled as by
+    """Subspace of R^d spanned by the given vectors (an empty list gives
+    the zero subspace), with its complement from the same SVD of the unit
+    spanners.  ``d`` must be an int or numpy integer >= 1 and is stored as
+    an int.  The spanners are checked once, as one stack, and scaled as by
     :func:`orthonormalize`."""
+    d = _dimension(d)
     return LinearSubspace(d, *_range_split(_unit_columns(spanners, d)))
 
 
 def full_space(d: int) -> LinearSubspace:
+    d = _dimension(d)
     return LinearSubspace(d, np.eye(d), np.zeros((d, 0)))
 
 
 def zero_space(d: int) -> LinearSubspace:
+    d = _dimension(d)
     return LinearSubspace(d, np.zeros((d, 0)), np.eye(d))
 
 

@@ -4,10 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from graphsplit import operators
 from graphsplit.operators import (
     CallbackOp,
+    LinearSubspace,
     NormalConeOp,
     _null_space,
+    _range_split,
     complement,
     full_space,
     orthonormalize,
@@ -211,6 +214,213 @@ class TestSingleFactorisation:
             assert np.abs(u.perp @ u.perp.T - ker @ ker.T).max() < 1e-12, name
             q = np.hstack([u.basis, u.perp])
             assert np.abs(q.T @ q - np.eye(6)).max() < 1e-12, name
+
+
+def unit_columns_one_by_one(d, vectors) -> np.ndarray:
+    """The reference: each spanner passes real_array on its own, named by
+    its index, then is scaled by its peak and its norm."""
+    rows = [real_array(v, f"spanner {j}", (d,)) for j, v in enumerate(vectors)]
+    mat = np.array(rows) if rows else np.zeros((0, d))
+    peak = np.abs(mat).max(axis=1, initial=0.0)
+    keep = peak > 0
+    mat = mat[keep] / peak[keep, None]
+    mat /= np.sqrt(np.einsum("ij,ij->i", mat, mat))[:, None]
+    return mat.T
+
+
+def checked_one_by_one(d, vectors) -> LinearSubspace:
+    return LinearSubspace(d, *_range_split(unit_columns_one_by_one(d, vectors)))
+
+
+def outcome(build):
+    """What a construction gives: its bytes, or its error and message."""
+    try:
+        u = build()
+    except Exception as exc:  # the type and message are compared
+        return "rejected", type(exc), str(exc)
+    return ("accepted", u.basis.shape, u.dim_ambient, u.basis.tobytes(),
+            u.perp.shape, u.perp.tobytes())
+
+
+D = 4
+
+
+def _rows(k: int) -> list[np.ndarray]:
+    return list(np.random.default_rng(k).standard_normal((k, D)))
+
+
+def _with(rows: list, j: int, value) -> list:
+    rows = list(rows)
+    rows[j] = value
+    return rows
+
+
+def _bad_entry(j: int, value, as_list: bool) -> list:
+    """Five spanners whose j-th holds ``value`` at its entry 1."""
+    rows = _rows(5)
+    rows[j] = rows[j].astype(object) if as_list else rows[j].copy()
+    rows[j][1] = value
+    return [r.tolist() for r in rows] if as_list else rows
+
+
+#: name -> (spanners, accepted); a callable makes each input afresh
+PARITY_CASES = {
+    "float64 ndarrays": (lambda: _rows(5), True),
+    "float32 ndarrays": (lambda: [r.astype(np.float32) for r in _rows(5)],
+                         True),
+    "int ndarrays": (lambda: [np.arange(D) - j for j in range(3)], True),
+    "uint ndarrays": (
+        lambda: [np.arange(D, dtype=np.uint8) * j for j in range(1, 4)],
+        True),
+    "int64 beside uint64": (
+        lambda: [np.arange(D), np.full(D, 2 ** 64 - 1, np.uint64)], True),
+    "bool ndarray": (
+        lambda: _with(_rows(5), 2, np.array([True, False, True, True])),
+        False),
+    "complex ndarray": (lambda: _with(_rows(5), 2, np.ones(D, complex)),
+                        False),
+    "object ndarray of floats": (
+        lambda: _with(_rows(5), 2, np.ones(D, object)), True),
+    "object ndarray holding None": (
+        lambda: _with(_rows(5), 2, np.array([1.0, None, 0, 0])), False),
+    "ragged lists": (lambda: [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0]], False),
+    "ragged nesting": (lambda: [[1.0, 2.0, 3.0, [4.0]]], False),
+    "wrong length ndarray": (lambda: _with(_rows(5), 3, np.ones(D + 1)),
+                             False),
+    "wrong length list": (lambda: [[1.0] * D, [1.0] * (D - 1)], False),
+    "two-dimensional spanner": (lambda: _with(_rows(3), 1, np.ones((1, D))),
+                                False),
+    "NaN at 0, ndarrays": (lambda: _bad_entry(0, np.nan, False), False),
+    "NaN at 3, ndarrays": (lambda: _bad_entry(3, np.nan, False), False),
+    "inf at 0, ndarrays": (lambda: _bad_entry(0, np.inf, False), False),
+    "inf at 3, ndarrays": (lambda: _bad_entry(3, -np.inf, False), False),
+    "inf at 3, a float32 ndarray": (
+        lambda: _with(_rows(5), 3,
+                      _bad_entry(3, np.inf, False)[3].astype(np.float32)),
+        False),
+    "NaN at 0, lists": (lambda: _bad_entry(0, math.nan, True), False),
+    "NaN at 3, lists": (lambda: _bad_entry(3, math.nan, True), False),
+    "inf at 0, lists": (lambda: _bad_entry(0, math.inf, True), False),
+    "inf at 3, lists": (lambda: _bad_entry(3, -math.inf, True), False),
+    "NaN, then a bool ndarray": (
+        lambda: _with(_bad_entry(1, np.nan, False), 3, np.ones(D, bool)),
+        False),
+    "bool in a list": (lambda: _bad_entry(2, True, True), False),
+    "str in a list": (lambda: _bad_entry(2, "1", True), False),
+    "None in a list": (lambda: _bad_entry(2, None, True), False),
+    "int beyond the float range": (lambda: _bad_entry(2, 10 ** 400, True),
+                                   False),
+    "numpy scalars in a list": (
+        lambda: [[np.float32(1.5), np.int64(2), np.uint8(3), 4.0]], True),
+    "tuple of ndarrays": (lambda: tuple(_rows(3)), True),
+    "tuple of tuples": (lambda: tuple(tuple(r) for r in _rows(3)), True),
+    "generator": (lambda: (r for r in _rows(3)), True),
+    "(k, d) ndarray": (lambda: np.stack(_rows(5)), True),
+    "(k, d) int ndarray": (lambda: np.arange(3 * D).reshape(3, D), True),
+    "(k, d) bool ndarray": (lambda: np.ones((3, D), bool), False),
+    "(k, d) ndarray with NaN in row 3": (
+        lambda: np.stack(_bad_entry(3, np.nan, False)), False),
+    "(k, d + 1) ndarray": (lambda: np.ones((3, D + 1)), False),
+    "(0, d + 1) ndarray": (lambda: np.ones((0, D + 1)), True),
+    "empty list": (lambda: [], True),
+    "all-zero spanner ndarray": (lambda: _with(_rows(4), 1, np.zeros(D)),
+                                 True),
+    "all-zero spanner list": (lambda: [[0, 0, 0, 0], [1, 2, 3, 4]], True),
+    "only all-zero spanners": (lambda: [np.zeros(D), [0.0] * D], True),
+    "lists and ndarrays": (
+        lambda: [r.tolist() if j % 2 else r for j, r in enumerate(_rows(4))],
+        True),
+    "nested lists": (lambda: [r.tolist() for r in _rows(5)], True),
+    "tiny and huge": (lambda: [[1e-320, 0, 0, 0], [1.7e308, 1e308, 0, 0]],
+                      True),
+}
+
+
+class TestStackedSpannerCheck:
+    """The spanners are checked once, as one stack, and only a failed check
+    is repeated spanner by spanner; against that per-spanner loop, every
+    input gives the same acceptance, bytes and message."""
+
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_same_as_checking_each_spanner(self, name):
+        make, accepted = PARITY_CASES[name]
+        want = outcome(lambda: checked_one_by_one(D, make()))
+        got = outcome(lambda: subspace_from_spanners(D, make()))
+        assert got == want
+        assert got[0] == ("accepted" if accepted else "rejected"), got
+
+    def test_orthonormalize_same_as_checking_each_spanner(self):
+        # the same check and scaling; the thin SVD keeps as many columns
+        for name, (make, accepted) in PARITY_CASES.items():
+            want = outcome(lambda: checked_one_by_one(D, make()))
+            try:
+                got = "accepted", orthonormalize(make(), D).shape
+            except Exception as exc:  # the type and message are compared
+                got = "rejected", type(exc), str(exc)
+            assert got == (want[:2] if accepted else want), name
+
+    def test_transposed_stack_same_as_checking_each_spanner(self):
+        # assemble_fix_basis passes cols.T, a (k, d) view in Fortran order,
+        # whose strided rows must give the bytes of contiguous ones
+        cols = np.random.default_rng(7).standard_normal((40, 9)) * 1e3
+        assert not cols.T.flags.c_contiguous
+        assert (outcome(lambda: subspace_from_spanners(40, cols.T))
+                == outcome(lambda: checked_one_by_one(40, cols.T)))
+        u, s, _ = np.linalg.svd(unit_columns_one_by_one(40, cols.T),
+                                full_matrices=False)
+        want = u[:, :operators._rank(s)]
+        got = orthonormalize(cols.T, 40)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_first_bad_spanner_is_named(self):
+        rows = _with(_bad_entry(3, np.nan, False), 1, np.ones(D, complex))
+        with pytest.raises(ValueError, match="spanner 1 must be real numbers"):
+            subspace_from_spanners(D, rows)
+
+    def test_input_is_not_modified(self):
+        rows = np.stack(_rows(3)) * 1e3
+        before = rows.copy()
+        subspace_from_spanners(D, rows)
+        subspace_from_spanners(D, list(rows))
+        assert np.array_equal(rows, before)
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_one_check_per_valid_node(self, monkeypatch, as_list):
+        names = []
+        check = operators.real_array
+
+        def spy(value, what, shape):
+            names.append(what)
+            return check(value, what, shape)
+
+        monkeypatch.setattr(operators, "real_array", spy)
+        rows = _rows(6)
+        u = subspace_from_spanners(D, [r.tolist() for r in rows]
+                                   if as_list else rows)
+        assert names == ["spanners"]
+        assert u.dim == D
+
+
+class TestDimensionCheck:
+    CONSTRUCTORS = {
+        "subspace_from_spanners": lambda d: subspace_from_spanners(d, [[1.0]]),
+        "orthonormalize": lambda d: orthonormalize([[1.0]], d),
+        "full_space": full_space,
+        "zero_space": zero_space,
+    }
+
+    @pytest.mark.parametrize("d", [True, np.True_, 2.0, 0, -1, "2", None])
+    @pytest.mark.parametrize("name", CONSTRUCTORS)
+    def test_d_must_be_a_positive_integer(self, name, d):
+        with pytest.raises(ValueError,
+                           match=r"^d must be an integer >= 1, got "):
+            self.CONSTRUCTORS[name](d)
+
+    def test_numpy_integer_d_is_stored_as_an_int(self):
+        for u in (subspace_from_spanners(np.int64(2), [[1.0, 0.0]]),
+                  full_space(np.int64(2)), zero_space(np.uint8(2))):
+            assert type(u.dim_ambient) is int and u.dim_ambient == 2
+        assert orthonormalize([[1.0, 0.0]], np.int64(2)).shape == (2, 1)
 
 
 class TestProject:

@@ -10,7 +10,9 @@ changed):
 
 - the cli-small corpora of seeds 1 and 77: every ``run`` (with its trace
   file), ``run --no-trace``, ``predict`` and ``decompose`` call;
-- the multistart runs of seeds 1, 2 and 3.
+- the multistart runs of seeds 1, 2 and 3;
+- the predict-large ops of seeds 1, 2 and 3, whose spanners are float64
+  ndarrays rather than the JSON lists of the cli-small configs.
 
 The report gives the calls whose exit code moved, the runs whose
 ``converged``, ``stop_reason`` or iteration count moved (each count that
@@ -19,7 +21,11 @@ max(1, ||v||), as the stop rule scales it, per corpus, and whether run
 stdout, traces, predict and decompose output are byte for byte the same.
 When some predict output is not, it also gives the worst difference of
 ``u_bar``, ``e_bar`` and ``v_bar``, each relative to max(1, ||old||), and
-whether every ``dim_E`` and ``dim_U`` matched.  The exit status is 1 when
+whether every ``dim_E`` and ``dim_U`` matched.  For predict-large it
+gives whether ``u_bar``, ``e_bar`` and ``v_bar`` of both predictions and
+the projector onto E are byte for byte the same, the worst difference of
+each predicted array that is not, and whether every ``dim_E`` and
+``dim_U`` matched.  The exit status is 1 when
 an exit code, ``converged``, a stop reason or an iteration count moved,
 else 0.
 """
@@ -39,18 +45,25 @@ import numpy as np
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CLI_SEEDS = (1, 77)
 MULTISTART_SEEDS = (1, 2, 3)
+PREDICT_SEEDS = (1, 2, 3)
 #: the cli-small calls of one graph pair, in the corpus's order
 CLI_KINDS = ("run", "run --no-trace", "predict", "decompose")
 #: the predicted arrays of ``predict`` output, and its dimensions
 PREDICTED = ("u_bar", "e_bar", "v_bar")
 DIMS = ("dim_E", "dim_U")
+#: the arrays of a predict-large op: both predictions, then E's projector,
+#: kept as a digest (1416 x 1416 on the n=60 d=24 rung)
+LARGE = tuple(f"{alg} {name}" for alg in ("alg1", "alg2")
+              for name in PREDICTED) + ("E projector",)
 
 
 def collect(src: str) -> dict:
     """Every outcome of the tree at ``src``, keyed by (corpus, seed, op
     index, op label):
-    ``(kind, exit code, stdout, trace digest)`` for a cli call and
-    ``(converged, stop_reason, iterations, v)`` for a multistart run."""
+    ``(kind, exit code, stdout, trace digest)`` for a cli call,
+    ``(converged, stop_reason, iterations, v)`` for a multistart run and
+    ``("predict-large", arrays, (dim_E, dim_U))`` for a predict-large op,
+    with the arrays named as in ``LARGE``."""
     sys.path[:0] = [src, str(PERFBENCH)]
     import workloads
 
@@ -74,6 +87,15 @@ def collect(src: str) -> dict:
                 tr = op.run()
                 out["multistart", seed, i, op.label] = (
                     tr.converged, tr.stop_reason, tr.k_final, tr.v)
+        for seed in PREDICT_SEEDS:
+            for i, op in enumerate(workloads.predict_large(seed, Path(tmp))):
+                sp, e, _, pred1, pred2 = op.run()
+                arrays = [getattr(pred, name) for pred in (pred1, pred2)
+                          for name in PREDICTED]
+                arrays.append(hashlib.sha256(
+                    (e.basis @ e.basis.T).tobytes()).digest())
+                out["predict-large", seed, i, op.label] = (
+                    "predict-large", arrays, (e.dim, sp.u_common.dim))
     return out
 
 
@@ -106,12 +128,24 @@ def compare(old: dict, new: dict) -> int:
     if old.keys() != new.keys():
         raise RuntimeError("the two trees ran different corpora")
     codes, flags, counts = [], [], []
-    worst = dict.fromkeys(sorted({key[0] for key in old}), 0.0)
+    worst = {}
     predicted, dims_match = dict.fromkeys(PREDICTED, 0.0), True
     same = dict.fromkeys(["run stdout", "traces", "predict", "decompose"],
                          True)
+    large_same, large_diff = dict.fromkeys(LARGE, True), {}
+    large_dims = True
     for key in old:
         a, b = old[key], new[key]
+        if a[0] == "predict-large":
+            for name, x, y in zip(LARGE, a[1], b[1]):
+                if isinstance(x, bytes):
+                    large_same[name] &= x == y
+                elif x.tobytes() != y.tobytes():
+                    large_same[name] = False
+                    large_diff[name] = max(large_diff.get(name, 0.0),
+                                           rel_diff(x, y))
+            large_dims &= a[2] == b[2]
+            continue
         if isinstance(a[0], str):
             if a[1] != b[1]:
                 codes.append((key, a[1], b[1]))
@@ -131,7 +165,7 @@ def compare(old: dict, new: dict) -> int:
             flags.append((key, fa[:2], fb[:2]))
         if fa[2] != fb[2]:
             counts.append((key, fa[2], fb[2]))
-        worst[key[0]] = max(worst[key[0]], rel_diff(fa[3], fb[3]))
+        worst[key[0]] = max(worst.get(key[0], 0.0), rel_diff(fa[3], fb[3]))
     runs = sum(run_facts(v) is not None for v in old.values())
     print(f"{len(old)} ops, {runs} of them runs")
     for title, moved in [("exit codes", codes),
@@ -149,6 +183,14 @@ def compare(old: dict, new: dict) -> int:
             print(f"worst relative difference in predict {name}: {diff:.3g}")
         print(f"predict {' and '.join(DIMS)} all match: "
               f"{'yes' if dims_match else 'no'}")
+    for name, equal in large_same.items():
+        print(f"predict-large {name} byte-identical: "
+              f"{'yes' if equal else 'no'}")
+    for name, diff in large_diff.items():
+        print(f"worst relative difference in predict-large {name}: "
+              f"{diff:.3g}")
+    print(f"predict-large {' and '.join(DIMS)} all match: "
+          f"{'yes' if large_dims else 'no'}")
     return 1 if codes or flags or counts else 0
 
 
