@@ -10,9 +10,11 @@ expanded run carries w next to v and steps on y = Z^T w + v; the reduced
 run is the same loop without w and steps on y = v (see
 :mod:`graphsplit.engine` for why one map serves both).  The thetas come
 as stretches ``(theta, count)`` of equal theta, and the loop takes a block
-of steps at a time: one step on the node sweep, 1, 2, 4, 8, 16 and then
-32 steps per stretch on a :class:`LinearMap` (see :class:`_Linear`).  The
-residuals grow in a list, so the loop holds nothing sized by the budget.
+of steps at a time: one step on the node sweep, 1, 2, 4, 25 and then 32
+steps per stretch on a :class:`LinearMap` (see :class:`_Linear`), where every
+block past the first 32 steps comes from the cached power (I - theta g)^32
+once the map's runs have taken enough steps at theta.  The residuals grow
+in a list, so the loop holds nothing sized by the budget.
 
 ``alg1_sweep`` and ``alg2_sweep`` are the entry points; each enters the
 loop itself, so a timer wrapped around one never also times the other.
@@ -35,6 +37,13 @@ _BOUND_SLACK = 1.0 + 1e-9
 #: that squaring builds
 _SQUARINGS = 5
 _S = 1 << _SQUARINGS
+#: the ramp, the blocks a stretch starts with, by the step each starts at:
+#: 1, 2 and 4 steps, then the rest of the first 32, so the first full
+#: block can read the 32 rows before it.  A block's e row sums its first e
+#: and its g e rows, which are largest in a stretch's first steps; where
+#: they cancel, the rounding they leave in a mode that I - theta g keeps
+#: drifts into sigma and rho at every later step, so those blocks are short.
+_RAMP = {0: 1, 1: 2, 3: 4, 7: 25}
 #: the most powers of I - theta g a residual map keeps, one per theta
 _POWERS = 3
 
@@ -55,7 +64,10 @@ class LinearMap:
     keeps (I - theta g)^32, padded alike, for the last ``_POWERS`` thetas
     whose runs built it, least recently used first: at most 3 (m + 1)^2
     entries, about what q, g and kq hold, since m is at most both (n-1) d
-    and n r.
+    and n r.  ``counts`` holds the steps the map's runs have taken at each
+    of the last ``_POWERS`` thetas they used, least recently used first;
+    a run adds a stretch's steps as it leaves the stretch, and builds P
+    once the count at its theta, with its own steps there, passes 2m.
     """
 
     def __init__(self, q: np.ndarray, g: np.ndarray, kq: np.ndarray,
@@ -64,7 +76,7 @@ class LinearMap:
         self.gp = np.zeros((m + 1, m + 1))
         self.gp[:m, :m] = g
         self.q, self.g, self.kq, self.basis = q, self.gp[:m, :m], kq, basis
-        self.powers = {}
+        self.powers, self.counts = {}, {}
 
     def power(self, theta: float) -> np.ndarray | None:
         """The cached (I - theta g)^32, now the most recently used, or None."""
@@ -76,10 +88,7 @@ class LinearMap:
     def keep_power(self, theta: float, p: np.ndarray) -> np.ndarray:
         """Cache ``p`` as the power for ``theta``, dropping the least
         recently used beyond ``_POWERS``; returns ``p``."""
-        self.powers[theta] = p
-        if len(self.powers) > _POWERS:
-            del self.powers[next(iter(self.powers))]
-        return p
+        return _recent(self.powers, theta, p)
 
     def blocks(self, c: np.ndarray) -> np.ndarray:
         """The flat blocks B_i c_i of node coordinates c, (..., n r).  Runs
@@ -88,6 +97,17 @@ class LinearMap:
         n, d, r = self.basis.shape
         lead = c.shape[:-1]
         return (self.basis @ c.reshape(*lead, n, r, 1)).reshape(*lead, n * d)
+
+
+def _recent(table: dict, key, value):
+    """Set ``table[key]`` to ``value`` as the most recently used entry,
+    dropping the least recently used beyond ``_POWERS``; returns
+    ``value``."""
+    table.pop(key, None)
+    table[key] = value
+    if len(table) > _POWERS:
+        del table[next(iter(table))]
+    return value
 
 
 class _Blocks:
@@ -201,23 +221,28 @@ class _Linear:
         Z^T (w - 2x) = q r + a qp,     v = v0 + q rho + b qp,
         w = a w0 + B kq ((1 - a) u0 - tau).
 
-    A stretch of equal theta moves in blocks of 1, 2, 4, 8, 16 and then 32
-    steps.  A block of s steps holds the state rows at its first position
-    and g e_0 .. g e_(s-1): g e_0, then products with I - theta g or, for
-    a full block after a full one, one product of that block's rows with
-    P = (I - theta g)^32, from the map's cache or, after 2m steps at theta
-    when it repays them, five squarings.  One product with the block's
-    head (see :func:`_tables`) gives its residual rows and the next
-    block's first rows.  The stop test reads ||v||, ||x - w|| and ||w||
-    from the rows of sigma (and expanded tau and rho) and from the splits
-    of v0 over q and of w0 over the node bases, made once per run at its
-    first candidate block, as sums of squares of orthogonal parts; v, x
-    and w are formed only for records and the result, and a theta of 0
-    leaves them exactly as they were.
+    A stretch of equal theta moves in blocks of 1, 2, 4, 25 and then 32
+    steps, the last cut to the stretch (see ``_RAMP``).  A block of s steps
+    holds the state rows at its first position and g e_0 .. g e_(s-1).
+    Every block after the first 32 steps of its stretch takes them from
+    the 32 rows before it in one product with P = (I - theta g)^32, since
+    P g e_j is g e_(j+32): the rows of the full block before it, or for the
+    first full block the ramp's rows, which the run keeps in ``ramp``.  P
+    comes from the map's cache or, once the map's runs have taken more
+    than 2m steps at theta, from five squarings (see :meth:`_power`).
+    Every other block steps g e_0 by products with I - theta g.  One
+    product with the block's head (see :func:`_tables`) gives its residual
+    rows and the next block's first rows.  The stop test reads ||v||,
+    ||x - w|| and ||w|| from the rows of sigma (and expanded tau and rho)
+    and from the splits of v0 over q and of w0 over the node bases, made
+    once per run at its first candidate block, as sums of squares of
+    orthogonal parts; v, x and w are formed only for records and the
+    result, and a theta of 0 leaves them exactly as they were.
     Every row has one more column, m, which the steps carry as they carry
     the others: 1 in sigma, 1 - a in tau, b |qp| in rho and a |qp| in r,
     0 in e and g e.  So a residual is the norm of its row.  The two blocks
-    hold 2 x 37 (m + 1) entries, and I - theta g (m + 1)^2.
+    and the ramp hold 2 x 37 (m + 1) + 32 (m + 1) entries, and
+    I - theta g (m + 1)^2.
     """
 
     def __init__(self, lin: LinearMap, zt, w0, v0, record):
@@ -231,8 +256,10 @@ class _Linear:
         self.k = 5 if self.expanded else 2
         # the rows of this block and of the one before it
         self.buf, self.last = np.zeros((2, self.k + _S, self.m + 1))
+        # the g e rows of the ramp, read by the stretch's first full block
+        self.ramp = np.empty((_S, self.m + 1))
         # the steps of the block that the run takes, 0 before the first
-        self.theta, self.end = None, 0
+        self.theta, self.steps, self.end = None, 0, 0
         self.record, self.records = record, []
         # the squared norms of the splits of v0 and w0, made when the stop
         # test first needs them
@@ -265,19 +292,24 @@ class _Linear:
                 self._keep()
             self.buf, self.last = self.last, self.buf
         if theta != self.theta:
+            if self.steps:
+                self._leave()
             self.theta, self.steps, self.step, self.power = theta, 0, None, None
         steps = self.steps
-        s = self.s = min(left, _S, steps + 1)
+        s = self.s = min(left, _RAMP.get(steps, _S))
         head = _head(theta, self.expanded, s)
         k, buf = self.k, self.buf
-        if s == _S and steps > _S and self._power() is not None:
-            np.dot(self.last[k:], self.power.T, out=buf[k:])
+        if steps >= _S and self._power() is not None:
+            before = self.last[k:] if steps > _S else self.ramp
+            np.dot(before[:s], self.power.T, out=buf[k:k + s])
         else:
             ge = np.dot(self.lin.gp, buf[1], out=buf[k])
             if s > 1:
                 step = self._step()
                 for i in range(k + 1, k + s):
                     ge = np.dot(step, ge, out=buf[i])
+            if steps < _S and s < left:
+                self.ramp[steps:steps + s] = buf[k:k + s]
         self.steps, self.end = steps + s, s
         rows = self.rows = buf[:k + s]
         rows = np.dot(head, rows, out=self.last[:k + s - 1])[k - 1:]
@@ -297,16 +329,26 @@ class _Linear:
         return self.step
 
     def _power(self):
-        """P for this theta: the map's, or built once the run has taken
-        more than 2m steps at theta; None before then."""
+        """P for this theta: the map's, or built once the map's runs have
+        taken more than 2m steps at theta, this stretch's included; None
+        before then."""
         if self.power is None:
-            self.power = self.lin.power(self.theta)
-            if self.power is None and self.steps > 2 * self.m:
+            lin, theta = self.lin, self.theta
+            self.power = lin.power(theta)
+            if (self.power is None
+                    and lin.counts.get(theta, 0) + self.steps > 2 * self.m):
                 p = self._step()
                 for _ in range(_SQUARINGS):
                     p = p @ p
-                self.power = self.lin.keep_power(self.theta, p)
+                self.power = lin.keep_power(theta, p)
         return self.power
+
+    def _leave(self) -> None:
+        """Add the steps the run took in its stretch to the map's count at
+        its theta."""
+        counts, theta = self.lin.counts, self.theta
+        _recent(counts, theta,
+                counts.get(theta, 0) + self.steps - self.s + self.end)
 
     def _states(self, first: int, stop: int) -> np.ndarray:
         """The states at positions ``first`` .. ``stop - 1`` of the block."""
@@ -401,6 +443,7 @@ class _Linear:
         """The blocks after the first ``end`` steps of the last block, and
         of each recorded step, rebuilt by one product per kind of block."""
         self.end = end
+        self._leave()
         if self.record:
             self._keep()
             sigma, states = map(np.concatenate, zip(*self.records))

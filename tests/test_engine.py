@@ -776,13 +776,13 @@ class ScriptedRun:
 
 class TestBlocks:
     """A run on the residual map moves through each stretch of equal theta
-    in blocks of 1, 2, 4, 8, 16 and then 32 steps; each case is checked
+    in blocks of 1, 2, 4, 25 and then 32 steps; each case is checked
     against the node sweep of the callback twin."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 34,
-                                   63, 64, 65, 95, 96])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9, 15, 16, 31, 32, 33,
+                                   34, 63, 64, 65, 95, 96, 97])
     def test_stop_at_and_around_block_boundaries(self, k):
-        # blocks start at steps 1, 2, 4, 8, 16, 32, 64 and 96
+        # blocks start at steps 1, 2, 4, 8, 33, 65 and 97
         rng = np.random.default_rng(3)
         sp = random_problem("generalized_ryu", 4, rng, d=3, planted=True)
         w0 = 10.0 * rng.standard_normal((4, 3))
@@ -829,21 +829,25 @@ class TestBlocks:
         trace = run(twin)
         res = stop_ratios(trace, None, v0)
         both = stop_ratios(trace, w0, v0)
-        # the first block after 8 steps with a stop at k preceded, in its
-        # block, by a residual that passes at tol, just above both[k - 1]
+        # in the block of positions 3 .. 6 or 7 .. 31, a stop at position
+        # k - 1 preceded, in its block, by a residual that passes at tol,
+        # just above both[k - 1]
         k, tol = next((k, 1.001 * both[k - 1])
-                      for lo, hi in [(8, 16), (16, 32)]
-                      for k in range(lo + 1, hi)
+                      for lo, hi in [(3, 7), (7, 32)]
+                      for k in range(lo + 2, hi + 1)
                       if (both[:k - 1] > 1.01 * both[k - 1]).all()
-                      and (res[lo - 1:k - 1] <= 0.99 * both[k - 1]).any())
+                      and (res[lo:k - 1] <= 0.99 * both[k - 1]).any())
         run = both_runs(w0, v0, 1.0, StopRule(tol, 100))[1]
         got = twin_runs_agree(sp.base, sp.subspaces, run)
         assert got.stop_reason == "tol" and got.k_final == k
 
     def test_blocks_double_up_to_32_in_each_stretch(self, monkeypatch, rng):
         # block sizes per stretch of the schedule, and the blocks that ask
-        # the map for its power: only a full block after a full one
+        # the map for its power: the first block past 32 steps of a stretch,
+        # full or cut short, and none after it, since m <= 9 here, so 2m
+        # steps are passed by then and P is built or found
         sp = random_problem("complete", 4, rng, d=3, planted=True)
+        assert len(sp.base._linear_map.g) <= 9
         sizes, asked = [], []
         head, power = engine._kernels._head, engine._kernels.LinearMap.power
 
@@ -858,13 +862,13 @@ class TestBlocks:
         monkeypatch.setattr(engine._kernels, "_head", spy_head)
         monkeypatch.setattr(engine._kernels.LinearMap, "power", spy_power)
         w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
-        full = [1, 2, 4, 8, 16, 32]
+        full = [1, 2, 4, 25, 32]
         for theta, k, want, asks in [
-                (0.7, 100, full + [32, 5], [7]),
-                (0.7, 140, full + [32, 32, 13], [7]),
-                ([0.7] * 20 + [0.9] * 40, 60,
-                 [1, 2, 4, 8, 5, 1, 2, 4, 8, 16, 9], []),
-                ([0.7, 0.9] * 3 + [0.7] * 70, 76, [1] * 6 + full + [7], []),
+                (0.7, 100, full + [32, 4], [5]),
+                (0.7, 140, full + [32, 32, 12], [5]),
+                ([0.7] * 20 + [0.9] * 40, 60, [1, 2, 4, 13, 1, 2, 4, 25, 8],
+                 [9]),
+                ([0.7, 0.9] * 3 + [0.7] * 70, 76, [1] * 6 + full + [6], [11]),
                 (np.linspace(0.5, 1.5, 5), 5, [1] * 5, [])]:
             for run in both_runs(w0, v0, theta,
                                  StopRule(tol=0.0, max_iters=k)):
@@ -896,8 +900,8 @@ class TestBlocks:
     def test_divergence_inside_a_block(self):
         # at theta = 2 the expanded residual grows, so a start scaled by c
         # can make a residual inside a block, the k-th, the first whose
-        # square overflows: in one of the growing blocks (k < 32) and in a
-        # full one; a k that is no power of two is not a block's first step
+        # square overflows: in one of the ramp's blocks (k < 32) and in a
+        # full one, at no block's first step
         rng = np.random.default_rng(0)
         sp = random_problem("sequential", 4, rng, d=3)
         w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
@@ -905,7 +909,7 @@ class TestBlocks:
         stop = StopRule(tol=0.0, max_iters=64)
         res = run_alg1(twin, w0, v0, 2.0, stop).residuals
         for first in (2, 40):
-            k = next(k for k in range(first, 65) if k & (k - 1)
+            k = next(k for k in range(first, 65) if k not in (1, 2, 4, 8, 33)
                      and res[:k - 1].max() < 0.999 * res[k - 1])
             assert (k < 32) == (first < 32)
             c = math.sqrt(np.finfo(float).max
@@ -922,9 +926,51 @@ class TestBlocks:
                            - got[1].residuals[:-1]).max() <= 1e-12 * scale)
 
     def test_cached_power_run_equals_a_cold_one(self, monkeypatch, rng):
-        # m = 40: a cold run asks for (I - theta g)^32 at its full blocks
-        # after 63 and 95 steps and builds it at the second, the first after
-        # 2m = 80 steps; the next run finds it after 63
+        # m = 40: a cold run asks for (I - theta g)^32 at its blocks after
+        # 32, 64 and 96 steps and builds it at the third, the first after
+        # 2m = 80 steps; the next run finds it at its first full block
+        p, subs, (w0, v0) = self.m40_problem(rng)
+        blocks, hits = [], []
+        head = engine._kernels._head
+        power = engine._kernels.LinearMap.power
+        keep = engine._kernels.LinearMap.keep_power
+
+        def spy_head(theta, expanded, s):
+            blocks.append(s)
+            return head(theta, expanded, s)
+
+        def spy(self, theta):
+            found = power(self, theta)
+            hits.append((len(blocks), found is not None))
+            return found
+
+        def spy_keep(self, theta, q):
+            hits.append((len(blocks), "built"))
+            return keep(self, theta, q)
+
+        monkeypatch.setattr(engine._kernels, "_head", spy_head)
+        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy)
+        monkeypatch.setattr(engine._kernels.LinearMap, "keep_power", spy_keep)
+        for run in both_runs(w0, v0, 1.0, StopRule(tol=0.0, max_iters=140)):
+            p._linear_map.powers.clear()
+            p._linear_map.counts.clear()
+            hits.clear()
+            blocks.clear()
+            cold = twin_runs_agree(p, subs, run)
+            assert blocks == [1, 2, 4, 25, 32, 32, 32, 12]
+            assert hits == [(5, False), (6, False), (7, False), (7, "built")]
+            hits.clear()
+            blocks.clear()
+            cached = twin_runs_agree(p, subs, run)
+            assert hits == [(5, True)]
+            for a, b in [(cold.x, cached.x), (cold.v, cached.v),
+                         (cold.residuals, cached.residuals)]:
+                assert np.abs(a - b).max() <= 1e-12
+
+    @staticmethod
+    def m40_problem(rng):
+        """A subspace problem whose residual map has m = 40, its node
+        subspaces and a start (w0, v0)."""
         n, d = 10, 5
         ps = preset("malitsky_tam", n)
         common = rng.standard_normal(d)
@@ -932,31 +978,55 @@ class TestBlocks:
                 for _ in range(n)]
         p = subspace_problem(ps.pair, ps.dec, subs).base
         assert p._linear_map.g.shape == (40, 40)
-        hits = []
-        power = engine._kernels.LinearMap.power
+        return p, subs, (rng.standard_normal((n, d)),
+                         rng.standard_normal((n - 1, d)))
+
+    def test_short_runs_build_the_power_once_their_total_passes_2m(
+            self, monkeypatch, rng):
+        # m = 40: a run of 70 steps never passes 2m = 80 steps on its own;
+        # the second such run at theta does, at its first full block, and
+        # a run at another theta counts apart
+        p, subs, (w0, v0) = self.m40_problem(rng)
+        lin = p._linear_map
+        built = []
         keep = engine._kernels.LinearMap.keep_power
 
-        def spy(self, theta):
-            found = power(self, theta)
-            hits.append(found is not None)
-            return found
-
         def spy_keep(self, theta, q):
-            hits.append("built")
+            built.append(theta)
             return keep(self, theta, q)
 
-        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy)
         monkeypatch.setattr(engine._kernels.LinearMap, "keep_power", spy_keep)
-        w0, v0 = rng.standard_normal((n, d)), rng.standard_normal((n - 1, d))
-        for run in both_runs(w0, v0, 1.0, StopRule(tol=0.0, max_iters=140)):
-            p._linear_map.powers.clear()
-            hits.clear()
-            cold = twin_runs_agree(p, subs, run)
-            cached = twin_runs_agree(p, subs, run)
-            assert hits == [False, False, "built", True]
-            for a, b in [(cold.x, cached.x), (cold.v, cached.v),
-                         (cold.residuals, cached.residuals)]:
-                assert np.abs(a - b).max() <= 1e-12
+        for run in both_runs(w0, v0, 1.0, StopRule(tol=0.0, max_iters=70)):
+            lin.powers.clear()
+            lin.counts.clear()
+            built.clear()
+            twin_runs_agree(p, subs, run)
+            assert built == [] and list(lin.counts.items()) == [(1.0, 70)]
+            run_alg2(p, v0, 0.5, StopRule(tol=0.0, max_iters=70))
+            assert built == []
+            assert list(lin.counts.items()) == [(1.0, 70), (0.5, 70)]
+            twin_runs_agree(p, subs, run)
+            assert built == [1.0]
+            assert list(lin.counts.items()) == [(0.5, 70), (1.0, 140)]
+
+    def test_step_counts_kept_for_the_last_three_thetas(self, rng):
+        sp = random_problem("generalized_ryu", 3, rng, d=3, planted=True)
+        lin = sp.base._linear_map
+        v0 = rng.standard_normal((2, 3))
+        schedule = np.linspace(0.5, 1.5, 20)
+        run_alg2(sp.base, v0, schedule, StopRule(tol=0.0))
+        # one step at each theta of the schedule, least recently used first
+        assert list(lin.counts.items()) == [(t, 1) for t in schedule[-3:]]
+        for theta in (0.5, 0.8, 1.1, 1.4, 0.5):
+            run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=40))
+            assert len(lin.counts) <= 3 and len(lin.powers) <= 3
+        assert list(lin.counts.items()) == [(1.1, 40), (1.4, 40), (0.5, 40)]
+        # a run that stops inside a block (blocks end after steps 1, 3, 7,
+        # 32, 64, ...) counts the steps it took
+        trace = run_alg2(sp.base, v0, 1.7)
+        assert trace.stop_reason == "tol"
+        assert trace.k_final not in (1, 3, 7) and trace.k_final % 32
+        assert list(lin.counts.items())[-1] == (1.7, trace.k_final)
 
     def test_powers_kept_for_the_last_three_thetas(self, rng):
         sp = random_problem("generalized_ryu", 3, rng, d=3, planted=True)
