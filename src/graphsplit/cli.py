@@ -187,8 +187,8 @@ def _random_spec_spanners(opts: dict, n: int, d: int, seed: int) -> list:
 
 
 def _spanners(value, what: str):
-    """A config's list of spanners; ``operators.subspace_from_spanners``
-    checks them, and an error names the first bad one."""
+    """A config's list of spanners; the node build checks them, and an
+    error names the first bad one and its node."""
     if not isinstance(value, list):
         raise ConfigError(f"the spanners of {what} must be a list, got "
                           f"{value!r}")
@@ -196,6 +196,11 @@ def _spanners(value, what: str):
 
 
 def _build_operators(cfg: dict, n: int, d: int, seed: int):
+    """The n node operators of a config.  Both ``subspaces`` forms build
+    their nodes in one ``operators._subspaces`` call: one check, one
+    scaling and one SVD per spanner count, with an error naming the node
+    ("node 3: ...").  The ``operators`` form, whose spanner entries sit
+    between callbacks, builds node by node, and names the operator."""
     if "subspaces" in cfg:
         if "operators" in cfg:
             raise ConfigError("config gives both 'subspaces' and 'operators'; "
@@ -210,8 +215,8 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
         else:
             raise ConfigError(f"subspaces must be a list of {n} spanner "
                               f"lists or {{'random': {{...}}}}, got {spec!r}")
-        return [operators.NormalConeOp(operators.subspace_from_spanners(d, s))
-                for s in spec]
+        return [operators.NormalConeOp(u)
+                for u in operators._subspaces(d, spec)]
     if "operators" in cfg:
         if not isinstance(cfg["operators"], list) or len(cfg["operators"]) != n:
             raise ConfigError(f"operators must be a list of {n} objects")
@@ -224,8 +229,11 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
                                   "'spanners' or 'callback'")
             if "spanners" in entry:
                 spanners = _spanners(entry["spanners"], f"operator {i + 1}")
-                ops.append(operators.NormalConeOp(
-                    operators.subspace_from_spanners(d, spanners)))
+                try:
+                    u = operators.subspace_from_spanners(d, spanners)
+                except ValueError as exc:
+                    raise ConfigError(f"operator {i + 1}: {exc}") from None
+                ops.append(operators.NormalConeOp(u))
             else:
                 name = entry["callback"]
                 if not isinstance(name, str) or name not in CALLBACKS:

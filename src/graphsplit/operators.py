@@ -13,19 +13,27 @@ Subspaces are represented by an orthonormal basis (possibly with zero
 columns, for the trivial subspace) together with an orthonormal basis of
 the orthogonal complement.  Every rank is decided on SVD singular values:
 one counts as zero when it is at most 1e-10 times the largest one (or
-1e-10 when the largest is below 1).  :func:`subspace_from_spanners` takes
-one SVD per subspace, keeping all d left singular vectors: those up to the
-rank are the basis and the rest the complement, so :func:`complement`
-factors nothing.  Each spanner is scaled to unit length first, so the rank
-does not depend on the spanners' relative scales, and the scaling neither
-overflows nor underflows: only an all-zero spanner is dropped.
+1e-10 when the largest is below 1).  A subspace's basis and complement
+come from one SVD of its unit spanners, keeping all d left singular
+vectors: those up to the rank are the basis and the rest the complement,
+so :func:`complement` factors nothing.  Each spanner is scaled to unit
+length first, so the rank does not depend on the spanners' relative
+scales, and the scaling neither overflows nor underflows: only an
+all-zero spanner is dropped.
+
+A config's nodes are built together, by ``_subspaces``: when every node
+has k spanners, all of them are checked as one (n, k, d) stack and scaled
+at once, and the nodes with the same number of nonzero spanners share one
+stacked SVD, which gives each node the bytes of its own.
+:func:`subspace_from_spanners` is the one-node case of the same check,
+scaling and factor.
 
 :func:`real_array` is the one check of real-number input, for spanners,
 runs, operator applications, predictions and the CLI; it coerces nothing.
-A subspace's spanners pass it once, as one (k, d) stack; only when that
-fails are they checked one by one, so the error names the first bad
-spanner.  Every constructor of a subspace takes d as an int or numpy
-integer >= 1 and stores it as an int.
+Spanners pass it once, as one stack; only when that fails are a node's
+spanners checked one by one, so the error names the first bad spanner
+(and, in a config, its node).  Every constructor of a subspace takes d as
+an int or numpy integer >= 1 and stores it as an int.
 """
 
 from __future__ import annotations
@@ -95,7 +103,8 @@ def real_array(value, what: str, shape: tuple):
         raise ValueError(f"{what} must have {want}, got shape {arr.shape}")
     try:
         arr = arr.astype(np.float64, copy=False)
-        finite = np.isfinite(arr).all()
+        # count_nonzero takes a fraction of .all()'s time on small arrays
+        finite = np.count_nonzero(np.isfinite(arr)) == arr.size
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
@@ -121,17 +130,23 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
     return vt[_rank(s):].T
 
 
-def _range_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _range_split(mat: np.ndarray):
     """Orthonormal bases of the range of the d x k ``mat`` and of its
-    complement: all d left singular vectors, split at the rank.  Only a
-    matrix with fewer than d columns needs the full factor; with k >= d
-    the thin one already has d columns and skips the k x k right one."""
-    d, k = mat.shape
+    complement: all d left singular vectors, split at the rank.  Given an
+    (m, d, k) stack, one SVD serves all m matrices and the pairs come as a
+    list, in order.  Only a matrix with fewer than d columns needs the full
+    factor; with k >= d the thin one already has d columns and skips the
+    k x k right one."""
+    d, k = mat.shape[-2:]
     if k == 0:
-        return np.zeros((d, 0)), np.eye(d)
-    u, s, _ = np.linalg.svd(mat, full_matrices=k < d)
-    r = _rank(s)
-    return u[:, :r], u[:, r:]
+        pairs = [(np.zeros((d, 0)), np.eye(d))
+                 for _ in range(math.prod(mat.shape[:-2]))]
+    else:
+        u, s, _ = np.linalg.svd(mat, full_matrices=k < d)
+        pairs = [(ui[:, :r], ui[:, r:])
+                 for ui, si in (zip(u, s) if mat.ndim == 3 else [(u, s)])
+                 for r in (_rank(si),)]
+    return pairs if mat.ndim == 3 else pairs[0]
 
 
 def _dimension(d) -> int:
@@ -141,40 +156,58 @@ def _dimension(d) -> int:
     return int(d)
 
 
-def _unit_columns(vectors, d: int) -> np.ndarray:
-    """The nonzero vectors scaled to unit length, as the columns of a
-    (d, k) array.
+def _stack(nodes: list[list], d: int) -> np.ndarray:
+    """The spanners of n nodes with k each as one (n, k, d) float64 stack,
+    checked by one :func:`real_array` call: when every spanner is an int or
+    float ndarray of shape (d,) they are stacked with ``np.array``, and any
+    other input is checked as one nested list."""
+    shape = (len(nodes), len(nodes[0]), d)
+    if shape[1] == 0:
+        return np.zeros(shape)
+    stack = nodes
+    if all(type(v) is np.ndarray and v.dtype.kind in "iuf" and v.shape == (d,)
+           for rows in nodes for v in rows):
+        stack = np.array(nodes)
+    return real_array(stack, "spanners", shape)
 
-    The k vectors pass :func:`real_array` once, as one (k, d) stack: int
-    or float ndarrays of shape (d,) are stacked with ``np.array``, and any
-    other input is checked as one nested list.  Only when that check
-    fails is each vector checked on its own, as d numbers named by its
-    0-based index, so the error names the first bad one.
-    Each vector is divided by its largest |entry| before its norm is
-    taken, so no finite vector overflows or underflows to a zero or
-    infinite norm."""
-    rows = stack = list(vectors)
-    if all(type(v) is np.ndarray and v.dtype.kind in "iuf"
-           and v.shape == (d,) for v in rows):
-        stack = np.array(rows)
-    if len(rows) == 0:
-        return np.zeros((d, 0))
+
+def _unit_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The spanners of the (..., k, d) stack ``mat`` scaled to unit length,
+    as the columns of a (..., d, k) array, and the mask of the nonzero ones,
+    or None when all are.  An all-zero spanner stays a zero column, for the
+    caller to drop.  Each spanner is divided by its largest |entry| before
+    its norm is taken, so no finite spanner overflows or underflows to a
+    zero or infinite norm."""
+    peak = np.abs(mat).max(axis=-1)
+    keep = None
+    if np.count_nonzero(peak) < peak.size:
+        keep = peak > 0
+        peak[~keep] = 1.0
+    mat = mat / peak[..., None]
+    norm = np.sqrt(np.einsum("...j,...j->...", mat, mat))
+    if keep is not None:
+        norm[~keep] = 1.0
+    mat /= norm[..., None]
+    return mat.swapaxes(-1, -2), keep
+
+
+def _node_columns(rows: list, d: int) -> np.ndarray:
+    """One node's nonzero spanners scaled to unit length, as the columns of
+    a (d, k) array.  The spanners pass :func:`real_array` once, as one
+    (k, d) stack (see :func:`_stack`).  Only when that check fails is each
+    spanner checked on its own, as d numbers named by its 0-based index, so
+    the error names the first bad one."""
     try:
-        mat = real_array(stack, "spanners", (len(rows), d))
+        mat = _stack([rows], d)[0]
     except (ValueError, RuntimeWarning):
-        # each vector's own check raises the first bad one's error, a
+        # each spanner's own check raises the first bad one's error, a
         # RuntimeWarning too (an overflowing cast under -W error), or
         # passes where only the stack fails: a masked array hides its
         # masked entries from its own check
         mat = np.array([real_array(v, f"spanner {j}", (d,))
                         for j, v in enumerate(rows)])
-    peak = np.abs(mat).max(axis=1)
-    keep = peak > 0
-    if not keep.all():
-        mat, peak = mat[keep], peak[keep]
-    mat = mat / peak[:, None]
-    mat /= np.sqrt(np.einsum("ij,ij->i", mat, mat))[:, None]
-    return mat.T
+    cols, keep = _unit_columns(mat)
+    return cols if keep is None else cols[:, keep]
 
 
 def orthonormalize(vectors, d: int) -> np.ndarray:
@@ -184,11 +217,11 @@ def orthonormalize(vectors, d: int) -> np.ndarray:
     are dropped and the others scaled to unit length; the basis is the
     leading left singular vectors of their stack, from the thin SVD, so a
     vector 1e-12 times smaller than the others still counts.  The vectors
-    are checked once, as one stack (see :func:`_unit_columns`); an error
+    are checked once, as one stack (see :func:`_node_columns`); an error
     names the first bad one by its 0-based index.
     """
     d = _dimension(d)
-    cols = _unit_columns(vectors, d)
+    cols = _node_columns(list(vectors), d)
     if cols.shape[1] == 0:
         return np.zeros((d, 0))
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
@@ -200,9 +233,49 @@ def subspace_from_spanners(d: int, spanners) -> LinearSubspace:
     the zero subspace), with its complement from the same SVD of the unit
     spanners.  ``d`` must be an int or numpy integer >= 1 and is stored as
     an int.  The spanners are checked once, as one stack, and scaled as by
-    :func:`orthonormalize`."""
+    :func:`orthonormalize`.  This is the one-node case of
+    :func:`_subspaces`, through the same check, scaling and factor."""
     d = _dimension(d)
-    return LinearSubspace(d, *_range_split(_unit_columns(spanners, d)))
+    return LinearSubspace(d, *_range_split(_node_columns(list(spanners), d)))
+
+
+def _subspaces(d: int, nodes) -> list[LinearSubspace]:
+    """The subspaces of R^d spanned by each node's spanners, each byte for
+    byte as :func:`subspace_from_spanners` builds it, built together.
+    When every node has k spanners, they pass one check as one (n, k, d)
+    stack (see :func:`_stack`) and are scaled at once; otherwise, or when
+    that check fails, each node is checked and scaled on its own, and an
+    error names the node by its 1-based index.  The nodes with the same
+    number of nonzero spanners share one SVD."""
+    d = _dimension(d)
+    nodes = [list(rows) for rows in nodes]
+    blocks = None
+    if len({len(rows) for rows in nodes}) == 1:
+        try:
+            mat = _stack(nodes, d)
+        except (ValueError, RuntimeWarning):
+            pass
+        else:
+            cols, keep = _unit_columns(mat)
+            if keep is None:
+                return [LinearSubspace(d, *pair) for pair in _range_split(cols)]
+            blocks = [c[:, m] for c, m in zip(cols, keep)]
+    if blocks is None:
+        blocks = []
+        for i, rows in enumerate(nodes):
+            try:
+                blocks.append(_node_columns(rows, d))
+            except ValueError as exc:
+                raise ValueError(f"node {i + 1}: {exc}") from None
+    by_count = {}
+    for i, block in enumerate(blocks):
+        by_count.setdefault(block.shape[1], []).append(i)
+    out = [None] * len(blocks)
+    for group in by_count.values():
+        pairs = _range_split(np.stack([blocks[i] for i in group]))
+        for i, pair in zip(group, pairs):
+            out[i] = LinearSubspace(d, *pair)
+    return out
 
 
 def full_space(d: int) -> LinearSubspace:

@@ -3,6 +3,7 @@ the documented config code and a message, never a traceback), and the
 reports of ``verify`` and ``list-presets``."""
 
 import json
+import math
 import sys
 import warnings
 
@@ -29,6 +30,52 @@ def test_non_finite_spanner_exits_with_config_code(bad, tmp_path, capsys):
         f'"subspaces": [[[1.0, 0.0]], [[0.0, 1.0], [{bad}, 1.0]]]}}'))
     assert cli.main(["predict", "--config", path]) == cli.EXIT_CONFIG
     assert "spanner 1 is not finite" in capsys.readouterr().err
+
+
+#: three nodes in R^2 whose third has the non-finite spanner 1
+BAD_NODE_3 = {
+    "mixed k": [[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0], [math.nan, 1.0]]],
+    "equal k": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]],
+                [[1.0, 1.0], [math.nan, 1.0]]],
+}
+
+
+@pytest.mark.parametrize("nodes", BAD_NODE_3)
+@pytest.mark.parametrize("form", ["subspaces", "operators"])
+def test_bad_spanner_error_names_its_node(form, nodes, tmp_path, capsys):
+    spanners = BAD_NODE_3[nodes]
+    cfg = {"problem": {"preset": "sequential", "n": 3}, "d": 2}
+    if form == "subspaces":
+        cfg["subspaces"] = spanners
+    else:
+        cfg["operators"] = [{"spanners": s} for s in spanners]
+    path = write_config(tmp_path, json.dumps(cfg))
+    assert cli.main(["predict", "--config", path]) == cli.EXIT_CONFIG
+    # each form names the node as its other messages do
+    node = "node 3" if form == "subspaces" else "operator 3"
+    assert capsys.readouterr().err == (
+        f"error: {node}: spanner 1 is not finite: [nan, 1.0]\n")
+
+
+@pytest.mark.parametrize("subspaces", [
+    [[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0], [2.0, 1.0]]],
+    {"random": {"dims": [1, 2, 1], "common": True}},
+], ids=["list", "random"])
+def test_subspace_configs_build_their_nodes_in_one_call(subspaces,
+                                                         monkeypatch):
+    calls = []
+    build = cli.operators._subspaces
+
+    def spy(d, nodes):
+        calls.append(len(nodes))
+        return build(d, nodes)
+
+    monkeypatch.setattr(cli.operators, "_subspaces", spy)
+    prob, _ = cli.problem_from_config(
+        {"problem": {"preset": "sequential", "n": 3}, "d": 2,
+         "subspaces": subspaces})
+    assert calls == [3]
+    assert len(prob.ops) == 3
 
 
 def test_non_integer_node_label_exits_with_config_code(capsys):

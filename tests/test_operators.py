@@ -10,7 +10,6 @@ from graphsplit.operators import (
     LinearSubspace,
     NormalConeOp,
     _null_space,
-    _range_split,
     complement,
     full_space,
     orthonormalize,
@@ -229,7 +228,15 @@ def unit_columns_one_by_one(d, vectors) -> np.ndarray:
 
 
 def checked_one_by_one(d, vectors) -> LinearSubspace:
-    return LinearSubspace(d, *_range_split(unit_columns_one_by_one(d, vectors)))
+    """The reference: one node's own SVD of its unit spanners, all d left
+    singular vectors split at the rank."""
+    cols = unit_columns_one_by_one(d, vectors)
+    k = cols.shape[1]
+    if k == 0:
+        return LinearSubspace(d, np.zeros((d, 0)), np.eye(d))
+    u, s, _ = np.linalg.svd(cols, full_matrices=k < d)
+    r = operators._rank(s)
+    return LinearSubspace(d, u[:, :r], u[:, r:])
 
 
 def outcome(build):
@@ -399,6 +406,159 @@ class TestStackedSpannerCheck:
                                    if as_list else rows)
         assert names == ["spanners"]
         assert u.dim == D
+
+
+def built_node_by_node(d, nodes) -> list[LinearSubspace]:
+    """The reference for a config: each node built on its own, the first
+    bad node's error named by its 1-based index."""
+    out = []
+    for i, rows in enumerate(nodes):
+        try:
+            out.append(checked_one_by_one(d, rows))
+        except ValueError as exc:
+            raise ValueError(f"node {i + 1}: {exc}") from None
+    return out
+
+
+def config_outcome(build):
+    """What a config's build gives: each node's bytes, or its error."""
+    try:
+        subs = build()
+    except Exception as exc:  # the type and message are compared
+        return "rejected", type(exc), str(exc)
+    return "accepted", [outcome(lambda: u) for u in subs]
+
+
+def _node(k: int, seed: int, as_list: bool = False, d: int = D) -> list:
+    rows = list(np.random.default_rng([k, seed]).standard_normal((k, d)))
+    return [r.tolist() for r in rows] if as_list else rows
+
+
+#: name -> (the nodes of a config in R^D, accepted); a callable makes each
+#: input afresh
+CONFIG_CASES = {
+    "equal k, ndarrays": (lambda: [_node(2, i) for i in range(5)], True),
+    "equal k, lists": (lambda: [_node(2, i, True) for i in range(5)], True),
+    "equal k, lists and ndarrays": (
+        lambda: [_node(3, i, i % 2 == 0) for i in range(4)], True),
+    "equal k, (k, d) ndarrays": (
+        lambda: [np.stack(_node(3, i)) for i in range(4)], True),
+    "mixed k": (
+        lambda: [_node(k, i) for i, k in enumerate([1, 3, 2, 3, 1, 0])], True),
+    "mixed k, lists": (
+        lambda: [_node(k, i, True) for i, k in enumerate([2, 1, 2, 4])], True),
+    "a zero spanner": (
+        lambda: [_node(3, 0), _with(_node(3, 1), 1, np.zeros(D)), _node(3, 2)],
+        True),
+    "a zero spanner, lists": (
+        lambda: [_node(2, 0, True), [[0.0] * D, [1, 2, 3, 4]],
+                 _node(2, 2, True)], True),
+    "a node of zero spanners": (
+        lambda: [_node(2, 0), [np.zeros(D), np.zeros(D)], _node(2, 2)], True),
+    "a zero spanner, mixed k": (
+        lambda: [_node(1, 0), _with(_node(3, 1), 0, np.zeros(D)), _node(3, 2)],
+        True),
+    "dependent spanners": (
+        lambda: [_node(2, 0), [np.ones(D), 2 * np.ones(D)], _node(2, 2)], True),
+    "k = d": (lambda: [_node(D, i) for i in range(3)], True),
+    "k > d": (lambda: [_node(D + 2, i, i == 1) for i in range(3)], True),
+    "k >= d beside k < d": (
+        lambda: [_node(D + 1, 0), _node(2, 1), _node(D, 2)], True),
+    "every node empty": (lambda: [[], [], []], True),
+    "tiny and huge": (
+        lambda: [[[1e-320, 0, 0, 0], [1.7e308, 1e308, 0, 0]],
+                 [[1e-300, 1, 0, 0], [0, 0, 1e300, 1]]], True),
+    "bad entry in node 3, lists": (
+        lambda: [_node(5, 0, True), _node(5, 1, True),
+                 _bad_entry(1, math.nan, True)], False),
+    "bad entry in node 3, ndarrays": (
+        lambda: [_node(5, 0), _node(5, 1), _bad_entry(1, np.inf, False)],
+        False),
+    "bad entry in node 3, mixed k": (
+        lambda: [_node(2, 0), _node(3, 1), _bad_entry(1, math.nan, True)],
+        False),
+    "bad nodes 3 and 4": (
+        lambda: [_node(5, 0), _node(5, 1), _bad_entry(4, "1", True),
+                 _bad_entry(0, math.nan, True)], False),
+    "short spanner in node 3": (
+        lambda: [_node(2, 0, True), _node(2, 1, True),
+                 [[1.0] * D, [1.0] * (D - 1)]], False),
+}
+
+
+class TestConfigBuild:
+    """A config's nodes are built together (``operators._subspaces``): one
+    check and one scaling of all their spanners when every node has as
+    many, and one SVD per number of nonzero spanners.  Against building
+    each node on its own, every config gives the same acceptance, the same
+    bytes, and the same message with its node named."""
+
+    @pytest.mark.parametrize("name", CONFIG_CASES)
+    def test_same_as_building_each_node(self, name):
+        make, accepted = CONFIG_CASES[name]
+        want = config_outcome(lambda: built_node_by_node(D, make()))
+        got = config_outcome(lambda: operators._subspaces(D, make()))
+        assert got == want
+        assert got[0] == ("accepted" if accepted else "rejected"), got
+
+    @pytest.mark.parametrize("name", PARITY_CASES)
+    def test_single_node_case_as_node_3(self, name):
+        # the one-node parity cases, each as the third node of a config
+        # whose other nodes have as many valid spanners
+        make, accepted = PARITY_CASES[name]
+        k = len(list(make()))
+
+        def config():
+            return [_node(k, 1), _node(k, 2, True), make()]
+
+        want = config_outcome(lambda: built_node_by_node(D, config()))
+        got = config_outcome(lambda: operators._subspaces(D, config()))
+        assert got == want
+        assert got[0] == ("accepted" if accepted else "rejected"), got
+        if not accepted:
+            assert got[2].startswith("node 3: spanner ")
+
+    @staticmethod
+    def svd_shapes(monkeypatch) -> list:
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return shapes
+
+    def test_one_svd_per_spanner_count(self, monkeypatch):
+        shapes = self.svd_shapes(monkeypatch)
+        # nonzero spanner counts 1, 3, 2, 3, 1, 2 (a zero spanner drops)
+        # and 0, which takes no SVD
+        nodes = [_node(k, i) for i, k in enumerate([1, 3, 2, 3, 1])]
+        nodes += [_with(_node(3, 9), 0, np.zeros(D)), []]
+        subs = operators._subspaces(D, nodes)
+        assert sorted(shapes) == [(2, D, 1), (2, D, 2), (2, D, 3)]
+        assert [u.dim for u in subs] == [1, 3, 2, 3, 1, 2, 0]
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_equal_k_config_takes_one_svd(self, monkeypatch, as_list):
+        shapes = self.svd_shapes(monkeypatch)
+        subs = operators._subspaces(D, [_node(2, i, as_list) for i in range(6)])
+        assert shapes == [(6, D, 2)]
+        assert [u.dim for u in subs] == [2] * 6
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_one_check_per_valid_config(self, monkeypatch, as_list):
+        names = []
+        check = operators.real_array
+
+        def spy(value, what, shape):
+            names.append((what, shape))
+            return check(value, what, shape)
+
+        monkeypatch.setattr(operators, "real_array", spy)
+        operators._subspaces(D, [_node(3, i, as_list) for i in range(5)])
+        assert names == [("spanners", (5, 3, D))]
 
 
 class TestDimensionCheck:

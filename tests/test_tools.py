@@ -22,9 +22,16 @@ def test_abtime_times_a_tree_against_itself():
     assert all(line.endswith(", 0 labels failed a check")
                for line in out[1:3])
     assert "median per-op ratio" in out[3] and "over 144 ops" in out[3]
+    # the 25th, 50th and 75th percentiles of the ratios, the 50th being
+    # the median the line before gives
+    head, _, values = out[4].partition(": ")
+    assert head == "per-op ratio quartiles"
+    q1, q2, q3 = map(float, values.split(", "))
+    assert 0 < q1 <= q2 <= q3
+    assert out[3].split("median per-op ratio ")[1].startswith(f"{q2:.4f} ")
     # one line per label of the ladder, both algorithms
-    assert out[4] == "median per-op ratio by label:"
-    assert len(out[5:]) == 24
+    assert out[5] == "median per-op ratio by label:"
+    assert len(out[6:]) == 24
 
 
 def test_bench_point_writes_the_records(tmp_path):

@@ -20,9 +20,15 @@ from round to round; an op's time is its best over the rounds, on
 ``time.perf_counter`` and unscaled.  The oracle checks run outside the
 timed calls.  The report gives, per tree, the sum of the best times (one
 cycle), their 50th and 90th percentiles and the ops whose check did not
-pass, and the median over ops of the ratio new / old, overall and per
-label.  Timing on one host in one process takes the host's speed out of
-the comparison, which a pair of benchmark runs cannot do.
+pass, and the median over ops of the ratio new / old, overall (with the
+quartiles of the ratios beside it, their spread) and per label.  Timing on
+one host in one process takes the host's speed out of the comparison,
+which a pair of benchmark runs cannot do.
+
+Read predict-large by the median per-op ratio, with at least 10 rounds:
+about 45% of its cycle is one complete n=60 d=24 op per seed, whose best
+of 5 rounds moves by several percent in a noisy spell, and that moves the
+cycle sum and the 90th percentile with it.
 
 As the benchmark runs, numpy gets one BLAS thread.
 """
@@ -123,6 +129,9 @@ def report(labels, best, failed) -> list[str]:
                  f"p50 {p50s[1] / p50s[0]:.4f}, p90 {p90s[1] / p90s[0]:.4f}, "
                  f"median per-op ratio {np.median(ratio):.4f} "
                  f"over {len(ratio)} ops")
+    quartiles = np.percentile(ratio, [25, 50, 75])
+    lines.append("per-op ratio quartiles: "
+                 + ", ".join(f"{q:.4f}" for q in quartiles))
     by_label = {}
     for label, x in zip(labels, ratio):
         by_label.setdefault(label, []).append(x)

@@ -10,6 +10,8 @@ changed):
 
 - the cli-small corpora of seeds 1 and 77: every ``run`` (with its trace
   file), ``run --no-trace``, ``predict`` and ``decompose`` call;
+- ``verify --all-presets`` at seeds 1 and 77, whose configs draw each
+  node's dimension at random, so their nodes differ in spanner count;
 - the multistart runs of seeds 1, 2 and 3;
 - the predict-large ops of seeds 1, 2 and 3, whose spanners are float64
   ndarrays rather than the JSON lists of the cli-small configs.
@@ -18,7 +20,8 @@ The report gives the calls whose exit code moved, the runs whose
 ``converged``, ``stop_reason`` or iteration count moved (each count that
 moved is listed), the worst difference of the final v relative to
 max(1, ||v||), as the stop rule scales it, per corpus, and whether run
-stdout, traces, predict and decompose output are byte for byte the same.
+stdout, traces, predict, decompose and ``verify --all-presets`` output are
+byte for byte the same.
 When some predict output is not, it also gives the worst difference of
 ``u_bar``, ``e_bar`` and ``v_bar``, each relative to max(1, ||old||), and
 whether every ``dim_E`` and ``dim_U`` matched.  For predict-large it
@@ -58,6 +61,8 @@ MULTISTART_SEEDS = (1, 2, 3)
 PREDICT_SEEDS = (1, 2, 3)
 #: the cli-small calls of one graph pair, in the corpus's order
 CLI_KINDS = ("run", "run --no-trace", "predict", "decompose")
+#: the call run at each of ``CLI_SEEDS``, beside the cli-small corpora
+VERIFY = "verify --all-presets"
 #: the predicted arrays of ``predict`` output, and its dimensions
 PREDICTED = ("u_bar", "e_bar", "v_bar")
 DIMS = ("dim_E", "dim_U")
@@ -104,7 +109,8 @@ def cold_rerun(gs, op):
 def collect(src: str, spread: bool = False):
     """Every outcome of the tree at ``src``, keyed by (corpus, seed, op
     index, op label):
-    ``(kind, exit code, stdout, trace digest)`` for a cli call,
+    ``(kind, exit code, stdout, trace digest)`` for a cli call (``verify``
+    writes no trace: its digest is empty),
     ``(converged, stop_reason, iterations, v)`` for a multistart run and
     ``("predict-large", arrays, (dim_E, dim_U))`` for a predict-large op,
     with the arrays named as in ``LARGE``; and with ``spread``, the final
@@ -128,6 +134,10 @@ def collect(src: str, spread: bool = False):
                     path.unlink()
                 out["cli-small", seed, i, op.label] = (
                     CLI_KINDS[i % 4], code, stdout, trace.digest())
+        for seed in CLI_SEEDS:
+            argv = [*VERIFY.split(), "--seed", str(seed)]
+            code, stdout = workloads._cli_call(gs, argv)()
+            out["verify", seed, 0, VERIFY] = VERIFY, code, stdout, b""
         for seed in MULTISTART_SEEDS:
             ops = workloads.multistart(seed, Path(tmp))
             # the package the ops look their calls up in
@@ -186,8 +196,8 @@ def compare(old: dict, new: dict, cold: dict) -> int:
     codes, flags, counts = [], [], []
     worst = {}
     predicted, dims_match = dict.fromkeys(PREDICTED, 0.0), True
-    same = dict.fromkeys(["run stdout", "traces", "predict", "decompose"],
-                         True)
+    same = dict.fromkeys(["run stdout", "traces", "predict", "decompose",
+                          VERIFY], True)
     large_same, large_diff = dict.fromkeys(LARGE, True), {}
     large_dims = True
     for key in old:
