@@ -157,7 +157,7 @@ def intersection(subspaces: list[LinearSubspace]) -> LinearSubspace:
     up to it U^perp.
     """
     d = _ambient(subspaces)
-    perp, basis = _range_split(np.hstack([u.perp for u in subspaces]))
+    perp, basis = _range_split(np.hstack([u.perp for u in subspaces])[None])[0]
     return LinearSubspace(d, basis, perp)
 
 

@@ -195,12 +195,31 @@ def _spanners(value, what: str):
     return value
 
 
+def _subspace(d: int, spanners, label: str):
+    """One node's subspace; an error names the node by ``label``, as
+    "node 3" or "operator 3"."""
+    try:
+        return operators.subspace_from_spanners(d, spanners)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
+
+
+def _node_subspaces(d: int, nodes: list) -> list:
+    """The subspaces of a config's nodes: as one stack by
+    ``operators._subspaces`` (one check, one scaling and one SVD) when
+    every node has as many spanners and none is all zero, else node by
+    node, where an error names the node ("node 3: ...")."""
+    subs = operators._subspaces(d, nodes)
+    if subs is None:
+        subs = [_subspace(d, s, f"node {i + 1}") for i, s in enumerate(nodes)]
+    return subs
+
+
 def _build_operators(cfg: dict, n: int, d: int, seed: int):
     """The n node operators of a config.  Both ``subspaces`` forms build
-    their nodes in one ``operators._subspaces`` call: one check, one
-    scaling and one SVD per spanner count, with an error naming the node
-    ("node 3: ...").  The ``operators`` form, whose spanner entries sit
-    between callbacks, builds node by node, and names the operator."""
+    their nodes together, by :func:`_node_subspaces`.  The ``operators``
+    form, whose spanner entries sit between callbacks, builds node by node
+    and names the operator in an error ("operator 3: ...")."""
     if "subspaces" in cfg:
         if "operators" in cfg:
             raise ConfigError("config gives both 'subspaces' and 'operators'; "
@@ -215,8 +234,7 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
         else:
             raise ConfigError(f"subspaces must be a list of {n} spanner "
                               f"lists or {{'random': {{...}}}}, got {spec!r}")
-        return [operators.NormalConeOp(u)
-                for u in operators._subspaces(d, spec)]
+        return [operators.NormalConeOp(u) for u in _node_subspaces(d, spec)]
     if "operators" in cfg:
         if not isinstance(cfg["operators"], list) or len(cfg["operators"]) != n:
             raise ConfigError(f"operators must be a list of {n} objects")
@@ -228,12 +246,10 @@ def _build_operators(cfg: dict, n: int, d: int, seed: int):
                 raise ConfigError(f"operator {i + 1} needs exactly one of "
                                   "'spanners' or 'callback'")
             if "spanners" in entry:
-                spanners = _spanners(entry["spanners"], f"operator {i + 1}")
-                try:
-                    u = operators.subspace_from_spanners(d, spanners)
-                except ValueError as exc:
-                    raise ConfigError(f"operator {i + 1}: {exc}") from None
-                ops.append(operators.NormalConeOp(u))
+                label = f"operator {i + 1}"
+                spanners = _spanners(entry["spanners"], label)
+                ops.append(operators.NormalConeOp(
+                    _subspace(d, spanners, label)))
             else:
                 name = entry["callback"]
                 if not isinstance(name, str) or name not in CALLBACKS:

@@ -22,18 +22,18 @@ scales, and the scaling neither overflows nor underflows: only an
 all-zero spanner is dropped.
 
 A config's nodes are built together, by ``_subspaces``: when every node
-has k spanners, all of them are checked as one (n, k, d) stack and scaled
-at once, and the nodes with the same number of nonzero spanners share one
-stacked SVD, which gives each node the bytes of its own.
-:func:`subspace_from_spanners` is the one-node case of the same check,
-scaling and factor.
+has k spanners and none is all zero, all of them are checked as one
+(n, k, d) stack, scaled at once and factored by one stacked SVD, which
+gives each node the bytes of its own; any other config is built node by
+node.  :func:`subspace_from_spanners` is the one-node case of the same
+check, scaling and factor.
 
 :func:`real_array` is the one check of real-number input, for spanners,
 runs, operator applications, predictions and the CLI; it coerces nothing.
 Spanners pass it once, as one stack; only when that fails are a node's
-spanners checked one by one, so the error names the first bad spanner
-(and, in a config, its node).  Every constructor of a subspace takes d as
-an int or numpy integer >= 1 and stores it as an int.
+spanners checked one by one, so the error names the first bad spanner.
+Every constructor of a subspace takes d as an int or numpy integer >= 1
+and stores it as an int.
 """
 
 from __future__ import annotations
@@ -113,8 +113,10 @@ def real_array(value, what: str, shape: tuple):
 
 
 def _rank(s: np.ndarray) -> int:
-    """Rank from singular values in descending order."""
-    return np.count_nonzero(s > _DROP_TOL * max(s[0], 1.0))
+    """Rank from singular values in descending order.  The tolerance is
+    formed from the Python float ``s.item(0)``, the same double as ``s[0]``
+    at a fraction of a numpy scalar's cost."""
+    return np.count_nonzero(s > _DROP_TOL * max(s.item(0), 1.0))
 
 
 def _null_space(mat: np.ndarray) -> np.ndarray:
@@ -130,23 +132,22 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
     return vt[_rank(s):].T
 
 
-def _range_split(mat: np.ndarray):
-    """Orthonormal bases of the range of the d x k ``mat`` and of its
-    complement: all d left singular vectors, split at the rank.  Given an
-    (m, d, k) stack, one SVD serves all m matrices and the pairs come as a
-    list, in order.  Only a matrix with fewer than d columns needs the full
-    factor; with k >= d the thin one already has d columns and skips the
-    k x k right one."""
-    d, k = mat.shape[-2:]
+def _range_split(mat: np.ndarray) -> list:
+    """Orthonormal bases of the range of each d x k matrix of the (m, d, k)
+    stack ``mat`` and of its complement, as a list of m pairs in order: all
+    d left singular vectors, split at the rank, from one SVD of the stack.
+    Only a matrix with fewer than d columns needs the full factor; with
+    k >= d the thin one already has d columns and skips the k x k right
+    one."""
+    m, d, k = mat.shape
     if k == 0:
-        pairs = [(np.zeros((d, 0)), np.eye(d))
-                 for _ in range(math.prod(mat.shape[:-2]))]
-    else:
-        u, s, _ = np.linalg.svd(mat, full_matrices=k < d)
-        pairs = [(ui[:, :r], ui[:, r:])
-                 for ui, si in (zip(u, s) if mat.ndim == 3 else [(u, s)])
-                 for r in (_rank(si),)]
-    return pairs if mat.ndim == 3 else pairs[0]
+        return [(np.zeros((d, 0)), np.eye(d)) for _ in range(m)]
+    u, s, _ = np.linalg.svd(mat, full_matrices=k < d)
+    pairs = []
+    for i in range(m):
+        r = _rank(s[i])
+        pairs.append((u[i, :, :r], u[i, :, r:]))
+    return pairs
 
 
 def _dimension(d) -> int:
@@ -171,21 +172,20 @@ def _stack(nodes: list[list], d: int) -> np.ndarray:
     return real_array(stack, "spanners", shape)
 
 
-def _unit_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _unit_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The spanners of the (..., k, d) stack ``mat`` scaled to unit length,
-    as the columns of a (..., d, k) array, and the mask of the nonzero ones,
-    or None when all are.  An all-zero spanner stays a zero column, for the
-    caller to drop.  Each spanner is divided by its largest |entry| before
-    its norm is taken, so no finite spanner overflows or underflows to a
-    zero or infinite norm."""
+    as the columns of a (..., d, k) array, and the mask of the nonzero ones.
+    An all-zero spanner stays a zero column, for the caller to drop.  Each
+    spanner is divided by its largest |entry| before its norm is taken, so
+    no finite spanner overflows or underflows to a zero or infinite norm."""
     peak = np.abs(mat).max(axis=-1)
-    keep = None
-    if np.count_nonzero(peak) < peak.size:
-        keep = peak > 0
+    keep = peak.astype(bool)  # peak > 0, at a third of its cost
+    dropped = np.count_nonzero(keep) < keep.size
+    if dropped:
         peak[~keep] = 1.0
     mat = mat / peak[..., None]
     norm = np.sqrt(np.einsum("...j,...j->...", mat, mat))
-    if keep is not None:
+    if dropped:
         norm[~keep] = 1.0
     mat /= norm[..., None]
     return mat.swapaxes(-1, -2), keep
@@ -207,7 +207,7 @@ def _node_columns(rows: list, d: int) -> np.ndarray:
         mat = np.array([real_array(v, f"spanner {j}", (d,))
                         for j, v in enumerate(rows)])
     cols, keep = _unit_columns(mat)
-    return cols if keep is None else cols[:, keep]
+    return cols if np.count_nonzero(keep) == keep.size else cols[:, keep]
 
 
 def orthonormalize(vectors, d: int) -> np.ndarray:
@@ -236,46 +236,31 @@ def subspace_from_spanners(d: int, spanners) -> LinearSubspace:
     :func:`orthonormalize`.  This is the one-node case of
     :func:`_subspaces`, through the same check, scaling and factor."""
     d = _dimension(d)
-    return LinearSubspace(d, *_range_split(_node_columns(list(spanners), d)))
+    cols = _node_columns(list(spanners), d)
+    return LinearSubspace(d, *_range_split(cols[None])[0])
 
 
-def _subspaces(d: int, nodes) -> list[LinearSubspace]:
-    """The subspaces of R^d spanned by each node's spanners, each byte for
-    byte as :func:`subspace_from_spanners` builds it, built together.
-    When every node has k spanners, they pass one check as one (n, k, d)
-    stack (see :func:`_stack`) and are scaled at once; otherwise, or when
-    that check fails, each node is checked and scaled on its own, and an
-    error names the node by its 1-based index.  The nodes with the same
-    number of nonzero spanners share one SVD."""
+def _subspaces(d: int, nodes) -> list[LinearSubspace] | None:
+    """The subspaces of R^d spanned by each node's spanners, built as one
+    stack: when every node has k spanners, they pass one check as one
+    (n, k, d) stack (see :func:`_stack`), one scaling and one SVD, and each
+    node gets the bytes :func:`subspace_from_spanners` gives it.  None when
+    the nodes differ in k, a spanner is all zero or the stack fails its
+    check: the caller then builds each node on its own, so an error names
+    the first bad spanner."""
     d = _dimension(d)
     nodes = [list(rows) for rows in nodes]
-    blocks = None
-    if len({len(rows) for rows in nodes}) == 1:
-        try:
-            mat = _stack(nodes, d)
-        except (ValueError, RuntimeWarning):
-            pass
-        else:
-            cols, keep = _unit_columns(mat)
-            if keep is None:
-                return [LinearSubspace(d, *pair) for pair in _range_split(cols)]
-            blocks = [c[:, m] for c, m in zip(cols, keep)]
-    if blocks is None:
-        blocks = []
-        for i, rows in enumerate(nodes):
-            try:
-                blocks.append(_node_columns(rows, d))
-            except ValueError as exc:
-                raise ValueError(f"node {i + 1}: {exc}") from None
-    by_count = {}
-    for i, block in enumerate(blocks):
-        by_count.setdefault(block.shape[1], []).append(i)
-    out = [None] * len(blocks)
-    for group in by_count.values():
-        pairs = _range_split(np.stack([blocks[i] for i in group]))
-        for i, pair in zip(group, pairs):
-            out[i] = LinearSubspace(d, *pair)
-    return out
+    if len({len(rows) for rows in nodes}) != 1:
+        return None
+    try:
+        mat = _stack(nodes, d)
+    except (ValueError, RuntimeWarning):
+        # RuntimeWarning: an overflowing cast under -W error
+        return None
+    cols, keep = _unit_columns(mat)
+    if np.count_nonzero(keep) < keep.size:
+        return None
+    return [LinearSubspace(d, *pair) for pair in _range_split(cols)]
 
 
 def full_space(d: int) -> LinearSubspace:

@@ -57,24 +57,28 @@ def test_bad_spanner_error_names_its_node(form, nodes, tmp_path, capsys):
         f"error: {node}: spanner 1 is not finite: [nan, 1.0]\n")
 
 
-@pytest.mark.parametrize("subspaces", [
-    [[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0], [2.0, 1.0]]],
-    {"random": {"dims": [1, 2, 1], "common": True}},
-], ids=["list", "random"])
-def test_subspace_configs_build_their_nodes_in_one_call(subspaces,
+@pytest.mark.parametrize("subspaces, stacked", [
+    ([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]], True),
+    ([[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0], [2.0, 1.0]]], False),
+    ({"random": {"dim": 1}}, True),
+    ({"random": {"dims": [1, 2, 1], "common": True}}, False),
+], ids=["list, equal k", "list, mixed k", "random, dim", "random, dims"])
+def test_subspace_configs_build_their_nodes_in_one_call(subspaces, stacked,
                                                          monkeypatch):
+    # every node is built by one call; only equal k takes the one stack
     calls = []
     build = cli.operators._subspaces
 
     def spy(d, nodes):
-        calls.append(len(nodes))
-        return build(d, nodes)
+        subs = build(d, nodes)
+        calls.append((len(nodes), subs is not None))
+        return subs
 
     monkeypatch.setattr(cli.operators, "_subspaces", spy)
     prob, _ = cli.problem_from_config(
         {"problem": {"preset": "sequential", "n": 3}, "d": 2,
          "subspaces": subspaces})
-    assert calls == [3]
+    assert calls == [(3, stacked)]
     assert len(prob.ops) == 3
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphsplit import operators
+from graphsplit import cli, operators
 from graphsplit.operators import (
     CallbackOp,
     LinearSubspace,
@@ -410,13 +410,13 @@ class TestStackedSpannerCheck:
 
 def built_node_by_node(d, nodes) -> list[LinearSubspace]:
     """The reference for a config: each node built on its own, the first
-    bad node's error named by its 1-based index."""
+    bad node's error named by its 1-based index, as the CLI names it."""
     out = []
     for i, rows in enumerate(nodes):
         try:
             out.append(checked_one_by_one(d, rows))
         except ValueError as exc:
-            raise ValueError(f"node {i + 1}: {exc}") from None
+            raise cli.ConfigError(f"node {i + 1}: {exc}") from None
     return out
 
 
@@ -485,21 +485,38 @@ CONFIG_CASES = {
                  [[1.0] * D, [1.0] * (D - 1)]], False),
 }
 
+#: the CONFIG_CASES built as one stack: every node has as many spanners,
+#: none of them all zero, and all pass the check
+STACKED = {"equal k, ndarrays", "equal k, lists", "equal k, lists and ndarrays",
+           "equal k, (k, d) ndarrays", "dependent spanners", "k = d", "k > d",
+           "every node empty", "tiny and huge"}
+
 
 class TestConfigBuild:
-    """A config's nodes are built together (``operators._subspaces``): one
-    check and one scaling of all their spanners when every node has as
-    many, and one SVD per number of nonzero spanners.  Against building
-    each node on its own, every config gives the same acceptance, the same
-    bytes, and the same message with its node named."""
+    """A config's nodes are built together (``cli._node_subspaces``): one
+    check, one scaling and one SVD of all their spanners
+    (``operators._subspaces``) when every node has as many and none is all
+    zero, and otherwise node by node.  Against building each node on its
+    own, every config gives the same acceptance, the same bytes, and the
+    same message with its node named."""
 
     @pytest.mark.parametrize("name", CONFIG_CASES)
     def test_same_as_building_each_node(self, name):
         make, accepted = CONFIG_CASES[name]
         want = config_outcome(lambda: built_node_by_node(D, make()))
-        got = config_outcome(lambda: operators._subspaces(D, make()))
+        got = config_outcome(lambda: cli._node_subspaces(D, make()))
         assert got == want
         assert got[0] == ("accepted" if accepted else "rejected"), got
+
+    @pytest.mark.parametrize("name", CONFIG_CASES)
+    def test_stack_serves_equal_k_without_zero_spanners(self, name):
+        make, _ = CONFIG_CASES[name]
+        subs = operators._subspaces(D, make())
+        if name not in STACKED:
+            assert subs is None
+        else:
+            assert (config_outcome(lambda: subs)
+                    == config_outcome(lambda: built_node_by_node(D, make())))
 
     @pytest.mark.parametrize("name", PARITY_CASES)
     def test_single_node_case_as_node_3(self, name):
@@ -512,7 +529,7 @@ class TestConfigBuild:
             return [_node(k, 1), _node(k, 2, True), make()]
 
         want = config_outcome(lambda: built_node_by_node(D, config()))
-        got = config_outcome(lambda: operators._subspaces(D, config()))
+        got = config_outcome(lambda: cli._node_subspaces(D, config()))
         assert got == want
         assert got[0] == ("accepted" if accepted else "rejected"), got
         if not accepted:
@@ -530,20 +547,20 @@ class TestConfigBuild:
         monkeypatch.setattr(np.linalg, "svd", spy)
         return shapes
 
-    def test_one_svd_per_spanner_count(self, monkeypatch):
+    def test_mixed_k_config_takes_one_svd_per_node(self, monkeypatch):
         shapes = self.svd_shapes(monkeypatch)
-        # nonzero spanner counts 1, 3, 2, 3, 1, 2 (a zero spanner drops)
-        # and 0, which takes no SVD
-        nodes = [_node(k, i) for i, k in enumerate([1, 3, 2, 3, 1])]
+        # nonzero spanner counts 1, 3, 2, 2 (a zero spanner drops) and 0,
+        # which takes no SVD
+        nodes = [_node(k, i) for i, k in enumerate([1, 3, 2])]
         nodes += [_with(_node(3, 9), 0, np.zeros(D)), []]
-        subs = operators._subspaces(D, nodes)
-        assert sorted(shapes) == [(2, D, 1), (2, D, 2), (2, D, 3)]
-        assert [u.dim for u in subs] == [1, 3, 2, 3, 1, 2, 0]
+        subs = cli._node_subspaces(D, nodes)
+        assert shapes == [(1, D, 1), (1, D, 3), (1, D, 2), (1, D, 2)]
+        assert [u.dim for u in subs] == [1, 3, 2, 2, 0]
 
     @pytest.mark.parametrize("as_list", [False, True])
     def test_equal_k_config_takes_one_svd(self, monkeypatch, as_list):
         shapes = self.svd_shapes(monkeypatch)
-        subs = operators._subspaces(D, [_node(2, i, as_list) for i in range(6)])
+        subs = cli._node_subspaces(D, [_node(2, i, as_list) for i in range(6)])
         assert shapes == [(6, D, 2)]
         assert [u.dim for u in subs] == [2] * 6
 
