@@ -13,7 +13,10 @@ Two identities carry the rest of the module:
   U_i^perp  at every node i.  ``closed_form_E`` solves it through
   Z_top^-1, Z_top the first n-1 rows of Z, for every onto factor: as
   1^T Z = 0, any n-1 rows of Z are independent.  ``build_E`` keeps the
-  Z^+ definition, so the two check each other.
+  Z^+ definition, so the two check each other.  Both orthonormalise the
+  images of orthonormal coefficients under Z^+ or Z_top^-1, so the
+  squared condition number of that map, fixed by G', bounds the images'
+  and picks how their triangular factor is taken (``_orthonormal_images``).
 * Limit formula.  The projection of y onto the reduced fixed-point set is
   alpha (x) u + e with u = P_U(alpha^T y) / ||alpha||^2 and e = P_E(y).
   The reduced iteration started at v0 converges to it at y = v0.  The
@@ -174,11 +177,44 @@ def _block_images(bases: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
 
 #: column block of the back-substitution in ``_orthonormal_images``
 _Q_BLOCK = 64
+#: largest bound on cond(A)^2 at which ``_orthonormal_images`` takes R from
+#: a Cholesky factor of A^T A, cond(A) <= 45: there Q lost at most 9.5e-14
+#: of orthogonality in the draws measured, against 1.3e-13 at 2^12
+_CHOLESKY_MAX_COND_SQ = 2.0 ** 11
 
 
-def _orthonormal_images(images: np.ndarray) -> EBasis:
+def _gram_cond(z: np.ndarray) -> float:
+    """cond(z^T z) = cond(z)^2 for z of full column rank, from the
+    eigenvalues of the Gram matrix; inf where rounding leaves the least of
+    them at or below zero."""
+    lam = np.linalg.eigvalsh(z.T @ z)
+    return lam[-1] / lam[0] if lam[0] > 0 else np.inf
+
+
+def _orthonormal_images(images: np.ndarray, cond_sq: float) -> EBasis:
     """E from images of shape (n-1, d, q) with linearly independent
-    columns: the Q factor A R^-1 of their reduced QR.
+    columns: the Q factor A R^-1 of their reduced QR, where ``cond_sq``
+    bounds cond(A)^2.
+
+    R comes from one of two routes, chosen by that bound:
+
+    * up to ``_CHOLESKY_MAX_COND_SQ``, the upper Cholesky factor of
+      A^T A (CholeskyQR).  It costs about m q^2 flops for the Gram matrix
+      and q^3 / 3 for its factor, where Householder's costs about
+      2 m q^2 - 2 q^3 / 3, and it holds no m x q copy of A.  Q = A R^-1
+      then loses orthogonality as about cond(A)^2 eps (Yamamoto,
+      Nakatsukasa, Yanagisawa and Fukaya, ETNA 44, 2015): measured, at
+      most 0.21 cond(A)^2 eps, so about 1e-13 at the gate's top;
+    * above it, the Householder R of ``np.linalg.qr``, whose Q loses
+      orthogonality as about cond(A) eps.
+
+    The callers know the bound before they form A, from the graph alone:
+    their images are M a with a of orthonormal columns and M the map
+    Z^+ (x) I on the zero-sum blocks or Z_top^-1 (x) I, so cond(A)^2 <=
+    cond(Z^T Z) or cond(Z_top^T Z_top), (n-1) x (n-1) Gram matrices whose
+    eigenvalues ``_gram_cond`` takes.  The two routes' R differ only in
+    the signs of their rows and in rounding, so E's projector does not
+    depend on the route beyond rounding.
 
     Q is solved from Q R = A by back-substitution over blocks of 64
     columns [j, k):  Q[:, j:k] = (A[:, j:k] - Q[:, :j] R[:j, j:k])
@@ -194,13 +230,19 @@ def _orthonormal_images(images: np.ndarray) -> EBasis:
     fewer, so the rise comes from how later, larger arrays are placed.
     Solving for Q also holds two fewer copies of A than numpy's
     Householder accumulation of Q, with which predict-large peaked at
-    125 MB instead of 99 MB.  Orthogonality is lost as cond(A) eps, and
-    cond(A) is at most that of the map from coefficients to images.
+    125 MB instead of 99 MB.  Q's array is taken before R is, so that the
+    Gram matrix and the factor's work arrays are freed above it: taken
+    after R, it left a 15 MB hole below it on complete n=60 d=24, and
+    predict-large peaked at 110 MB instead of 95 MB.
     """
     blocks, d, q = images.shape
     a = images.reshape(blocks * d, q)
-    r = np.linalg.qr(a, mode="r")
+    # before R, see above
     out = np.empty_like(a)
+    if cond_sq <= _CHOLESKY_MAX_COND_SQ:
+        r = np.linalg.cholesky(a.T @ a, upper=True)
+    else:
+        r = np.linalg.qr(a, mode="r")
     for j in range(0, q, _Q_BLOCK):
         k = min(j + _Q_BLOCK, q)
         # on the first block the product is an exact zero, so the
@@ -219,13 +261,16 @@ def build_E(sp: SubspaceProblem) -> EBasis:
     are orthonormalized by a reduced QR.  The map from coefficients to
     images has full column rank (orthonormal coefficients, isometric
     complement bases, and Z^+ injective on zero-sum blocks because G' is
-    connected), so no rank decision is needed there.
+    connected), so no rank decision is needed there.  On the zero-sum
+    blocks Z^+ has the singular values 1 / sqrt(lambda_i), for the nonzero
+    eigenvalues lambda_i of Lap(G') = Z Z^T, which are those of Z^T Z; so
+    cond(Z^T Z) bounds the squared condition number of the images.
     """
     comp = [u.perp for u in sp.subspaces]
     a = _block_images(comp, _null_space(np.hstack(comp)))
     images = np.tensordot(sp.base.dec.z_dagger, a, axes=1)
     del a  # the QR is the memory peak; on complete n=60 d=24 this is 8 MB
-    return _orthonormal_images(images)
+    return _orthonormal_images(images, _gram_cond(sp.base.z))
 
 
 def closed_form_E(name: str, sp: SubspaceProblem) -> EBasis:
@@ -254,12 +299,15 @@ def _membership_E(sp: SubspaceProblem) -> EBasis:
     Z_top c = 0, then (Z c)_n = -sum_{i<n} (Z c)_i = 0, so Z c = 0, and
     c = 0 as Z has full column rank.  The map from coefficients to images
     has full column rank, so a reduced QR of the images is a basis of E.
+    The coefficients are orthonormal, so cond(Z_top^T Z_top) bounds the
+    squared condition number of the images.
     """
     comp = [u.perp for u in sp.subspaces[:-1]]
     a = _block_images(comp, _null_space(sp.subspaces[-1].basis.T @ np.hstack(comp)))
-    e = np.tensordot(np.linalg.inv(sp.base.z[:-1]), a, axes=1)
+    z_top = sp.base.z[:-1]
+    e = np.tensordot(np.linalg.inv(z_top), a, axes=1)
     del a  # as in build_E, before the QR
-    return _orthonormal_images(e)
+    return _orthonormal_images(e, _gram_cond(z_top))
 
 
 @np.errstate(over="ignore", invalid="ignore")

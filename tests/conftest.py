@@ -227,6 +227,18 @@ def membership_gap(z, subspaces, eb):
                   for u, a_i in zip(subspaces, a)])
 
 
+def membership_null_space(z, subspaces, null_space):
+    """Orthonormal basis of E as the null space of the dense membership
+    rows blockdiag(B_i^T) (Z (x) I_d): e is in E iff every block (Z e)_i
+    is orthogonal to U_i.  ``null_space`` is scipy's, so this shares no
+    code with the E constructions of ``analysis``."""
+    d = subspaces[0].dim_ambient
+    z_big = np.kron(z, np.eye(d))
+    rows = np.vstack([u.basis.T @ z_big[i * d:(i + 1) * d]
+                      for i, u in enumerate(subspaces)])
+    return null_space(rows)
+
+
 def projector_gap(e1, e2):
     """Largest entry of the difference of the projectors onto two E
     bases."""

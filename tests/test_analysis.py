@@ -55,6 +55,7 @@ from conftest import (
     apply_C_star,
     lstsq_project,
     membership_gap,
+    membership_null_space,
     projector_gap,
     random_graph_pair,
     random_problem,
@@ -174,7 +175,16 @@ class TestBuildE:
 
 
 def _orthogonality_loss(q):
-    return np.abs(q.T @ q - np.eye(q.shape[1])).max()
+    return np.abs(q.T @ q - np.eye(q.shape[1])).max(initial=0.0)
+
+
+#: the bound on cond(A)^2 that sends ``_orthonormal_images`` to each route:
+#: the largest that takes the Cholesky R, and the next double, which takes
+#: the Householder one
+ROUTE_BOUNDS = {
+    "cholesky": analysis._CHOLESKY_MAX_COND_SQ,
+    "householder": np.nextafter(analysis._CHOLESKY_MAX_COND_SQ, np.inf),
+}
 
 
 class TestOrthonormalImages:
@@ -185,32 +195,38 @@ class TestOrthonormalImages:
         blocks, d = -(-2 * q // 24), 24
         images = rng.standard_normal((blocks, d, q))
         a = images.reshape(blocks * d, q)
-        e = analysis._orthonormal_images(images)
-        assert e.basis.shape == a.shape
-        assert _orthogonality_loss(e.basis) < 1e-12
         qr = np.linalg.qr(a)[0]
-        assert np.abs(e.basis @ e.basis.T - qr @ qr.T).max() < 1e-12
+        # a Gaussian matrix twice as tall as wide has cond(A)^2 near 30
+        for cond_sq in (np.linalg.cond(a) ** 2, np.inf):
+            e = analysis._orthonormal_images(images, cond_sq)
+            assert e.basis.shape == a.shape
+            assert _orthogonality_loss(e.basis) < 1e-12
+            assert np.abs(e.basis @ e.basis.T - qr @ qr.T).max() < 1e-12
 
     @pytest.mark.parametrize("q", [0, 1, 7, 42, 63, 64])
     def test_one_block_is_the_product_with_inv_r(self, q, rng):
         # up to one block the result is bit for bit the single product
-        # A inv(R), so E on small problems does not change with the blocking
+        # A inv(R), for the R of the route taken, so E on small problems
+        # does not change with the blocking
         images = rng.standard_normal((5, 16, q))
         a = images.reshape(80, q)
-        expected = a @ np.linalg.inv(np.linalg.qr(a, mode="r"))
-        assert np.array_equal(analysis._orthonormal_images(images).basis,
-                              expected)
+        routes = {"cholesky": np.linalg.cholesky(a.T @ a, upper=True),
+                  "householder": np.linalg.qr(a, mode="r")}
+        for route, r in routes.items():
+            got = analysis._orthonormal_images(images, ROUTE_BOUNDS[route])
+            assert np.array_equal(got.basis, a @ np.linalg.inv(r)), route
 
     def test_graded_images_lose_no_more_than_inv_r(self, rng):
         # a column space graded from 1 to 1e-6: both ways lose orthogonality
         # as cond(A) eps, each with its own rounding (in 16 random draws
-        # the ratio of the losses lay between 0.7 and 2.4)
+        # the ratio of the losses lay between 0.7 and 2.4); cond(A)^2 of
+        # 1e12 sends the images to the Householder R
         m, q = 520, 130
         left = np.linalg.qr(rng.standard_normal((m, q)))[0]
         right = np.linalg.qr(rng.standard_normal((q, q)))[0]
         a = (left * np.logspace(0, -6, q)) @ right.T
-        blocked = _orthogonality_loss(
-            analysis._orthonormal_images(a.reshape(m // 4, 4, q)).basis)
+        blocked = _orthogonality_loss(analysis._orthonormal_images(
+            a.reshape(m // 4, 4, q), np.linalg.cond(a) ** 2).basis)
         direct = _orthogonality_loss(a @ np.linalg.inv(np.linalg.qr(a, mode="r")))
         assert blocked <= 4 * direct
         assert blocked <= np.linalg.cond(a) * np.finfo(float).eps
@@ -236,6 +252,127 @@ class TestOrthonormalImages:
         sp.e_basis
         closed_form_E(ps.e_route, sp)
         assert len(calls) <= n + 3
+
+
+#: the (preset, n, d) rungs of the benchmark's predict-large workload
+PREDICT_LARGE_RUNGS = [
+    ("complete", 60, 24), ("malitsky_tam", 30, 16),
+    ("generalized_ryu", 20, 16), ("parallel_down", 20, 16),
+    ("malitsky_tam", 20, 16), ("sequential", 20, 16),
+    ("malitsky_tam", 16, 12), ("sequential", 16, 12), ("complete", 16, 12),
+    ("parallel_up", 16, 12), ("generalized_ryu", 16, 12),
+    ("parallel_down", 16, 12),
+]
+
+
+@pytest.fixture
+def r_routes(monkeypatch):
+    """The triangular factors taken, in call order: "cholesky" or "qr",
+    read by spying on numpy's."""
+    calls = []
+    for name in ("cholesky", "qr"):
+        def spy(*args, real=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestERoute:
+    """Both E constructions against a null-space oracle, on graphs whose
+    bound on cond(images)^2 lies on either side of the Cholesky gate."""
+
+    @staticmethod
+    def check_against_oracle(sp, null_space):
+        ref = membership_null_space(sp.base.z, sp.subspaces, null_space)
+        for eb in (build_E(sp), analysis._membership_E(sp)):
+            assert eb.dim == ref.shape[1]
+            assert _orthogonality_loss(eb.basis) <= 1e-13
+            assert np.abs(eb.basis @ eb.basis.T
+                          - ref @ ref.T).max(initial=0.0) <= 1e-12
+
+    # (preset, n, whether build_E's bound cond(Z^T Z) and the membership
+    # bound cond(Z_top^T Z_top) are at most the gate): the sequential and
+    # malitsky_tam membership bounds cross it between n = 36 and 37,
+    # parallel_up's between 45 and 46 and the sequential build_E bound
+    # between 71 and 72; on the other presets both bounds are at most n
+    @pytest.mark.parametrize("name,n,build_below,membership_below", [
+        ("douglas_rachford", 2, True, True),
+        ("generalized_ryu", 40, True, True),
+        ("parallel_down", 40, True, True),
+        ("complete", 40, True, True),
+        ("parallel_up", 45, True, True),
+        ("parallel_up", 46, True, False),
+        ("malitsky_tam", 36, True, True),
+        ("malitsky_tam", 37, True, False),
+        ("sequential", 36, True, True),
+        ("sequential", 37, True, False),
+        ("sequential", 71, True, False),
+        ("sequential", 72, False, False),
+    ])
+    def test_presets_on_both_sides_of_the_gate(self, name, n, build_below,
+                                               membership_below, rng,
+                                               scipy_linalg):
+        z = preset(name, n).dec.z
+        bounds = analysis._gram_cond(z), analysis._gram_cond(z[:-1])
+        assert [b <= analysis._CHOLESKY_MAX_COND_SQ for b in bounds] == [
+            build_below, membership_below]
+        for planted in (False, True):
+            sp = random_problem(name, n, rng, d=3, planted=planted)
+            self.check_against_oracle(sp, scipy_linalg.null_space)
+
+    @pytest.mark.parametrize("kind", ["tree", "chords", "ring", "complete"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_pairs_every_method(self, kind, seed, scipy_linalg):
+        rng = np.random.default_rng([seed, 23])
+        n, d = int(rng.integers(3, 12)), int(rng.integers(2, 5))
+        g_edges, sub_edges = random_graph_pair(rng, n, kind)
+        pair = validate_pair(new_graph(n, g_edges), new_graph(n, sub_edges))
+        spanners = random_spanners(rng, n, d)
+        for method in METHODS:
+            try:
+                dec = factorize(pair.sub, method)
+            except FactorError:
+                continue
+            sp = problem_from_spanners(pair, dec, spanners, d)
+            self.check_against_oracle(sp, scipy_linalg.null_space)
+
+    @pytest.mark.parametrize("second,dim", [([E2], 0), ([E1], 1)],
+                             ids=["crossing", "aligned"])
+    def test_dim_e_zero_and_one_through_cholesky(self, second, dim, r_routes,
+                                                 scipy_linalg):
+        sp = drs_subspace_problem([E1], second)
+        self.check_against_oracle(sp, scipy_linalg.null_space)
+        assert build_E(sp).dim == dim
+        assert set(r_routes) == {"cholesky"}
+
+    @pytest.mark.parametrize("name,n,d", PREDICT_LARGE_RUNGS)
+    def test_every_predict_large_rung_takes_cholesky(self, name, n, d, rng,
+                                                     r_routes):
+        sp = random_problem(name, n, rng, d=d, planted=True)
+        build_E(sp)
+        closed_form_E(preset(name, n).e_route, sp)
+        assert r_routes == ["cholesky", "cholesky"]
+
+    @pytest.mark.parametrize("name,n,routes", [
+        ("sequential", 36, ["cholesky", "cholesky"]),
+        ("sequential", 37, ["cholesky", "qr"]),
+        ("parallel_up", 46, ["cholesky", "qr"]),
+        ("sequential", 72, ["qr", "qr"]),
+    ])
+    def test_a_graph_above_the_gate_takes_householder(self, name, n, routes,
+                                                      rng, r_routes):
+        sp = random_problem(name, n, rng, d=3)
+        build_E(sp)
+        closed_form_E(preset(name, n).e_route, sp)
+        assert r_routes == routes
+
+    def test_a_singular_gram_matrix_takes_householder(self):
+        # rounding may leave the least eigenvalue of a singular Gram matrix
+        # below zero (here -1.9e-15 with OpenBLAS), and a negative ratio
+        # must not pass the gate
+        z = np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert analysis._gram_cond(z) > analysis._CHOLESKY_MAX_COND_SQ
 
 
 class TestClosedFormE:

@@ -34,6 +34,19 @@ def test_abtime_times_a_tree_against_itself():
     assert len(out[6:]) == 24
 
 
+def test_abtime_groups_cli_small_by_call():
+    # one line per call in place of one per (call, factor method, n, d)
+    src = str(ROOT / "src")
+    out = tool("tools/abtime.py", src, src, "--workload", "cli-small",
+               "--seeds", "1", "--rounds", "1").splitlines()
+    assert "over 960 ops" in out[3]
+    assert out[5] == "median per-op ratio by call:"
+    calls = [line.split()[:-2] for line in out[6:]]
+    assert calls == [["decompose"], ["predict"], ["run"],
+                     ["run", "--no-trace"]]
+    assert all(line.endswith("(240)") for line in out[6:])
+
+
 def test_bench_point_writes_the_records(tmp_path):
     out = tool("tools/bench_point.py", "smoke", "--seeds", "1",
                "--seconds", "0.05", "--workloads", "multistart",

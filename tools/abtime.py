@@ -21,14 +21,20 @@ from round to round; an op's time is its best over the rounds, on
 timed calls.  The report gives, per tree, the sum of the best times (one
 cycle), their 50th and 90th percentiles and the ops whose check did not
 pass, and the median over ops of the ratio new / old, overall (with the
-quartiles of the ratios beside it, their spread) and per label.  Timing on
+quartiles of the ratios beside it, their spread) and per label.  The
+labels of cli-small name the call, the factor method and (n, d), which
+gives 120 labels of 3 or 6 ops each; its ops are grouped by call
+instead (``run``, ``run --no-trace``, ``predict`` and ``decompose``), so
+each line shows one call that a change may or may not reach.  Timing on
 one host in one process takes the host's speed out of the comparison,
 which a pair of benchmark runs cannot do.
 
 Read predict-large by the median per-op ratio, with at least 10 rounds:
 about 45% of its cycle is one complete n=60 d=24 op per seed, whose best
 of 5 rounds moves by several percent in a noisy spell, and that moves the
-cycle sum and the 90th percentile with it.
+cycle sum and the 90th percentile with it.  A bound near 1% on that ratio
+needs 20 or more rounds: at 10, two runs of the same two trees read
+1.0014 and 1.0074.
 
 As the benchmark runs, numpy gets one BLAS thread.
 """
@@ -115,7 +121,14 @@ def time_ops(cycles, rounds: int):
     return best, failed
 
 
-def report(labels, best, failed) -> list[str]:
+def cli_call(label: str) -> str:
+    """The call of a cli-small op, from its label "CALL KIND n=N d=D"."""
+    return label.rsplit(" ", 3)[0]
+
+
+def report(labels, best, failed, group: str = "label") -> list[str]:
+    """The report on the best times; ``labels`` holds each op's ``group``
+    (its label, or its call), by which the ratios are summarised."""
     ms = best * 1e3
     ratio = ms[1] / ms[0]
     lines = []
@@ -136,7 +149,7 @@ def report(labels, best, failed) -> list[str]:
     for label, x in zip(labels, ratio):
         by_label.setdefault(label, []).append(x)
     width = max(map(len, by_label))
-    lines.append("median per-op ratio by label:")
+    lines.append(f"median per-op ratio by {group}:")
     lines += [f"  {label:<{width}}  {statistics.median(xs):.4f}  ({len(xs)})"
               for label, xs in sorted(by_label.items())]
     return lines
@@ -162,7 +175,10 @@ def main(argv=None) -> int:
         best, failed = time_ops(cycles, args.rounds)
     print(f"{args.workload}, seeds {' '.join(map(str, args.seeds))}, "
           f"best of {args.rounds} rounds, unscaled")
-    print("\n".join(report([op.label for op in cycles[0]], best, failed)))
+    labels, group = [op.label for op in cycles[0]], "label"
+    if args.workload == "cli-small":
+        labels, group = list(map(cli_call, labels)), "call"
+    print("\n".join(report(labels, best, failed, group)))
     return 0
 
 

@@ -27,8 +27,10 @@ When some predict output is not, it also gives the worst difference of
 whether every ``dim_E`` and ``dim_U`` matched.  For predict-large it
 gives whether ``u_bar``, ``e_bar`` and ``v_bar`` of both predictions and
 the projector onto E are byte for byte the same, the worst difference of
-each predicted array that is not, and whether every ``dim_E`` and
-``dim_U`` matched.
+each predicted array that is not, whether every ``dim_E`` and ``dim_U``
+matched, and per tree the worst loss of orthogonality, the largest entry
+of |Q^T Q - I|, of each of the op's two E bases (``sp.e_basis`` and
+``closed_form_E``'s).
 
 A multistart run's final v depends on what the problem's residual map has
 cached from the runs before it (its powers of I - theta g, and the step
@@ -70,6 +72,8 @@ DIMS = ("dim_E", "dim_U")
 #: kept as a digest (1416 x 1416 on the n=60 d=24 rung)
 LARGE = tuple(f"{alg} {name}" for alg in ("alg1", "alg2")
               for name in PREDICTED) + ("E projector",)
+#: the two E bases of a predict-large op, by the call that builds them
+E_BASES = ("sp.e_basis", "closed_form_E")
 #: what a residual map caches from one run for the next, where the tree
 #: has it
 CACHES = ("powers", "counts")
@@ -112,10 +116,11 @@ def collect(src: str, spread: bool = False):
     ``(kind, exit code, stdout, trace digest)`` for a cli call (``verify``
     writes no trace: its digest is empty),
     ``(converged, stop_reason, iterations, v)`` for a multistart run and
-    ``("predict-large", arrays, (dim_E, dim_U))`` for a predict-large op,
-    with the arrays named as in ``LARGE``; and with ``spread``, the final
-    v of each multistart op's cold rerun (see :func:`cold_rerun`), by the
-    same keys."""
+    ``("predict-large", arrays, (dim_E, dim_U), losses)`` for a
+    predict-large op, with the arrays named as in ``LARGE`` and the
+    orthogonality losses of its E bases as in ``E_BASES``; and with
+    ``spread``, the final v of each multistart op's cold rerun (see
+    :func:`cold_rerun`), by the same keys."""
     sys.path[:0] = [src, str(PERFBENCH)]
     import workloads
 
@@ -152,13 +157,16 @@ def collect(src: str, spread: bool = False):
                 out[key] = tr.converged, tr.stop_reason, tr.k_final, tr.v
         for seed in PREDICT_SEEDS:
             for i, op in enumerate(workloads.predict_large(seed, Path(tmp))):
-                sp, e, _, pred1, pred2 = op.run()
+                sp, e, e_closed, pred1, pred2 = op.run()
                 arrays = [getattr(pred, name) for pred in (pred1, pred2)
                           for name in PREDICTED]
                 arrays.append(hashlib.sha256(
                     (e.basis @ e.basis.T).tobytes()).digest())
+                losses = tuple(
+                    float(np.abs(b.basis.T @ b.basis - np.eye(b.dim)).max(
+                        initial=0.0)) for b in (e, e_closed))
                 out["predict-large", seed, i, op.label] = (
-                    "predict-large", arrays, (e.dim, sp.u_common.dim))
+                    "predict-large", arrays, (e.dim, sp.u_common.dim), losses)
     return out, cold
 
 
@@ -200,6 +208,8 @@ def compare(old: dict, new: dict, cold: dict) -> int:
                           VERIFY], True)
     large_same, large_diff = dict.fromkeys(LARGE, True), {}
     large_dims = True
+    # per tree, the worst orthogonality loss of each E basis
+    large_loss = np.zeros((2, len(E_BASES)))
     for key in old:
         a, b = old[key], new[key]
         if a[0] == "predict-large":
@@ -211,6 +221,7 @@ def compare(old: dict, new: dict, cold: dict) -> int:
                     large_diff[name] = max(large_diff.get(name, 0.0),
                                            rel_diff(x, y))
             large_dims &= a[2] == b[2]
+            large_loss = np.maximum(large_loss, [a[3], b[3]])
             continue
         if isinstance(a[0], str):
             if a[1] != b[1]:
@@ -262,6 +273,9 @@ def compare(old: dict, new: dict, cold: dict) -> int:
               f"{diff:.3g}")
     print(f"predict-large {' and '.join(DIMS)} all match: "
           f"{'yes' if large_dims else 'no'}")
+    for name, (x, y) in zip(E_BASES, large_loss.T):
+        print(f"predict-large worst |Q^T Q - I| of {name}, old / new: "
+              f"{x:.3g} / {y:.3g}")
     return 1 if codes or flags or counts else 0
 
 
