@@ -111,9 +111,10 @@ def _tolist(value):
 
 
 def _read_json(text_or_path: str, what: str) -> dict:
-    """A JSON object given inline or as the path of a file."""
+    """A JSON object given inline or as the path of a file; text that
+    starts with ``{`` or ``[`` is inline."""
     raw = text_or_path
-    if not raw.lstrip().startswith("{"):
+    if not raw.lstrip().startswith(("{", "[")):
         try:
             with open(raw) as fh:
                 raw = fh.read()

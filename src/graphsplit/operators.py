@@ -75,6 +75,10 @@ class LinearSubspace:
         return self.basis @ self.basis.T
 
 
+def _shape_text(shape: tuple) -> str:
+    return f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
+
+
 def real_array(value, what: str, shape: tuple):
     """``value`` as finite float64 of exactly ``shape`` (a numpy scalar for
     shape ()).  An int or float ndarray is converted whole, a float64 one
@@ -96,11 +100,14 @@ def real_array(value, what: str, shape: tuple):
         real = (int, float, np.integer, np.floating)
         if not all(t is not bool and issubclass(t, real)
                    for t in set(map(type, arr.flat))):
+            if any(isinstance(x, (list, tuple, np.ndarray)) for x in arr.flat):
+                raise ValueError(f"{what} must have {_shape_text(shape)}, "
+                                 f"got a ragged nesting: {value!r}")
             raise ValueError(f"{what} must be real numbers (int or float), "
                              f"got {value!r}")
     if arr.shape != shape:
-        want = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
-        raise ValueError(f"{what} must have {want}, got shape {arr.shape}")
+        raise ValueError(f"{what} must have {_shape_text(shape)}, "
+                         f"got shape {arr.shape}")
     try:
         arr = arr.astype(np.float64, copy=False)
         # count_nonzero takes a fraction of .all()'s time on small arrays

@@ -348,6 +348,16 @@ def test_huge_graph_order_exits_with_config_code(capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", "--config", "[1,2]"],
+                                  ["predict", "--config", " []"],
+                                  ["decompose", "--graph", "[[1,2]]"]],
+                         ids=["run", "predict-empty", "decompose"])
+def test_inline_json_list_is_not_opened_as_a_file(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "must be a JSON object, got [" in err and "cannot read" not in err
+
+
 @pytest.mark.parametrize("change, field", [
     ({"max_iter": 5, "thta": 3}, "'max_iter'"),
     ({"problem": {"preset": "sequential", "n": 3, "graph": PATH}}, "'graph'"),

@@ -73,6 +73,18 @@ class TestSubspaceFromSpanners:
         with pytest.raises(ValueError, match="shape"):
             real_array(1.0, "t", (1,))
 
+    @pytest.mark.parametrize("value, shape, want", [
+        ([[1, 2], [3]], (2, 2), "shape \\(2, 2\\)"),
+        ([1, [2]], (2,), "length 2"),
+        ([np.zeros(2), np.zeros(3)], (2, 2), "shape \\(2, 2\\)"),
+        ([1.0, (2.0,)], (2,), "length 2"),
+    ])
+    def test_ragged_nesting_names_the_shape(self, value, shape, want):
+        # every entry is a real number: the fault is the nesting
+        want = f"^v0 must have {want}, got a ragged nesting"
+        with pytest.raises(ValueError, match=want):
+            real_array(value, "v0", shape)
+
     def test_zero_vectors_dropped(self):
         u = subspace_from_spanners(2, [[0.0, 0.0], [0.0, 3.0]])
         assert u.dim == 1

@@ -1,5 +1,5 @@
 """Compare the outputs of two graphsplit source trees on the benchmark's
-corpora.
+corpora, every field by one rule.
 
     python tools/exactness.py OLD_SRC NEW_SRC
 
@@ -16,41 +16,48 @@ changed):
 - the predict-large ops of seeds 1, 2 and 3, whose spanners are float64
   ndarrays rather than the JSON lists of the cli-small configs.
 
-The report gives the calls whose exit code moved, the runs whose
-``converged``, ``stop_reason`` or iteration count moved (each count that
-moved is listed), the worst difference of the final v relative to
-max(1, ||v||), as the stop rule scales it, per corpus, and whether run
-stdout, traces, predict, decompose and ``verify --all-presets`` output are
-byte for byte the same.
-When some predict output is not, it also gives the worst difference of
-``u_bar``, ``e_bar`` and ``v_bar``, each relative to max(1, ||old||), and
-whether every ``dim_E`` and ``dim_U`` matched.  For predict-large it
-gives whether ``u_bar``, ``e_bar`` and ``v_bar`` of both predictions and
-the projector onto E are byte for byte the same, the worst difference of
-each predicted array that is not, whether every ``dim_E`` and ``dim_U``
-matched, and per tree the worst loss of orthogonality, the largest entry
-of |Q^T Q - I|, of each of the op's two E bases (``sp.e_basis`` and
-``closed_form_E``'s).
+Each op's outcome is one flat dict of named fields, built by the type of
+its output (see :func:`outcome`), plus ``check``, the status the op's own
+benchmark check gives (``ok``, ``budget``, ``oracle`` or ``exit``).  A
+field is compared by the type of its value:
 
-A multistart run's final v depends on what the problem's residual map has
-cached from the runs before it (its powers of I - theta g, and the step
-counts that decide when one is built), so OLD_SRC alone runs each
-multistart op a second time with those caches cleared, then restores
-them.  Next to the worst old-against-new difference on multistart, the
-report gives the worst difference of OLD_SRC's cold run against its run
-in the corpus order, under the same normalisation: the rounding spread of
-the old tree itself, which a change of rounding path should not much
-exceed.  The exit status is 1 when
-an exit code, ``converged``, a stop reason or an iteration count moved,
-else 0.
+- bool, int, str and None are flags, which must not move.  Each moved
+  flag is listed with its op and makes the exit status 1; so does a field
+  whose type or array shape moved.
+- Floats and arrays are compared byte for byte.  Where they differ, the
+  report gives the worst difference relative to max(1, ||old||), as the
+  stop rule scales it, per call and path with its indices dropped
+  (``cases[].expanded.v_err``).
+- Digests (bytes) read identical or not.
+- A field present in one tree only is named, with its count of ops.
+
+So a field a later change adds is compared with no new code.  The report
+gives one line per call whose every field is byte-identical, and one line
+per differing field of any other call.  A call is a cli-small op's label
+up to its graph kind, as ``tools/abtime.py`` groups them, or the corpus
+for every other op.
+
+Two readings are not old-against-new comparisons.  A multistart run's
+final v depends on what the problem's residual map has cached from the
+runs before it (its powers of I - theta g, and the step counts that
+decide when one is built), so OLD_SRC alone runs each multistart op a
+second time with those caches cleared, then restores them; the report
+gives the worst difference of that cold run's v against its run in the
+corpus order, under the same normalisation: the rounding spread of the
+old tree itself, which a change of rounding path should not much exceed.
+And per tree it gives the worst loss of orthogonality, the largest entry
+of |Q^T Q - I|, of each of a predict-large op's two E bases
+(``sp.e_basis`` and ``closed_form_E``'s).
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import multiprocessing
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -58,22 +65,10 @@ from pathlib import Path
 import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-CLI_SEEDS = (1, 77)
-MULTISTART_SEEDS = (1, 2, 3)
-PREDICT_SEEDS = (1, 2, 3)
-#: the cli-small calls of one graph pair, in the corpus's order
-CLI_KINDS = ("run", "run --no-trace", "predict", "decompose")
-#: the call run at each of ``CLI_SEEDS``, beside the cli-small corpora
 VERIFY = "verify --all-presets"
-#: the predicted arrays of ``predict`` output, and its dimensions
-PREDICTED = ("u_bar", "e_bar", "v_bar")
-DIMS = ("dim_E", "dim_U")
-#: the arrays of a predict-large op: both predictions, then E's projector,
-#: kept as a digest (1416 x 1416 on the n=60 d=24 rung)
-LARGE = tuple(f"{alg} {name}" for alg in ("alg1", "alg2")
-              for name in PREDICTED) + ("E projector",)
-#: the two E bases of a predict-large op, by the call that builds them
-E_BASES = ("sp.e_basis", "closed_form_E")
+#: each corpus with its seeds, in the order they run
+CORPORA = (("cli-small", (1, 77)), (VERIFY, (1, 77)),
+           ("multistart", (1, 2, 3)), ("predict-large", (1, 2, 3)))
 #: what a residual map caches from one run for the next, where the tree
 #: has it
 CACHES = ("powers", "counts")
@@ -110,83 +105,136 @@ def cold_rerun(gs, op):
     return first, cold
 
 
+def digest(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
+def numbers(value):
+    """A list that nests numbers regularly as a float64 array, else
+    None."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # a ragged nest
+        return None
+    return arr.astype(float) if arr.dtype.kind in "iuf" else None
+
+
+def flatten(value, path: str, out: dict) -> dict:
+    """``out`` with the leaves of the JSON value ``value`` added by path;
+    a list of numbers is one leaf, a float64 array."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            flatten(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list) and (arr := numbers(value)) is not None:
+        out[path] = arr
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            flatten(item, f"{path}[{i}]", out)
+    else:
+        out[path] = value
+    return out
+
+
+def outcome(result, trace: bytes) -> dict:
+    """The fields of an op's output, by its type:
+
+    - a cli call, ``(exit code, stdout)``: ``exit``, ``trace`` (the digest
+      of the trace files it wrote), ``stdout`` (its digest, or the text
+      itself when it is not JSON, as after most non-zero exits) and the
+      stdout JSON flattened by path (``v_final``, ``cases[3].pass``),
+      whatever the exit code: a failing ``verify`` exits 4 with its
+      report on stdout;
+    - predict-large's ``(sp, e, e_closed, pred1, pred2)``: the six
+      predicted arrays (``alg1.u_bar`` to ``alg2.v_bar``), ``dim_E``,
+      ``dim_U`` and ``projector``, the digest of E's projector;
+    - a ``Trace``: ``converged``, ``stop_reason``, ``iterations`` and
+      ``v_final``."""
+    if isinstance(result, tuple) and len(result) == 2:
+        code, stdout = result
+        fields = {"exit": code, "trace": trace}
+        try:
+            doc = json.loads(stdout)
+        except json.JSONDecodeError:
+            return dict(fields, stdout=stdout)
+        return flatten(doc, "", dict(fields, stdout=digest(stdout.encode())))
+    if isinstance(result, tuple):
+        sp, e, _, pred1, pred2 = result
+        fields = {f"{alg}.{name}": getattr(pred, name)
+                  for alg, pred in (("alg1", pred1), ("alg2", pred2))
+                  for name in ("u_bar", "e_bar", "v_bar")}
+        return dict(fields, dim_E=e.dim, dim_U=sp.u_common.dim,
+                    projector=digest((e.basis @ e.basis.T).tobytes()))
+    return {"converged": result.converged, "stop_reason": result.stop_reason,
+            "iterations": result.k_final, "v_final": result.v}
+
+
+def orthogonality_loss(e) -> float:
+    """The largest entry of |Q^T Q - I| of E's basis Q."""
+    q = e.basis
+    return float(np.abs(q.T @ q - np.eye(e.dim)).max(initial=0.0))
+
+
+def exit_status(result):
+    """The check of a ``verify`` call, which the benchmark does not run."""
+    return ("exit" if result[0] else "ok"), None
+
+
+def corpora(workloads, tmp: Path):
+    """``(corpus, seed, work directory, ops)`` per corpus and seed, in
+    order; the ops of a seed are built when it is reached, since each
+    workload imports graphsplit afresh."""
+    for corpus, seeds in CORPORA:
+        for seed in seeds:
+            work = tmp / f"{corpus}-{seed}"
+            if corpus == VERIFY:
+                call = workloads._cli_call(
+                    sys.modules["graphsplit"],
+                    [*VERIFY.split(), "--seed", str(seed)])
+                ops = [workloads.Op(VERIFY, call, exit_status)]
+            else:
+                ops = workloads.WORKLOADS[corpus](seed, work)
+            yield corpus, seed, work, ops
+
+
 def collect(src: str, spread: bool = False):
-    """Every outcome of the tree at ``src``, keyed by (corpus, seed, op
-    index, op label):
-    ``(kind, exit code, stdout, trace digest)`` for a cli call (``verify``
-    writes no trace: its digest is empty),
-    ``(converged, stop_reason, iterations, v)`` for a multistart run and
-    ``("predict-large", arrays, (dim_E, dim_U), losses)`` for a
-    predict-large op, with the arrays named as in ``LARGE`` and the
-    orthogonality losses of its E bases as in ``E_BASES``; and with
-    ``spread``, the final v of each multistart op's cold rerun (see
-    :func:`cold_rerun`), by the same keys."""
+    """The outcomes of the tree at ``src``, keyed by (call, seed, op
+    index, op label); with ``spread``, the final v of each multistart op's
+    cold rerun (see :func:`cold_rerun`), by the same keys; and the worst
+    orthogonality loss of each predict-large E basis."""
     sys.path[:0] = [src, str(PERFBENCH)]
     import workloads
 
     gs = workloads.fresh_import()
     if Path(gs.__file__).resolve().parent.parent != Path(src).resolve():
         raise RuntimeError(f"graphsplit came from {gs.__file__}, not {src}")
-    out, cold = {}, {}
+    out, cold, losses = {}, {}, np.zeros(2)
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in CLI_SEEDS:
-            work = Path(tmp) / f"cli{seed}"
-            for i, op in enumerate(workloads.cli_small(seed, work)):
-                code, stdout = op.run()
-                trace = hashlib.sha256()
-                for path in work.glob("trace*"):
-                    trace.update(path.read_bytes())
-                    path.unlink()
-                out["cli-small", seed, i, op.label] = (
-                    CLI_KINDS[i % 4], code, stdout, trace.digest())
-        for seed in CLI_SEEDS:
-            argv = [*VERIFY.split(), "--seed", str(seed)]
-            code, stdout = workloads._cli_call(gs, argv)()
-            out["verify", seed, 0, VERIFY] = VERIFY, code, stdout, b""
-        for seed in MULTISTART_SEEDS:
-            ops = workloads.multistart(seed, Path(tmp))
-            # the package the ops look their calls up in
-            gs = sys.modules["graphsplit"]
+        for corpus, seed, work, ops in corpora(workloads, Path(tmp)):
             for i, op in enumerate(ops):
-                key = "multistart", seed, i, op.label
-                if spread:
-                    tr, again = cold_rerun(gs, op)
+                call = (op.label.rsplit(" ", 3)[0] if corpus == "cli-small"
+                        else corpus)
+                key = call, seed, i, op.label
+                if spread and corpus == "multistart":
+                    result, again = cold_rerun(sys.modules["graphsplit"], op)
                     cold[key] = again.v
                 else:
-                    tr = op.run()
-                out[key] = tr.converged, tr.stop_reason, tr.k_final, tr.v
-        for seed in PREDICT_SEEDS:
-            for i, op in enumerate(workloads.predict_large(seed, Path(tmp))):
-                sp, e, e_closed, pred1, pred2 = op.run()
-                arrays = [getattr(pred, name) for pred in (pred1, pred2)
-                          for name in PREDICTED]
-                arrays.append(hashlib.sha256(
-                    (e.basis @ e.basis.T).tobytes()).digest())
-                losses = tuple(
-                    float(np.abs(b.basis.T @ b.basis - np.eye(b.dim)).max(
-                        initial=0.0)) for b in (e, e_closed))
-                out["predict-large", seed, i, op.label] = (
-                    "predict-large", arrays, (e.dim, sp.u_common.dim), losses)
-    return out, cold
+                    result = op.run()
+                # before the check, which unlinks a run's trace
+                traces = list(work.glob("trace*"))
+                fields = outcome(result, digest(
+                    b"".join(path.read_bytes() for path in traces)))
+                out[key] = dict(fields, check=op.check(result)[0])
+                for path in traces:
+                    path.unlink(missing_ok=True)
+                if corpus == "predict-large":
+                    losses = np.maximum(losses, [orthogonality_loss(e)
+                                                 for e in result[1:3]])
+    return out, cold, losses
 
 
 def in_own_process(src: str, spread: bool = False):
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         return pool.apply(collect, (src, spread))
-
-
-def run_facts(value):
-    """``(converged, stop_reason, iterations, v)`` of a run, or None."""
-    if value[0] in ("run", "run --no-trace"):
-        _, code, stdout, _ = value
-        if code:
-            return None
-        doc = json.loads(stdout)
-        return (doc["converged"], doc["stop_reason"], doc["iterations"],
-                np.array(doc["v_final"]))
-    if isinstance(value[0], str):
-        return None
-    return value
 
 
 def rel_diff(a, b) -> float:
@@ -195,88 +243,61 @@ def rel_diff(a, b) -> float:
     return float(np.linalg.norm(b - a)) / max(1.0, float(np.linalg.norm(a)))
 
 
-def compare(old: dict, new: dict, cold: dict) -> int:
+def kind(value) -> str:
+    """``digest`` for bytes, ``number`` for a float or an array, else
+    ``flag``."""
+    if isinstance(value, bytes):
+        return "digest"
+    return "number" if isinstance(value, (float, np.ndarray)) else "flag"
+
+
+def show(value) -> str:
+    """A moved value, shortened: an array by its shape, else its repr."""
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape}"
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:57]}..."
+
+
+def compare(old: dict, new: dict) -> int:
     """Print the report on the outcomes ``old`` and ``new`` of two trees,
-    with ``cold`` the final v of the old tree's cold reruns; returns the
-    exit status."""
-    if old.keys() != new.keys():
-        raise RuntimeError("the two trees ran different corpora")
-    codes, flags, counts = [], [], []
-    worst = {}
-    predicted, dims_match = dict.fromkeys(PREDICTED, 0.0), True
-    same = dict.fromkeys(["run stdout", "traces", "predict", "decompose",
-                          VERIFY], True)
-    large_same, large_diff = dict.fromkeys(LARGE, True), {}
-    large_dims = True
-    # per tree, the worst orthogonality loss of each E basis
-    large_loss = np.zeros((2, len(E_BASES)))
-    for key in old:
-        a, b = old[key], new[key]
-        if a[0] == "predict-large":
-            for name, x, y in zip(LARGE, a[1], b[1]):
-                if isinstance(x, bytes):
-                    large_same[name] &= x == y
-                elif x.tobytes() != y.tobytes():
-                    large_same[name] = False
-                    large_diff[name] = max(large_diff.get(name, 0.0),
-                                           rel_diff(x, y))
-            large_dims &= a[2] == b[2]
-            large_loss = np.maximum(large_loss, [a[3], b[3]])
-            continue
-        if isinstance(a[0], str):
-            if a[1] != b[1]:
-                codes.append((key, a[1], b[1]))
-            kind = "run stdout" if a[0].startswith("run") else a[0]
-            same[kind] &= a[2] == b[2]
-            same["traces"] &= a[3] == b[3]
-            if a[0] == "predict" and a[1] == b[1] == 0 and a[2] != b[2]:
-                da, db = json.loads(a[2]), json.loads(b[2])
-                for name in PREDICTED:
-                    predicted[name] = max(predicted[name],
-                                          rel_diff(da[name], db[name]))
-                dims_match &= all(da[k] == db[k] for k in DIMS)
-        fa, fb = run_facts(a), run_facts(b)
-        if fa is None or fb is None:
-            continue
-        if fa[:2] != fb[:2]:
-            flags.append((key, fa[:2], fb[:2]))
-        if fa[2] != fb[2]:
-            counts.append((key, fa[2], fb[2]))
-        worst[key[0]] = max(worst.get(key[0], 0.0), rel_diff(fa[3], fb[3]))
-    runs = sum(run_facts(v) is not None for v in old.values())
-    print(f"{len(old)} ops, {runs} of them runs")
-    for title, moved in [("exit codes", codes),
-                         ("converged or stop_reason", flags),
-                         ("iteration counts", counts)]:
-        print(f"{title} moved: {len(moved)}")
-        for (corpus, seed, i, label), a, b in moved:
-            print(f"  {corpus} seed {seed} op {i} ({label}): {a} -> {b}")
-    spread = max((rel_diff(old[key][3], v) for key, v in cold.items()),
-                 default=None)
-    for corpus, diff in worst.items():
-        line = f"worst relative difference in v_final, {corpus}: {diff:.3g}"
-        if corpus == "multistart" and spread is not None:
-            line += f" (old tree, cold rerun against its run: {spread:.3g})"
-        print(line)
-    for kind, equal in same.items():
-        print(f"{kind} byte-identical: {'yes' if equal else 'no'}")
-    if not same["predict"]:
-        for name, diff in predicted.items():
-            print(f"worst relative difference in predict {name}: {diff:.3g}")
-        print(f"predict {' and '.join(DIMS)} all match: "
-              f"{'yes' if dims_match else 'no'}")
-    for name, equal in large_same.items():
-        print(f"predict-large {name} byte-identical: "
-              f"{'yes' if equal else 'no'}")
-    for name, diff in large_diff.items():
-        print(f"worst relative difference in predict-large {name}: "
-              f"{diff:.3g}")
-    print(f"predict-large {' and '.join(DIMS)} all match: "
-          f"{'yes' if large_dims else 'no'}")
-    for name, (x, y) in zip(E_BASES, large_loss.T):
-        print(f"predict-large worst |Q^T Q - I| of {name}, old / new: "
-              f"{x:.3g} / {y:.3g}")
-    return 1 if codes or flags or counts else 0
+    each {(call, seed, op index, label): {field: value}}; returns the exit
+    status, 1 when a flag moved, else 0."""
+    keys = list(old) + [key for key in new if key not in old]
+    moved, worst, counts = [], {}, collections.Counter()
+    for key in keys:
+        a, b = old.get(key, {}), new.get(key, {})
+        for name in list(a) + [name for name in b if name not in a]:
+            # the field's group: its call, and its path without indices
+            group = key[0], re.sub(r"\[\d+\]", "[]", name)
+            if (name in a) != (name in b):
+                tree = "old" if name in a else "new"
+                counts[group, f"in the {tree} tree only"] += 1
+                continue
+            x, y = a[name], b[name]
+            kinds = {kind(x), kind(y)}
+            if kinds == {"number"} and np.shape(x) == np.shape(y):
+                if np.asarray(x).tobytes() != np.asarray(y).tobytes():
+                    worst[group] = max(worst.get(group, 0.0), rel_diff(x, y))
+            elif kinds == {"digest"}:
+                if x != y:
+                    counts[group, "not identical"] += 1
+            elif kinds != {"flag"} or x != y:
+                moved.append((key, name, show(x), show(y)))
+                counts[group, "moved"] += 1
+    print(f"{len(keys)} ops; flags moved: {len(moved)}")
+    for (call, seed, i, label), name, x, y in moved:
+        print(f"  {call} seed {seed} op {i} ({label}) {name}: {x} -> {y}")
+    lines = [(group, f"worst relative difference {diff:.3g}")
+             for group, diff in worst.items()]
+    lines += [(group, f"{what} in {n} ops")
+              for (group, what), n in counts.items()]
+    for call, n in collections.Counter(key[0] for key in keys).items():
+        found = [f"{call} {path}: {text}" for (c, path), text in lines
+                 if c == call]
+        print(*found or [f"{call}: every field byte-identical ({n} ops)"],
+              sep="\n")
+    return 1 if moved else 0
 
 
 def main(argv) -> int:
@@ -286,9 +307,17 @@ def main(argv) -> int:
         return 2
     # as the benchmark runs: one BLAS thread, inherited by the workers
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    (old, cold), (new, _) = (in_own_process(os.path.abspath(src), i == 0)
-                             for i, src in enumerate(argv))
-    return compare(old, new, cold)
+    (old, cold, old_loss), (new, _, new_loss) = (
+        in_own_process(os.path.abspath(src), i == 0)
+        for i, src in enumerate(argv))
+    status = compare(old, new)
+    spread = max(rel_diff(old[key]["v_final"], v) for key, v in cold.items())
+    print(f"multistart v_final, old tree's cold rerun against its run: "
+          f"{spread:.3g}")
+    for name, x, y in zip(("sp.e_basis", "closed_form_E"), old_loss, new_loss):
+        print(f"predict-large worst |Q^T Q - I| of {name}, old / new: "
+              f"{x:.3g} / {y:.3g}")
+    return status
 
 
 if __name__ == "__main__":
