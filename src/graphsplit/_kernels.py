@@ -12,9 +12,10 @@ run is the same loop without w and steps on y = v (see
 as stretches ``(theta, count)`` of equal theta, and the loop takes a block
 of steps at a time: one step on the node sweep, 1, 2, 4, 25 and then 32
 steps per stretch on a :class:`LinearMap` (see :class:`_Linear`), where every
-block past the first 32 steps comes from the cached power (I - theta g)^32
-once the map's runs have taken enough steps at theta.  The residuals grow
-in a list, so the loop holds nothing sized by the budget.
+block past the first 32 steps comes from the power (I - theta g)^32 in the
+map's record for theta once the map's runs have taken enough steps at
+theta.  The residuals grow in a list, so the loop holds nothing sized by
+the budget.
 
 ``alg1_sweep`` and ``alg2_sweep`` are the entry points; each enters the
 loop itself, so a timer wrapped around one never also times the other.
@@ -44,7 +45,8 @@ _S = 1 << _SQUARINGS
 #: they cancel, the rounding they leave in a mode that I - theta g keeps
 #: drifts into sigma and rho at every later step, so those blocks are short.
 _RAMP = {0: 1, 1: 2, 3: 4, 7: 25}
-#: the most powers of I - theta g a residual map keeps, one per theta
+#: the most thetas a residual map keeps a record for, each with its power
+#: of I - theta g
 _POWERS = 3
 
 
@@ -60,14 +62,15 @@ class LinearMap:
     to one (n, d, r) array, so S q = blockdiag(B_i) kq.
 
     ``gp`` is g with a zero row and column appended, and ``g`` a view of
-    it, for the runs' extra column (see :class:`_Linear`).  ``powers``
-    keeps (I - theta g)^32, padded alike, for the last ``_POWERS`` thetas
-    whose runs built it, least recently used first: at most 3 (m + 1)^2
-    entries, about what q, g and kq hold, since m is at most both (n-1) d
-    and n r.  ``counts`` holds the steps the map's runs have taken at each
-    of the last ``_POWERS`` thetas they used, least recently used first;
-    a run adds a stretch's steps as it leaves the stretch, and builds P
-    once the count at its theta, with its own steps there, passes 2m.
+    it, for the runs' extra column (see :class:`_Linear`).  ``thetas``
+    holds one record per theta for the last ``_POWERS`` thetas the map's
+    runs used, least recently used first, each touched as a stretch at its
+    theta starts: ``[steps, P]``, the steps the runs have taken at theta
+    and P = (I - theta g)^32, padded alike, or None until a run builds it,
+    once the record's steps with its own there pass 2m.  A run adds a
+    stretch's steps as it leaves the stretch.  The powers hold at most
+    3 (m + 1)^2 entries, about what q, g and kq hold, since m is at most
+    both (n-1) d and n r.
     """
 
     def __init__(self, q: np.ndarray, g: np.ndarray, kq: np.ndarray,
@@ -76,19 +79,7 @@ class LinearMap:
         self.gp = np.zeros((m + 1, m + 1))
         self.gp[:m, :m] = g
         self.q, self.g, self.kq, self.basis = q, self.gp[:m, :m], kq, basis
-        self.powers, self.counts = {}, {}
-
-    def power(self, theta: float) -> np.ndarray | None:
-        """The cached (I - theta g)^32, now the most recently used, or None."""
-        p = self.powers.pop(theta, None)
-        if p is not None:
-            self.powers[theta] = p
-        return p
-
-    def keep_power(self, theta: float, p: np.ndarray) -> np.ndarray:
-        """Cache ``p`` as the power for ``theta``, dropping the least
-        recently used beyond ``_POWERS``; returns ``p``."""
-        return _recent(self.powers, theta, p)
+        self.thetas = {}
 
     def blocks(self, c: np.ndarray) -> np.ndarray:
         """The flat blocks B_i c_i of node coordinates c, (..., n r).  Runs
@@ -97,17 +88,6 @@ class LinearMap:
         n, d, r = self.basis.shape
         lead = c.shape[:-1]
         return (self.basis @ c.reshape(*lead, n, r, 1)).reshape(*lead, n * d)
-
-
-def _recent(table: dict, key, value):
-    """Set ``table[key]`` to ``value`` as the most recently used entry,
-    dropping the least recently used beyond ``_POWERS``; returns
-    ``value``."""
-    table.pop(key, None)
-    table[key] = value
-    if len(table) > _POWERS:
-        del table[next(iter(table))]
-    return value
 
 
 class _Blocks:
@@ -228,16 +208,17 @@ class _Linear:
     the 32 rows before it in one product with P = (I - theta g)^32, since
     P g e_j is g e_(j+32): the rows of the full block before it, or for the
     first full block the ramp's rows, which the run keeps in ``ramp``.  P
-    comes from the map's cache or, once the map's runs have taken more
-    than 2m steps at theta, from five squarings (see :meth:`_power`).
+    comes from the map's record for theta or, once the map's runs have
+    taken more than 2m steps at theta, from five squarings (see
+    :meth:`_power`).
     Every other block steps g e_0 by products with I - theta g.  One
     product with the block's head (see :func:`_tables`) gives its residual
     rows and the next block's first rows.  The stop test reads ||v||,
     ||x - w|| and ||w|| from the rows of sigma (and expanded tau and rho)
     and from the splits of v0 over q and of w0 over the node bases, made
-    once per run at its first candidate block, as sums of squares of
-    orthogonal parts; v, x and w are formed only for records and the
-    result, and a theta of 0 leaves them exactly as they were.
+    when the run starts, as sums of squares of orthogonal parts; v, x and
+    w are formed only for records and the result, and a theta of 0 leaves
+    them exactly as they were.
     Every row has one more column, m, which the steps carry as they carry
     the others: 1 in sigma, 1 - a in tau, b |qp| in rho and a |qp| in r,
     0 in e and g e.  So a residual is the norm of its row.  The two blocks
@@ -261,13 +242,11 @@ class _Linear:
         # the steps of the block that the run takes, 0 before the first
         self.theta, self.steps, self.end = None, 0, 0
         self.record, self.records = record, []
-        # the squared norms of the splits of v0 and w0, made when the stop
-        # test first needs them
-        self.c2 = self.w2 = None
         if not self.expanded:
             self.u0 = self.uv = q.T @ self.v0
             e = self.buf[1, :-1] = g @ self.u0
             self.res = math.sqrt(np.dot(e, e))
+            self._split_v()
             return
         self.w0 = w0.reshape(-1)
         zw = (zt @ w0).reshape(-1)
@@ -282,6 +261,8 @@ class _Linear:
         r = self.buf[4]
         r[:-1], r[-1] = omega0 - 2.0 * self.buf[1, :-1], qn
         self.res = math.sqrt(np.dot(r, r))
+        self._split_v()
+        self._split_w()
 
     def block(self, theta: float, left: int) -> list:
         """The residuals at the positions of the next block: the next
@@ -294,14 +275,19 @@ class _Linear:
         if theta != self.theta:
             if self.steps:
                 self._leave()
-            self.theta, self.steps, self.step, self.power = theta, 0, None, None
+            self.theta, self.steps, self.step = theta, 0, None
+            # the map's record for theta, now the most recently used
+            thetas = self.lin.thetas
+            self.rec = thetas[theta] = thetas.pop(theta, None) or [0, None]
+            if len(thetas) > _POWERS:
+                del thetas[next(iter(thetas))]
         steps = self.steps
         s = self.s = min(left, _RAMP.get(steps, _S))
         head = _head(theta, self.expanded, s)
         k, buf = self.k, self.buf
         if steps >= _S and self._power() is not None:
             before = self.last[k:] if steps > _S else self.ramp
-            np.dot(before[:s], self.power.T, out=buf[k:k + s])
+            np.dot(before[:s], self.rec[1].T, out=buf[k:k + s])
         else:
             ge = np.dot(self.lin.gp, buf[1], out=buf[k])
             if s > 1:
@@ -329,26 +315,20 @@ class _Linear:
         return self.step
 
     def _power(self):
-        """P for this theta: the map's, or built once the map's runs have
-        taken more than 2m steps at theta, this stretch's included; None
-        before then."""
-        if self.power is None:
-            lin, theta = self.lin, self.theta
-            self.power = lin.power(theta)
-            if (self.power is None
-                    and lin.counts.get(theta, 0) + self.steps > 2 * self.m):
-                p = self._step()
-                for _ in range(_SQUARINGS):
-                    p = p @ p
-                self.power = lin.keep_power(theta, p)
-        return self.power
+        """P from the map's record for this theta, built into it once the
+        record's steps and this stretch's pass 2m; None before then."""
+        rec = self.rec
+        if rec[1] is None and rec[0] + self.steps > 2 * self.m:
+            p = self._step()
+            for _ in range(_SQUARINGS):
+                p = p @ p
+            rec[1] = p
+        return rec[1]
 
     def _leave(self) -> None:
-        """Add the steps the run took in its stretch to the map's count at
-        its theta."""
-        counts, theta = self.lin.counts, self.theta
-        _recent(counts, theta,
-                counts.get(theta, 0) + self.steps - self.s + self.end)
+        """Add the steps the run took in its stretch to the map's record
+        for its theta."""
+        self.rec[0] += self.steps - self.s + self.end
 
     def _states(self, first: int, stop: int) -> np.ndarray:
         """The states at positions ``first`` .. ``stop - 1`` of the block."""
@@ -360,8 +340,6 @@ class _Linear:
         split of v0: ||v||^2 = ||uv - sigma||^2 + c2 reduced (sigma's extra
         column is 0), and ||uv + rho||^2 + (h + rho_m)^2 + c2 expanded,
         rho_m the extra column."""
-        if self.c2 is None:
-            self._split_v()
         s = self.s
         st = _tables(self.theta, self.expanded, s)[2] @ self.rows
         self.stop_states = st
@@ -375,8 +353,6 @@ class _Linear:
 
             ||x - w||^2 = ||kq (sigma - tau) - a dk||^2 + a^2 w2,
             ||w||^2 = ||kq tau + a dk - ku||^2 + a^2 w2."""
-        if self.w2 is None:
-            self._split_w()
         s, m = self.s, self.m
         st = self.stop_states
         c = st[:2 * s, :m] @ self.lin.kq.T
@@ -522,21 +498,17 @@ def _result(it, end, residuals, reason):
     return x, w, v, np.array(residuals), reason, records
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _drive_linear(lin, zt, w0, v0, stretches, tol, record_states):
-    """:func:`_drive` on a run of ``lin``, with numpy's overflow and invalid
-    warnings off: all its arithmetic is the run's own, a divergence shows
+def _start(step, zt, w0, v0, stretches, tol, record_states):
+    """The run from (w0, v0), or from v0 alone when ``w0`` is None, driven
+    to its end.  A run of a :class:`LinearMap` has numpy's overflow and
+    invalid warnings off: all its arithmetic is its own, a divergence shows
     as a non-finite residual, and the rows a block computes past it raise
     nothing.  A node sweep calls the node resolvents, so its run keeps the
     caller's error state."""
-    return _drive(_Linear(lin, zt, w0, v0, record_states), stretches, tol)
-
-
-def _start(step, zt, w0, v0, stretches, tol, record_states):
-    """The run from (w0, v0), or from v0 alone when ``w0`` is None, driven
-    to its end."""
     if isinstance(step, LinearMap):
-        return _drive_linear(step, zt, w0, v0, stretches, tol, record_states)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _drive(_Linear(step, zt, w0, v0, record_states),
+                          stretches, tol)
     return _drive(_Blocks(step, zt, w0, v0, record_states), stretches, tol)
 
 

@@ -94,10 +94,11 @@ class SplittingProblem:
     dec : OntoDecomposition
         Onto decomposition of Lap(G').
     ops : sequence of ResolventOp
-        One operator per node: a callback is consumed through its
-        resolvent, a normal cone through the projector onto its subspace,
-        which must live in R^d.  The operators are read at the first
-        sweep and cached; do not replace them afterwards.
+        One operator per node, each with a callable ``resolvent``: a
+        callback is consumed through it, a normal cone through the
+        projector onto its subspace, which must live in R^d.  The operators
+        are read at the first sweep and cached; do not replace them
+        afterwards.
     d : int
         Ambient dimension of each block: an int or numpy integer >= 1,
         never a bool or a float.
@@ -109,6 +110,9 @@ class SplittingProblem:
         if len(ops) != n:
             raise ValueError(f"expected {n} operators, got {len(ops)}")
         for i, op in enumerate(ops):
+            if not callable(getattr(op, "resolvent", None)):
+                raise ValueError(f"operator {i + 1} has no callable "
+                                 f"resolvent: {op!r}")
             if isinstance(op, NormalConeOp) and op.subspace.dim_ambient != d:
                 raise ValueError(f"operator {i + 1}: subspace lives in "
                                  f"R^{op.subspace.dim_ambient}, expected R^{d}")

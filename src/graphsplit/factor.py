@@ -33,6 +33,7 @@ from .graphs import (
     is_tree,
     laplacian,
 )
+from .operators import real_array
 
 #: factor methods selectable by name
 METHODS = ("tree_incidence", "circulant", "complete_sparse", "eigen")
@@ -138,14 +139,29 @@ def complete_t_values(n: int) -> np.ndarray:
 def factor_eigen(lap: np.ndarray) -> OntoDecomposition:
     """Generic decomposition from the n-1 positive eigenpairs.
 
-    Eigenvalues are sorted ascending and each eigenvector's sign is fixed
-    by making its first non-negligible component positive, so the result
-    is deterministic for a given platform.
+    ``lap`` must be a real (n, n) array with n >= 2 (see
+    :func:`operators.real_array`), symmetric, with rows that sum to 0
+    within 1e-12 of its largest entry; anything else raises
+    ``FactorError``.  Eigenvalues are sorted ascending and each
+    eigenvector's sign is fixed by making its first non-negligible
+    component positive, so the result is deterministic for a given
+    platform.
     """
-    lap = np.asarray(lap, dtype=np.float64)
-    n = lap.shape[0]
-    if lap.shape != (n, n) or np.abs(lap - lap.T).max() > 1e-12:
+    try:
+        n = len(lap)
+    except TypeError:  # a scalar
+        n = 0
+    if n < 2:
+        raise FactorError(f"Laplacian must be an (n, n) array with n >= 2, "
+                          f"got {lap!r}")
+    try:
+        lap = real_array(lap, "Laplacian", (n, n))
+    except ValueError as exc:
+        raise FactorError(str(exc)) from None
+    if np.abs(lap - lap.T).max() > 1e-12:
         raise FactorError("Laplacian must be square symmetric")
+    if np.abs(lap.sum(axis=1)).max() > 1e-12 * np.abs(lap).max():
+        raise FactorError("Laplacian rows must sum to 0")
     vals, vecs = np.linalg.eigh(lap)
     if vals[1] <= _EIGEN_GAP_TOL:
         raise FactorError(

@@ -122,17 +122,23 @@ def new_graph(n: int, edges) -> AlgorithmicGraph:
     Raises
     ------
     GraphError
-        If ``n < 2``, an edge is not a pair of integer labels (``bool`` and
-        fractional values are rejected, ``2.0`` is accepted), an edge leaves
+        If ``n < 2``, ``edges`` or one of its edges is not iterable, an
+        edge is not a pair of integer labels (``bool`` and fractional
+        values are rejected, ``2.0`` is accepted), an edge leaves
         [1, n], an edge has i >= j, or the graph is disconnected (as it is
         with fewer than n - 1 distinct edges, which is decided before any
         per-node work, so a huge ``n`` fails at once).
     """
     n = _order(n)
+    try:
+        pairs = [tuple(e) for e in edges]
+    except TypeError:
+        raise GraphError(f"edges must be an iterable of (i, j) pairs, "
+                         f"got {edges!r}") from None
     cleaned = set()
-    for e in edges:
+    for e in pairs:
         if len(e) != 2 or not all(_is_label(x) for x in e):
-            raise GraphError(f"edge {tuple(e)!r} is not a pair of integer node labels")
+            raise GraphError(f"edge {e!r} is not a pair of integer node labels")
         i, j = int(e[0]), int(e[1])
         if not (1 <= i <= n and 1 <= j <= n):
             raise GraphError(f"edge ({i},{j}) outside node range [1,{n}]")

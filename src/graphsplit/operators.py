@@ -311,7 +311,9 @@ class NormalConeOp:
 class CallbackOp:
     """User-supplied resolvent ``fn(x, gamma) -> J_{gamma A}(x)``.
 
-    The callback must be a pure function of its inputs.  With
+    The callback must be a pure function of its inputs, and return an int
+    or float array of the shape of x; any other dtype, bool and complex
+    included, raises ``ValueError`` rather than being coerced.  With
     GRAPH_SPLIT_LOG=debug, consecutive evaluations at the same gamma are
     checked for firm nonexpansiveness, which every resolvent of a
     maximally monotone operator satisfies.  The variable is read once,
@@ -325,7 +327,11 @@ class CallbackOp:
         self._last: tuple[np.ndarray, np.ndarray, float] | None = None
 
     def resolvent(self, x: np.ndarray, gamma: float) -> np.ndarray:
-        out = np.asarray(self.fn(x, gamma), dtype=np.float64)
+        out = np.asarray(self.fn(x, gamma))
+        if out.dtype.kind not in "iuf":
+            raise ValueError(f"callback resolvent returned dtype {out.dtype}, "
+                             "expected int or float")
+        out = out.astype(np.float64, copy=False)
         if out.shape != x.shape:
             raise ValueError(
                 f"callback resolvent returned shape {out.shape}, "

@@ -243,3 +243,20 @@ def projector_gap(e1, e2):
     """Largest entry of the difference of the projectors onto two E
     bases."""
     return np.abs(e1.basis @ e1.basis.T - e2.basis @ e2.basis.T).max(initial=0.0)
+
+
+def limit_from_map(base, v0):
+    """The limit of a reduced run of ``base`` from ``v0``, read only from
+    its residual map's q and g: u = q^T v steps by I - theta g, so it tends
+    to Pi0 u0, Pi0 = K (L^T K)^-1 L^T the spectral projector of g at 0,
+    with K and L its right and left null spaces from one SVD (singular
+    values at most 1e-10 of the largest), and v-bar = v0 - q (I - Pi0) q^T
+    v0.  It needs no U, no E and no theta, so it shares no code with
+    ``analysis``."""
+    q, g = base._linear_map.q, base._linear_map.g
+    u, s, vt = np.linalg.svd(g)
+    k = np.count_nonzero(s <= 1e-10 * s.max(initial=0.0))
+    left, right = u[:, len(s) - k:], vt[len(s) - k:].T
+    u0 = q.T @ v0.reshape(-1)
+    kept = right @ np.linalg.solve(left.T @ right, left.T @ u0)
+    return v0 - (q @ (u0 - kept)).reshape(v0.shape)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ class TestProblemValidation:
                NormalConeOp(full_space(4))]
         with pytest.raises(ValueError, match="operator 2.*R\\^3, expected R\\^4"):
             SplittingProblem(ps.pair, ps.dec, ops, 4)
+
+    @pytest.mark.parametrize("ops", [
+        [1, 2, 3],
+        [NormalConeOp(full_space(2)), types.SimpleNamespace(resolvent=1),
+         NormalConeOp(full_space(2))],
+    ])
+    def test_operator_without_a_callable_resolvent(self, ops):
+        # refused at construction, not at the first sweep
+        ps = preset("sequential", 3)
+        bad = next(i for i, op in enumerate(ops)
+                   if not isinstance(op, NormalConeOp))
+        with pytest.raises(ValueError, match=f"operator {bad + 1} has no "
+                                             "callable resolvent"):
+            SplittingProblem(ps.pair, ps.dec, ops, 2)
 
     @pytest.mark.parametrize("d", [2.0, True, np.True_, 0, -1, "2", None])
     def test_d_must_be_a_positive_integer(self, d):
@@ -843,32 +858,35 @@ class TestBlocks:
 
     def test_blocks_double_up_to_32_in_each_stretch(self, monkeypatch, rng):
         # block sizes per stretch of the schedule, and the blocks that ask
-        # the map for its power: the first block past 32 steps of a stretch,
-        # full or cut short, and none after it, since m <= 9 here, so 2m
-        # steps are passed by then and P is built or found
+        # the map's record for its power: every block past 32 steps of a
+        # stretch, full or cut short, and none before; m <= 9 here, so 2m
+        # steps are passed by then and every ask finds or builds P
         sp = random_problem("complete", 4, rng, d=3, planted=True)
         assert len(sp.base._linear_map.g) <= 9
-        sizes, asked = [], []
-        head, power = engine._kernels._head, engine._kernels.LinearMap.power
+        sizes, asked, found = [], [], []
+        head, power = engine._kernels._head, engine._kernels._Linear._power
 
         def spy_head(theta, expanded, s):
             sizes.append(s)
             return head(theta, expanded, s)
 
-        def spy_power(self, theta):
+        def spy_power(self):
             asked.append(len(sizes))
-            return power(self, theta)
+            p = power(self)
+            found.append(p is not None)
+            return p
 
         monkeypatch.setattr(engine._kernels, "_head", spy_head)
-        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy_power)
+        monkeypatch.setattr(engine._kernels._Linear, "_power", spy_power)
         w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
         full = [1, 2, 4, 25, 32]
         for theta, k, want, asks in [
-                (0.7, 100, full + [32, 4], [5]),
-                (0.7, 140, full + [32, 32, 12], [5]),
+                (0.7, 100, full + [32, 4], [5, 6, 7]),
+                (0.7, 140, full + [32, 32, 12], [5, 6, 7, 8]),
                 ([0.7] * 20 + [0.9] * 40, 60, [1, 2, 4, 13, 1, 2, 4, 25, 8],
                  [9]),
-                ([0.7, 0.9] * 3 + [0.7] * 70, 76, [1] * 6 + full + [6], [11]),
+                ([0.7, 0.9] * 3 + [0.7] * 70, 76, [1] * 6 + full + [6],
+                 [11, 12]),
                 (np.linspace(0.5, 1.5, 5), 5, [1] * 5, [])]:
             for run in both_runs(w0, v0, theta,
                                  StopRule(tol=0.0, max_iters=k)):
@@ -876,6 +894,7 @@ class TestBlocks:
                 asked.clear()
                 twin_runs_agree(sp.base, sp.subspaces, run)
                 assert sizes == want and asked == asks
+        assert found and all(found)
 
     def test_theta_changes_inside_a_block(self, rng):
         # each change comes after more than 32 steps at one theta; small
@@ -895,7 +914,7 @@ class TestBlocks:
             trace = twin_runs_agree(sp.base, sp.subspaces, run)
             assert trace.k_final == 100 and np.array_equal(trace.v, v0)
             assert trace.w is None or np.array_equal(trace.w, w0)
-        assert 0.0 in sp.base._linear_map.powers
+        assert sp.base._linear_map.thetas[0.0][1] is not None
 
     def test_divergence_inside_a_block(self):
         # at theta = 2 the expanded residual grows, so a start scaled by c
@@ -926,43 +945,39 @@ class TestBlocks:
                            - got[1].residuals[:-1]).max() <= 1e-12 * scale)
 
     def test_cached_power_run_equals_a_cold_one(self, monkeypatch, rng):
-        # m = 40: a cold run asks for (I - theta g)^32 at its blocks after
-        # 32, 64 and 96 steps and builds it at the third, the first after
-        # 2m = 80 steps; the next run finds it at its first full block
+        # m = 40: a cold run asks its record for (I - theta g)^32 at its
+        # blocks after 32, 64, 96 and 128 steps and builds it at the third,
+        # the first after 2m = 80 steps; the next run finds it at its
+        # first full block
         p, subs, (w0, v0) = self.m40_problem(rng)
         blocks, hits = [], []
         head = engine._kernels._head
-        power = engine._kernels.LinearMap.power
-        keep = engine._kernels.LinearMap.keep_power
+        power = engine._kernels._Linear._power
 
         def spy_head(theta, expanded, s):
             blocks.append(s)
             return head(theta, expanded, s)
 
-        def spy(self, theta):
-            found = power(self, theta)
-            hits.append((len(blocks), found is not None))
+        def spy(self):
+            had = self.rec[1] is not None
+            found = power(self)
+            hits.append((len(blocks), "built" if found is not None
+                         and not had else had))
             return found
 
-        def spy_keep(self, theta, q):
-            hits.append((len(blocks), "built"))
-            return keep(self, theta, q)
-
         monkeypatch.setattr(engine._kernels, "_head", spy_head)
-        monkeypatch.setattr(engine._kernels.LinearMap, "power", spy)
-        monkeypatch.setattr(engine._kernels.LinearMap, "keep_power", spy_keep)
+        monkeypatch.setattr(engine._kernels._Linear, "_power", spy)
         for run in both_runs(w0, v0, 1.0, StopRule(tol=0.0, max_iters=140)):
-            p._linear_map.powers.clear()
-            p._linear_map.counts.clear()
+            p._linear_map.thetas.clear()
             hits.clear()
             blocks.clear()
             cold = twin_runs_agree(p, subs, run)
             assert blocks == [1, 2, 4, 25, 32, 32, 32, 12]
-            assert hits == [(5, False), (6, False), (7, False), (7, "built")]
+            assert hits == [(5, False), (6, False), (7, "built"), (8, True)]
             hits.clear()
             blocks.clear()
             cached = twin_runs_agree(p, subs, run)
-            assert hits == [(5, True)]
+            assert hits == [(5, True), (6, True), (7, True), (8, True)]
             for a, b in [(cold.x, cached.x), (cold.v, cached.v),
                          (cold.residuals, cached.residuals)]:
                 assert np.abs(a - b).max() <= 1e-12
@@ -989,25 +1004,27 @@ class TestBlocks:
         p, subs, (w0, v0) = self.m40_problem(rng)
         lin = p._linear_map
         built = []
-        keep = engine._kernels.LinearMap.keep_power
+        power = engine._kernels._Linear._power
 
-        def spy_keep(self, theta, q):
-            built.append(theta)
-            return keep(self, theta, q)
+        def spy(self):
+            had = self.rec[1] is not None
+            p = power(self)
+            if p is not None and not had:
+                built.append(self.theta)
+            return p
 
-        monkeypatch.setattr(engine._kernels.LinearMap, "keep_power", spy_keep)
+        monkeypatch.setattr(engine._kernels._Linear, "_power", spy)
         for run in both_runs(w0, v0, 1.0, StopRule(tol=0.0, max_iters=70)):
-            lin.powers.clear()
-            lin.counts.clear()
+            lin.thetas.clear()
             built.clear()
             twin_runs_agree(p, subs, run)
-            assert built == [] and list(lin.counts.items()) == [(1.0, 70)]
+            assert built == [] and record_steps(lin) == [(1.0, 70)]
             run_alg2(p, v0, 0.5, StopRule(tol=0.0, max_iters=70))
             assert built == []
-            assert list(lin.counts.items()) == [(1.0, 70), (0.5, 70)]
+            assert record_steps(lin) == [(1.0, 70), (0.5, 70)]
             twin_runs_agree(p, subs, run)
             assert built == [1.0]
-            assert list(lin.counts.items()) == [(0.5, 70), (1.0, 140)]
+            assert record_steps(lin) == [(0.5, 70), (1.0, 140)]
 
     def test_step_counts_kept_for_the_last_three_thetas(self, rng):
         sp = random_problem("generalized_ryu", 3, rng, d=3, planted=True)
@@ -1016,17 +1033,17 @@ class TestBlocks:
         schedule = np.linspace(0.5, 1.5, 20)
         run_alg2(sp.base, v0, schedule, StopRule(tol=0.0))
         # one step at each theta of the schedule, least recently used first
-        assert list(lin.counts.items()) == [(t, 1) for t in schedule[-3:]]
+        assert record_steps(lin) == [(t, 1) for t in schedule[-3:]]
         for theta in (0.5, 0.8, 1.1, 1.4, 0.5):
             run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=40))
-            assert len(lin.counts) <= 3 and len(lin.powers) <= 3
-        assert list(lin.counts.items()) == [(1.1, 40), (1.4, 40), (0.5, 40)]
+            assert len(lin.thetas) <= 3
+        assert record_steps(lin) == [(1.1, 40), (1.4, 40), (0.5, 40)]
         # a run that stops inside a block (blocks end after steps 1, 3, 7,
         # 32, 64, ...) counts the steps it took
         trace = run_alg2(sp.base, v0, 1.7)
         assert trace.stop_reason == "tol"
         assert trace.k_final not in (1, 3, 7) and trace.k_final % 32
-        assert list(lin.counts.items())[-1] == (1.7, trace.k_final)
+        assert record_steps(lin)[-1] == (1.7, trace.k_final)
 
     def test_powers_kept_for_the_last_three_thetas(self, rng):
         sp = random_problem("generalized_ryu", 3, rng, d=3, planted=True)
@@ -1037,14 +1054,21 @@ class TestBlocks:
                             (0.8, [1.1, 1.4, 0.8]), (0.5, [1.4, 0.8, 0.5])]:
             # the 100 steps hold two full blocks
             run_alg2(sp.base, v0, theta, StopRule(tol=0.0, max_iters=100))
-            assert list(lin.powers) == kept
+            assert [t for t, (_, p) in lin.thetas.items()
+                    if p is not None] == kept
         m = len(lin.g)
-        for theta, p in lin.powers.items():
+        for theta, (_, p) in lin.thetas.items():
             # padded with a zero row and column, as the map's gp
             step = np.eye(m) - theta * lin.g
             assert np.abs(p[:m, :m]
                           - np.linalg.matrix_power(step, 32)).max() <= 1e-12
             assert not p[m].any() and not p[:, m].any()
+
+
+def record_steps(lin):
+    """(theta, steps) of each record a residual map keeps, least recently
+    used first."""
+    return [(theta, steps) for theta, (steps, _) in lin.thetas.items()]
 
 
 def split_norm_errors(p, w0, v0, stretches):

@@ -11,7 +11,14 @@ from graphsplit.factor import (
     factor_tree,
     factorize,
 )
-from graphsplit.graphs import degree_balance, laplacian, named_graph, new_graph
+from graphsplit.graphs import (
+    AlgorithmicGraph,
+    DegreeBalance,
+    degree_balance,
+    laplacian,
+    named_graph,
+    new_graph,
+)
 from graphsplit.presets import PRESET_NAMES, preset
 
 
@@ -80,6 +87,12 @@ class TestFactorCirculant:
         sub = named_graph("ring", n)
         dec = factor_circulant(sub)
         assert np.abs(dec.z @ dec.z.T - laplacian(sub)).max() < 1e-10
+
+    def test_rejects_disconnected_circulant(self):
+        # Lap of the two edges (1, 3) and (2, 4) is circulant, with a
+        # second zero eigenvalue
+        with pytest.raises(FactorError, match="degenerate circulant spectrum"):
+            factor_circulant(AlgorithmicGraph(4, ((1, 3), (2, 4))))
 
     def test_rejects_non_circulant(self):
         with pytest.raises(FactorError, match="not circulant"):
@@ -152,6 +165,29 @@ class TestFactorEigen:
         with pytest.raises(FactorError, match="symmetric"):
             factor_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("lap, match", [
+        (np.ones((1, 1)), "n >= 2"),
+        (np.zeros((0, 0)), "n >= 2"),
+        (2.0, "n >= 2"),
+        (np.ones(3), "shape"),
+        (np.ones((2, 3)), "shape"),
+        ([[1, -1], [-1]], "ragged"),
+        (np.array([[np.nan, 1.0], [1.0, -1.0]]), "not finite"),
+        (np.array([[True, True], [True, True]]), "real numbers"),
+        # symmetric positive definite, so no row sums to 0: it would lose
+        # its smallest eigenpair and return Z Z^T != lap
+        (np.array([[2.0, 1.0], [1.0, 2.0]]), "sum to 0"),
+        (np.array([[1.0, -1.0 + 1e-9], [-1.0 + 1e-9, 1.0]]), "sum to 0"),
+    ])
+    def test_rejects_what_is_not_a_laplacian(self, lap, match):
+        with pytest.raises(FactorError, match=match):
+            factor_eigen(lap)
+
+    def test_integer_laplacian_accepted(self):
+        lap = laplacian(named_graph("ring", 5))
+        dec = factor_eigen(lap.tolist())
+        assert np.abs(dec.z @ dec.z.T - lap).max() < 1e-10
+
 
 class TestDecompositionIdentities:
     @pytest.mark.parametrize("name,n", list(preset_cases()))
@@ -210,6 +246,12 @@ class TestAlpha:
         dec = factor_tree(named_graph("sequential", 3))
         with pytest.raises(FactorError, match="dimension mismatch"):
             alpha(dec, degree_balance(named_graph("sequential", 4)))
+
+    def test_unsolvable(self):
+        # 1^T Z = 0, so Z alpha = delta needs delta to sum to 0
+        dec = factor_tree(named_graph("sequential", 3))
+        with pytest.raises(FactorError, match="unsolvable"):
+            alpha(dec, DegreeBalance(np.array([1, 0, 0])))
 
 
 class TestFactorize:

@@ -60,6 +60,11 @@ class TestNewGraph:
         with pytest.raises(GraphError, match="pair of integer node labels"):
             new_graph(3, edges)
 
+    @pytest.mark.parametrize("edges", [[1, (2, 3)], None, 5])
+    def test_non_iterable_edges_rejected(self, edges):
+        with pytest.raises(GraphError, match="iterable of"):
+            new_graph(3, edges)
+
     def test_numpy_integer_labels_accepted(self):
         g = new_graph(3, [(np.int64(1), np.int32(2)), (2, 3)])
         assert g.edges == ((1, 2), (2, 3))

@@ -682,6 +682,29 @@ class TestResolvent:
         with pytest.raises(ValueError, match="shape"):
             resolvent(op, np.ones(2), 1.0)
 
+    @pytest.mark.parametrize("out, dtype", [
+        (lambda x: x > 0, "bool"),
+        (lambda x: x + 1j, "complex128"),
+        (lambda x: x.astype(object), "object"),
+        (lambda x: [str(v) for v in x], "<U"),
+    ])
+    def test_callback_output_is_not_coerced(self, out, dtype):
+        op = CallbackOp(lambda x, gamma: out(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"dtype {dtype}"):
+                resolvent(op, np.array([1.0, -1.0]), 1.0)
+
+    def test_callback_real_output(self):
+        # a float64 array passes as it is; int and float32 become float64
+        kept = np.array([0.5, 2.0])
+        assert CallbackOp(lambda x, gamma: kept).resolvent(
+            np.ones(2), 1.0) is kept
+        for value in (np.array([1, 2]), np.array([1, 2], dtype=np.float32),
+                      [1, 2.0]):
+            got = CallbackOp(lambda x, gamma: value).resolvent(np.ones(2), 1.0)
+            assert got.dtype == np.float64 and np.array_equal(got, [1, 2])
+
     @pytest.mark.parametrize("op", [NormalConeOp(full_space(2)),
                                     CallbackOp(lambda x, gamma: x)])
     @pytest.mark.parametrize("x,gamma", [([True, False], 1.0),

@@ -40,6 +40,7 @@ from graphsplit.operators import subspace_from_spanners
 
 from conftest import (
     callback_twin,
+    limit_from_map,
     membership_gap,
     projector_gap,
     random_graph_pair,
@@ -96,8 +97,8 @@ def test_run_limits_equal_the_predictions(draw):
             if cached:
                 warm = run_alg2(sp.base, v0, 1.0,
                                 StopRule(tol=0.0, max_iters=100))
-                assert (warm.stop_reason == "tol"
-                        or 1.0 in sp.base._linear_map.powers), method
+                p = sp.base._linear_map.thetas[1.0][1]
+                assert warm.stop_reason == "tol" or p is not None, method
             t2 = run_alg2(sp.base, v0, 1.0)
             t1 = run_alg1(sp.base, w0, v0, 1.0)
             assert t2.converged and t1.converged, method
@@ -105,6 +106,33 @@ def test_run_limits_equal_the_predictions(draw):
             assert np.abs(t2.x - p2.u_bar).max() <= 1e-7, method
             assert np.abs(t1.v - p1.v_bar).max() <= 1e-7, method
             assert np.abs(t1.w - p1.u_bar).max() <= 1e-7, method
+
+
+def limit_error(got, ref):
+    """Largest entry of ``got - ref`` relative to max(1, ||ref||), the
+    scale of the stop rule."""
+    return np.abs(got - ref).max() / max(1.0, np.linalg.norm(ref))
+
+
+@PROPERTY_SETTINGS
+@given(pairs)
+def test_reduced_limit_equals_the_limit_from_the_map(draw):
+    # the closed form through U and E against the spectral projector of
+    # the run's own matrix at 0, which shares no code with it
+    problems, _, (_, v0) = planted_problems(*draw)
+    for method, sp in problems:
+        v_bar = predict_limits_alg2(sp, v0).v_bar
+        assert limit_error(v_bar, limit_from_map(sp.base, v0)) <= 1e-12, method
+
+
+def test_limit_from_the_map_sees_a_scaled_limit():
+    problems, _, (_, v0) = planted_problems(7, 5, 3, "tree")
+    assert len(problems) >= 2
+    for method, sp in problems:
+        v_bar = predict_limits_alg2(sp, v0).v_bar
+        ref = limit_from_map(sp.base, v0)
+        assert limit_error(v_bar, ref) <= 1e-12, method
+        assert limit_error((1 + 1e-5) * v_bar, ref) > 1e-12, method
 
 
 @PROPERTY_SETTINGS
@@ -147,7 +175,7 @@ def test_node_sweep_twin_matches_the_sweep_map(draw):
                 for r_ref, r_got in zip(ref.iterations, got.iterations):
                     assert np.abs(r_got.x - r_ref.x).max() <= 1e-12, method
                     assert np.abs(r_got.v - r_ref.v).max() <= 1e-12, method
-            assert 1.3 in p._linear_map.powers, method
+            assert p._linear_map.thetas[1.3][1] is not None, method
 
 
 # ---------------------------------------------------------------------------

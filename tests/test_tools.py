@@ -206,3 +206,31 @@ def test_a_non_zero_exit_without_json_is_compared(capsys):
     status, lines = compare(old, new, capsys)
     assert status == 1
     assert lines[1].endswith("stdout: 'error: no such preset\\n' -> ''")
+
+
+@pytest.mark.parametrize("tables", [
+    {"thetas": {1.0: [70, None], 0.5: [3, None]}},
+    # an older tree's two tables, both cleared
+    {"powers": {1.0: "P"}, "counts": {1.0: 70}},
+])
+def test_cold_rerun_clears_and_restores_the_map_caches(tables):
+    # a stub package whose run reads what its problem's map holds
+    lin = types.SimpleNamespace(**{k: dict(v) for k, v in tables.items()})
+    problem = types.SimpleNamespace(_linear_map=lin)
+    gs = types.SimpleNamespace(run_alg1=None, run_alg2=lambda p: {
+        k: dict(v) for k, v in vars(p._linear_map).items()})
+    op = types.SimpleNamespace(run=lambda: gs.run_alg2(problem))
+    run = gs.run_alg2
+    first, cold = exactness.cold_rerun(gs, op)
+    assert first == tables and cold == {k: {} for k in tables}
+    assert vars(lin) == tables and gs.run_alg2 is run
+
+
+def test_cold_rerun_refuses_a_map_without_caches():
+    # clearing nothing would read the old tree's spread as 0
+    problem = types.SimpleNamespace(
+        _linear_map=types.SimpleNamespace(cache={1.0: [70, None]}))
+    gs = types.SimpleNamespace(run_alg1=None, run_alg2=lambda p: 0)
+    op = types.SimpleNamespace(run=lambda: gs.run_alg2(problem))
+    with pytest.raises(RuntimeError, match="none of"):
+        exactness.cold_rerun(gs, op)

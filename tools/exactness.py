@@ -40,7 +40,8 @@ for every other op.
 Two readings are not old-against-new comparisons.  A multistart run's
 final v depends on what the problem's residual map has cached from the
 runs before it (its powers of I - theta g, and the step counts that
-decide when one is built), so OLD_SRC alone runs each multistart op a
+decide when one is built, in one record per theta or, in older trees, in
+two tables), so OLD_SRC alone runs each multistart op a
 second time with those caches cleared, then restores them; the report
 gives the worst difference of that cold run's v against its run in the
 corpus order, under the same normalisation: the rounding spread of the
@@ -69,14 +70,16 @@ VERIFY = "verify --all-presets"
 #: each corpus with its seeds, in the order they run
 CORPORA = (("cli-small", (1, 77)), (VERIFY, (1, 77)),
            ("multistart", (1, 2, 3)), ("predict-large", (1, 2, 3)))
-#: what a residual map caches from one run for the next, where the tree
-#: has it
-CACHES = ("powers", "counts")
+#: what a residual map caches from one run for the next: one record per
+#: theta, or in older trees the two tables it replaced
+CACHES = ("thetas", "powers", "counts")
 
 
 def cold_rerun(gs, op):
     """Run ``op`` and then run it again on its problem's residual map with
-    ``CACHES`` cleared, restoring them after; returns both traces."""
+    ``CACHES`` cleared, restoring them after; returns both traces.  A map
+    with none of ``CACHES`` raises, since clearing nothing would read a
+    spread of 0."""
     problems = []
     calls = {name: getattr(gs, name) for name in ("run_alg1", "run_alg2")}
 
@@ -92,6 +95,8 @@ def cold_rerun(gs, op):
         first = op.run()
         lin = problems[0]._linear_map
         tables = [getattr(lin, name) for name in CACHES if hasattr(lin, name)]
+        if not tables:
+            raise RuntimeError(f"the residual map has none of {CACHES}")
         saved = [dict(t) for t in tables]
         for t in tables:
             t.clear()
