@@ -13,7 +13,10 @@ Two identities carry the rest of the module:
   U_i^perp  at every node i.  ``closed_form_E`` solves it through
   Z_top^-1, Z_top the first n-1 rows of Z, for every onto factor: as
   1^T Z = 0, any n-1 rows of Z are independent.  ``build_E`` keeps the
-  Z^+ definition, so the two check each other.  Both orthonormalise the
+  Z^+ definition, so the two check each other.  Neither decides a rank:
+  both take dim E = (n-1) d - sum_i r_i + dim U from the node ranks and
+  dim U (``_dim_E``), so the only rank decisions are each node's and the
+  one on H = [C_1 ... C_n] that gives U.  Both orthonormalise the
   images of orthonormal coefficients under Z^+ or Z_top^-1, so the
   squared condition number of that map, fixed by G', bounds the images'
   and picks how their triangular factor is taken (``_orthonormal_images``).
@@ -52,7 +55,6 @@ from .graphs import (
 from .operators import (
     LinearSubspace,
     NormalConeOp,
-    _null_space,
     _range_split,
     orthonormalize,
     real_array,
@@ -252,22 +254,45 @@ def _orthonormal_images(images: np.ndarray, cond_sq: float) -> EBasis:
     return EBasis(blocks, d, out)
 
 
+def _dim_E(sp: SubspaceProblem) -> int:
+    """dim E = (n-1) d - sum_i r_i + dim U, from the node ranks r_i and
+    dim U alone.  The blocks a_i in U_i^perp span sum_i (d - r_i)
+    dimensions, and their sum maps them onto U^perp, of dimension
+    d - dim U; E is the image of that map's kernel under Z^+, which is
+    one-to-one on zero-sum blocks."""
+    return (sp.n - 1) * sp.d - sum(u.dim for u in sp.subspaces) + sp.u_common.dim
+
+
+def _kernel(mat: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal basis of the k-dimensional kernel of ``mat``, k known
+    beforehand: its last k right singular vectors, from one SVD, with no
+    rank decision.  Only a wide matrix needs the full factor; a tall one
+    would build an m x m left factor for nothing.  numpy's SVD of an
+    empty matrix gives the identity or an empty right factor."""
+    m, n = mat.shape
+    return np.linalg.svd(mat, full_matrices=m < n)[2][n - k:].T
+
+
 def build_E(sp: SubspaceProblem) -> EBasis:
     """Assemble E from its definition.
 
     Block vectors a with a_i in U_i^perp are parametrized through bases of
     the complements; the zero-sum constraint is the null space of their
-    horizontal concatenation; the solutions map through Z^+ and the images
-    are orthonormalized by a reduced QR.  The map from coefficients to
-    images has full column rank (orthonormal coefficients, isometric
-    complement bases, and Z^+ injective on zero-sum blocks because G' is
-    connected), so no rank decision is needed there.  On the zero-sum
+    horizontal concatenation H = [C_1 ... C_n]; the solutions map through
+    Z^+ and the images are orthonormalized by a reduced QR.  ker H has
+    dimension dim E (``_dim_E``), as H has the rank d - dim U that
+    ``intersection`` decided on it, so its basis is the last dim E right
+    singular vectors of H and no second rank decision is taken.  The map
+    from coefficients to images has full column rank (orthonormal
+    coefficients, isometric complement bases, and Z^+ injective on
+    zero-sum blocks because G' is connected), so no rank decision is
+    needed there either.  On the zero-sum
     blocks Z^+ has the singular values 1 / sqrt(lambda_i), for the nonzero
     eigenvalues lambda_i of Lap(G') = Z Z^T, which are those of Z^T Z; so
     cond(Z^T Z) bounds the squared condition number of the images.
     """
     comp = [u.perp for u in sp.subspaces]
-    a = _block_images(comp, _null_space(np.hstack(comp)))
+    a = _block_images(comp, _kernel(np.hstack(comp), _dim_E(sp)))
     images = np.tensordot(sp.base.dec.z_dagger, a, axes=1)
     del a  # the QR is the memory peak; on complete n=60 d=24 this is 8 MB
     return _orthonormal_images(images, _gram_cond(sp.base.z))
@@ -297,13 +322,19 @@ def _membership_E(sp: SubspaceProblem) -> EBasis:
     in U_n^perp (a_n is minus it, as 1^T Z = 0), and e = Z_top^-1 a for
     Z_top the first n-1 rows of Z.  Any n-1 rows of Z are independent: if
     Z_top c = 0, then (Z c)_n = -sum_{i<n} (Z c)_i = 0, so Z c = 0, and
-    c = 0 as Z has full column rank.  The map from coefficients to images
-    has full column rank, so a reduced QR of the images is a basis of E.
+    c = 0 as Z has full column rank.  The coefficients are the kernel of
+    B_n^T [C_1 ... C_{n-1}], of dimension dim E (``_dim_E``), taken as its
+    last dim E right singular vectors with no rank decision: deciding the
+    rank of that matrix apart from U's could disagree with it on nearly
+    aligned nodes and give an E one dimension short.  The map from
+    coefficients to images has full column rank, so a reduced QR of the
+    images is a basis of E.
     The coefficients are orthonormal, so cond(Z_top^T Z_top) bounds the
     squared condition number of the images.
     """
     comp = [u.perp for u in sp.subspaces[:-1]]
-    a = _block_images(comp, _null_space(sp.subspaces[-1].basis.T @ np.hstack(comp)))
+    h = sp.subspaces[-1].basis.T @ np.hstack(comp)
+    a = _block_images(comp, _kernel(h, _dim_E(sp)))
     z_top = sp.base.z[:-1]
     e = np.tensordot(np.linalg.inv(z_top), a, axes=1)
     del a  # as in build_E, before the QR

@@ -24,7 +24,8 @@ A config is a JSON object, inline or in a file, with the fields (default):
   or a list of numbers (1.0); ``tol``: a number (1e-10); ``max_iters``:
   integer in [1, sys.maxsize] (100000); ``seed``: integer >= 0 (0);
 * ``w0`` (n x d), ``v0`` ((n-1) x d): numbers, "zero" (default) or
-  "random" (drawn from ``seed``).
+  "random" (drawn from ``seed``); ``run`` and ``verify`` refuse a start
+  whose squared norm overflows float64.
 
 Numbers must be finite; bool, str and null are rejected, never coerced,
 by ``operators.real_array``, the check the library applies to every
@@ -34,9 +35,9 @@ rejected.  ``predict`` reads no theta or tol and takes no --theta, --tol
 or --max-iters.  The flags --algorithm, --theta, --tol, --max-iters and
 --seed replace the field of the same name before the config is read.
 ``verify`` runs both algorithms (with --all-presets, on one problem per
-preset drawn from --seed, 42); its --tol is only the tolerance of the
-comparison with the predicted limits (1e-6) and leaves the stop rule to
-the config.
+preset drawn from --seed, an integer >= 0, 42); its --tol is only the
+tolerance of the comparison with the predicted limits (1e-6) and leaves
+the stop rule to the config.
 
 Exit codes: 0 ok, 2 config or validation failure (also a problem too
 large for memory, or an output file that cannot be written), 3 numeric
@@ -429,9 +430,9 @@ def _verify_case(prob, sp, opts: dict, tol: float) -> dict:
 
 def cmd_verify(args) -> int:
     if args.all_presets:
+        seed = 42 if args.seed is None else _integer(args.seed, "seed", 0)
         cases = [({"preset": cfg["problem"]["preset"]}, cfg, planted)
-                 for planted, cfg in _preset_configs(
-                     42 if args.seed is None else args.seed)]
+                 for planted, cfg in _preset_configs(seed)]
     elif args.config:
         cases = [({"config": args.config},
                   _read_json(args.config, "config"), None)]

@@ -320,6 +320,10 @@ def _run(p: SplittingProblem, w0, v0, theta, stop: StopRule | None,
     stretches, tol = _schedule(theta, stop)
     w0 = None if w0 is None else real_array(w0, "w0", (p.n, p.d))
     v0 = real_array(v0, "v0", (p.n - 1, p.d))
+    for what, start in (("w0", w0), ("v0", v0)):
+        # the stop test squares the norm, so no run could start from it
+        if start is not None and not math.isfinite(np.vdot(start, start)):
+            raise ValueError(f"{what} is too large: its squared norm overflows")
     if w0 is None:
         x, w, v, residuals, reason, recs = _kernels.alg2_sweep(
             _step(p), p.zt, v0, stretches, tol, record_states)
@@ -344,7 +348,8 @@ def run_alg2(p: SplittingProblem, v0, theta=1.0, stop: StopRule | None = None,
     count.  ``stop`` (``StopRule()`` when None) takes the tol and
     max_iters of :class:`StopRule`.  ``v0``, theta and tol pass
     ``operators.real_array``, so bool, str, None, wrong nesting and
-    non-finite values raise ``ValueError``.  With ``record_states`` the
+    non-finite values raise ``ValueError``, as does a start whose squared
+    norm overflows float64.  With ``record_states`` the
     trace keeps every iterate.  Subspace problems within the memory cap
     iterate their residual on the cached residual map (see
     ``_kernels._Linear``), with numpy's overflow and invalid warnings off;

@@ -126,19 +126,6 @@ def _rank(s: np.ndarray) -> int:
     return np.count_nonzero(s > _DROP_TOL * max(s.item(0), 1.0))
 
 
-def _null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(mat): the right singular vectors past the
-    rank.  Only a wide matrix needs the full factor; a tall one would build
-    an m x m left factor for nothing."""
-    m, n = mat.shape
-    if n == 0:
-        return np.zeros((0, 0))
-    if m == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(mat, full_matrices=m < n)
-    return vt[_rank(s):].T
-
-
 def _range_split(mat: np.ndarray) -> list:
     """Orthonormal bases of the range of each d x k matrix of the (m, d, k)
     stack ``mat`` and of its complement, as a list of m pairs in order: all

@@ -537,6 +537,33 @@ class TestEDimension:
                 "ring": "circulant", "complete": "complete_sparse"}[kind] in accepted
 
 
+class TestNearlyAlignedNodes:
+    """Nodes spanned by c + eps noise and two random vectors, with eps
+    where the near-common vector flips between common and not.  There a
+    rank decided on the membership rows can disagree with U's, so both E
+    constructions must take dim E from the node ranks and dim U."""
+
+    @pytest.mark.parametrize("name,n,d", [("generalized_ryu", 6, 6),
+                                          ("complete", 5, 4)])
+    def test_both_routes_follow_the_dimension_formula(self, name, n, d):
+        ps = preset(name, n)
+        for seed in range(5):
+            for eps in (3e-11, 1e-10, 3e-10, 1e-9):
+                rng = np.random.default_rng([seed, 7])
+                c = rng.standard_normal(d)
+                subs = [subspace_from_spanners(
+                    d, [c + eps * rng.standard_normal(d),
+                        rng.standard_normal(d), rng.standard_normal(d)])
+                        for _ in range(n)]
+                sp = subspace_problem(ps.pair, ps.dec, subs)
+                want = ((n - 1) * d - sum(u.dim for u in subs)
+                        + sp.u_common.dim)
+                got = closed_form_E(ps.e_route, sp)
+                assert sp.e_basis.dim == got.dim == want, (seed, eps)
+                # 3.0e-7 measured: the nodes are ill-conditioned by design
+                assert projector_gap(got, sp.e_basis) <= 1e-6, (seed, eps)
+
+
 class TestPredictLimits:
     def test_drs_aligned(self):
         sp = drs_subspace_problem([E1], [E1])

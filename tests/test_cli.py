@@ -242,19 +242,46 @@ def test_huge_budget_runs(tmp_path, capsys):
 
 
 def test_diverging_run_prints_only_its_error_line(tmp_path, capsys):
-    # the squared residual overflows at once; a warning, which a command
-    # line run would print to stderr, is recorded here instead
+    # a start whose squared norm overflows is refused at the boundary, and
+    # a reduced run on subspace nodes never takes a residual above ||v0||;
+    # from this w0, of squared norm 1.44e308, the expanded run's first
+    # residual is 1.4 times as large and its square overflows.  A warning,
+    # which a command line run would print to stderr, is recorded here
+    # instead
     cfg = {**VALID, "problem": {"preset": "generalized_ryu", "n": 3}, "d": 3,
-           "v0": [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]]}
-    for algorithm in ("reduced", "expanded"):
-        path = write_config(tmp_path, json.dumps({**cfg,
-                                                  "algorithm": algorithm}))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main(["run", "--no-trace", "--config", path])
-        assert code == cli.EXIT_DIVERGED and not caught
-        assert capsys.readouterr().err == \
-            "error: non-finite iterate at iteration 1\n"
+           "algorithm": "expanded",
+           "w0": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.2e154, 0.0, 0.0]]}
+    path = write_config(tmp_path, json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--no-trace", "--config", path])
+    assert code == cli.EXIT_DIVERGED and not caught
+    assert capsys.readouterr().err == \
+        "error: non-finite iterate at iteration 1\n"
+
+
+@pytest.mark.parametrize("start,what", [
+    ({"v0": [[1e160, 1e160]] * 2}, "v0"),
+    ({"v0": [[1e160, 1e160]] * 2, "algorithm": "expanded"}, "v0"),
+    ({"w0": [[1e160, 1e160]] * 3, "algorithm": "expanded"}, "w0"),
+], ids=["reduced", "expanded", "expanded-w0"])
+@pytest.mark.parametrize("node", [{"spanners": [[1.0, 1.0]]},
+                                  {"callback": "zero"}],
+                         ids=["residual-map", "callback"])
+def test_start_whose_square_overflows_exits_2(start, what, node, tmp_path,
+                                              capsys):
+    # every entry is finite, but the stop test squares the norm; the
+    # prediction from the same v0 is finite
+    cfg = {"problem": {"preset": "complete", "n": 3}, "d": 2,
+           "operators": [{"spanners": [[1.0, 0.0]]}, node,
+                         {"spanners": [[1.0, 0.0]]}], **start}
+    path = write_config(tmp_path, json.dumps(cfg))
+    assert cli.main(["run", "--no-trace", "--config", path]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {what} is too large: its squared norm overflows\n")
+    if "callback" not in node and what == "v0":
+        assert cli.main(["predict", "--config", path]) == cli.EXIT_OK
+        assert '"v_bar"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("target", ["missing", "directory"])
@@ -481,6 +508,14 @@ def test_verify_tol_only_compares(tmp_path, capsys):
                         case["expanded"]["iterations"])
                        for case in json.loads(out)["cases"]])
     assert counts[0] == counts[1]
+
+
+def test_verify_all_presets_rejects_a_negative_seed(capsys):
+    # the check a config's seed passes, not numpy's error
+    code = cli.main(["verify", "--all-presets", "--seed", "-1"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "error: seed must be at least 0, got -1\n")
 
 
 def test_verify_needs_a_source(capsys):

@@ -465,17 +465,42 @@ class TestBudget:
 
     @pytest.mark.parametrize("callback", [False, True])
     def test_divergence_residuals_own_their_data(self, callback, rng):
-        # a non-finite start is refused at the boundary, so the trigger is
-        # a finite one whose squared residual overflows at once on either
-        # step
+        # a start whose squared norm overflows is refused at the boundary,
+        # and a reduced run on subspace nodes never takes a residual above
+        # ||v0||, so the trigger is an expanded start of finite squared
+        # norm whose first residual, rho times as large, squares past the
+        # float range on either step
         problem = residual_map_or_twin(callback, rng)
-        v0 = np.array([[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        for run in (lambda: run_alg2(problem, v0, 1.0),
-                    lambda: run_alg1(problem, np.zeros((3, 3)), v0, 1.0)):
-            with pytest.raises(DivergenceError) as info:
+        w0, v0 = np.zeros((3, 3)), np.zeros((2, 3))
+        w0[2, 1] = 1.0
+        rho = run_alg1(problem, w0, v0, 1.0,
+                       StopRule(max_iters=1)).residuals[0]
+        assert rho > 1.1
+        w0 *= math.sqrt(np.finfo(float).max / rho)
+        with pytest.raises(DivergenceError) as info:
+            run_alg1(problem, w0, v0, 1.0)
+        assert info.value.iteration == 1
+        assert info.value.residuals.base is None
+        assert (problem._linear_map is None) == callback
+
+    @pytest.mark.parametrize("callback", [False, True])
+    def test_start_whose_square_overflows_is_refused(self, callback, rng):
+        # every entry is finite, but the stop test squares the norm: at
+        # 1e160 the square overflows and the start is refused by name; at
+        # 1e150 the run converges
+        problem = residual_map_or_twin(callback, rng)
+        big = np.full((2, 3), 1e160)
+        for run, what in ((lambda: run_alg2(problem, big, 1.0), "v0"),
+                          (lambda: run_alg1(problem, np.zeros((3, 3)), big,
+                                            1.0), "v0"),
+                          (lambda: run_alg1(problem, np.full((3, 3), 1e160),
+                                            np.zeros((2, 3)), 1.0), "w0")):
+            with pytest.raises(ValueError, match=f"^{what} is too large: "
+                               "its squared norm overflows$"):
                 run()
-            assert info.value.iteration == 1
-            assert info.value.residuals.base is None
+        v0, w0 = np.full((2, 3), 1e150), np.full((3, 3), 1e150)
+        assert run_alg2(problem, v0, 1.0).converged
+        assert run_alg1(problem, w0, v0, 1.0).converged
         assert (problem._linear_map is None) == callback
 
     def test_node_table_built_at_the_first_sweep(self, rng):

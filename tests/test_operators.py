@@ -9,7 +9,6 @@ from graphsplit.operators import (
     CallbackOp,
     LinearSubspace,
     NormalConeOp,
-    _null_space,
     complement,
     full_space,
     orthonormalize,
@@ -219,7 +218,10 @@ class TestSingleFactorisation:
                 "partial": 2, "rank-deficient": 2, "full_space": 6,
                 "zero_space": 0}
         for name, u in self.cases(rng).items():
-            ker = _null_space(u.basis.T)
+            # ker B^T from numpy's full SVD; B is orthonormal, so its
+            # singular values are 1 and the rank is their count
+            _, s, vt = np.linalg.svd(u.basis.T)
+            ker = vt[np.count_nonzero(s > 0.5):].T
             assert u.dim == dims[name], name
             assert u.perp.shape == ker.shape == (6, 6 - u.dim), name
             assert np.abs(u.perp @ u.perp.T - ker @ ker.T).max() < 1e-12, name

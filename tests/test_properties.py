@@ -125,14 +125,30 @@ def test_reduced_limit_equals_the_limit_from_the_map(draw):
         assert limit_error(v_bar, limit_from_map(sp.base, v0)) <= 1e-12, method
 
 
+@PROPERTY_SETTINGS
+@given(pairs)
+def test_expanded_limit_equals_the_limit_from_the_map(draw):
+    # y = Z^T w + v steps by y <- y - theta Z^T S y, the reduced recursion,
+    # and Z^T 1 = 0 with w-bar = 1 (x) u-bar, so v-bar = y-bar is the map's
+    # limit from Z^T w0 + v0
+    problems, _, (w0, v0) = planted_problems(*draw)
+    for method, sp in problems:
+        v_bar = predict_limits_alg1(sp, w0, v0).v_bar
+        ref = limit_from_map(sp.base, sp.base.zt @ w0 + v0)
+        assert limit_error(v_bar, ref) <= 1e-12, method
+
+
 def test_limit_from_the_map_sees_a_scaled_limit():
-    problems, _, (_, v0) = planted_problems(7, 5, 3, "tree")
+    problems, _, (w0, v0) = planted_problems(7, 5, 3, "tree")
     assert len(problems) >= 2
     for method, sp in problems:
-        v_bar = predict_limits_alg2(sp, v0).v_bar
-        ref = limit_from_map(sp.base, v0)
-        assert limit_error(v_bar, ref) <= 1e-12, method
-        assert limit_error((1 + 1e-5) * v_bar, ref) > 1e-12, method
+        for v_bar, ref in (
+                (predict_limits_alg2(sp, v0).v_bar,
+                 limit_from_map(sp.base, v0)),
+                (predict_limits_alg1(sp, w0, v0).v_bar,
+                 limit_from_map(sp.base, sp.base.zt @ w0 + v0))):
+            assert limit_error(v_bar, ref) <= 1e-12, method
+            assert limit_error((1 + 1e-5) * v_bar, ref) > 1e-12, method
 
 
 @PROPERTY_SETTINGS
