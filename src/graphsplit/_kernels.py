@@ -15,7 +15,9 @@ steps per stretch on a :class:`LinearMap` (see :class:`_Linear`), where every
 block past the first 32 steps comes from the power (I - theta g)^32 in the
 map's record for theta once the map's runs have taken enough steps at
 theta.  The residuals grow in a list, so the loop holds nothing sized by
-the budget.
+the budget.  On a :class:`LinearMap` the state rows start from the splits
+of v0 and w0, so the stop test reads its norms from them, and ||x - w||
+only where the residual passes; x, w and v are formed only at the end.
 
 ``alg1_sweep`` and ``alg2_sweep`` are the entry points; each enters the
 loop itself, so a timer wrapped around one never also times the other.
@@ -59,7 +61,10 @@ class LinearMap:
     q^T Z^T S q (m x m), so e = q^T Z^T x steps as e <- e - theta g e.
     ``kq`` holds the node coordinates of S q: row (i, j) is the j-th
     coordinate of node i in ``basis``, the B_i padded with zero columns
-    to one (n, d, r) array, so S q = blockdiag(B_i) kq.
+    to one (n, d, r) array, so S q = blockdiag(B_i) kq; ``kqe`` is kq with
+    a zero row appended, and ``kq`` a view of it.  ``perp`` holds the node
+    complements, padded to d - min r_i columns: n d^2 entries at most, not
+    counted against the size cap.
 
     ``gp`` is g with a zero row and column appended, and ``g`` a view of
     it, for the runs' extra column (see :class:`_Linear`).  ``thetas``
@@ -74,11 +79,13 @@ class LinearMap:
     """
 
     def __init__(self, q: np.ndarray, g: np.ndarray, kq: np.ndarray,
-                 basis: np.ndarray):
+                 basis: np.ndarray, perp: np.ndarray):
         m = len(g)
         self.gp = np.zeros((m + 1, m + 1))
         self.gp[:m, :m] = g
-        self.q, self.g, self.kq, self.basis = q, self.gp[:m, :m], kq, basis
+        self.kqe = np.vstack([kq, np.zeros(m)])
+        self.q, self.g, self.kq = q, self.gp[:m, :m], self.kqe[:-1]
+        self.basis, self.perp = basis, perp
         self.thetas = {}
 
     def blocks(self, c: np.ndarray) -> np.ndarray:
@@ -117,9 +124,8 @@ class _Blocks:
     def v_norms(self) -> list:
         return [math.sqrt(np.vdot(self.v, self.v))]
 
-    def gap_norms(self):
-        w = self.w
-        dw = self.x - w
+    def gap_norms(self, done):
+        dw, w = self.x - self.w, self.w
         return [math.sqrt(np.vdot(dw, dw))], [math.sqrt(np.vdot(w, w))]
 
     def _update(self) -> None:
@@ -141,13 +147,13 @@ class _Blocks:
 
 
 #: a step at theta maps the state rows and then g e to the state rows
-#: after it by A0 + theta A1.  Reduced, the rows are sigma = sum theta_j
-#: e_j and e.  Expanded, they are sigma; e; tau, which relaxes towards
-#: sigma; rho = sum theta_j r_j; and r = q^T Z^T (w - 2x).  The residual's
-#: row is the last.
-_REDUCED = (np.eye(2, 3), np.array([[0.0, 1, 0], [0, 0, -1]]))
+#: after it by A0 + theta A1.  Reduced, the rows are xi = u0 - sum theta_j
+#: e_j and e.  Expanded, they are xi; e; tau, which relaxes towards xi;
+#: rho = [uv, h] + sum theta_j r_j; and r = q^T Z^T (w - 2x).  The
+#: residual's row is the last.
+_REDUCED = (np.eye(2, 3), np.array([[0.0, -1, 0], [0, 0, -1]]))
 _EXPANDED = (np.eye(5, 6),
-             np.array([[0.0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1],
+             np.array([[0.0, -1, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1],
                        [1, 0, -1, 0, 0, 0], [0, 0, 0, 0, 1, 0],
                        [0, -1, 0, 0, -1, 2]]))
 
@@ -155,14 +161,17 @@ _EXPANDED = (np.eye(5, 6),
 @functools.lru_cache(maxsize=64)
 def _tables(theta: float, expanded: bool, s: int):
     """The states of a block of s steps at theta as coefficients of its
-    rows, read-only: ``(t, head, stop)``.
+    rows, read-only: ``(t, head, stop, out)``.
 
     A block holds the k state rows at its first position, then
     g e_0 .. g e_(s-1).  ``t[j] @ block`` is the state at position j, and
     ``head`` the block's one product: the rows of its state at position s
     and of its residual at positions s - 1 .. 1.  ``stop @ block`` is the
-    rows the stop test reads at positions 0 .. s - 1: sigma reduced;
-    sigma - tau, tau and rho expanded, s rows of each.
+    rows the stop test reads at positions 0 .. s - 1: the row of v (xi
+    reduced, rho expanded), and expanded then xi - tau and tau, the rows
+    of x - w and w, s rows of each.  ``out[i] @ block`` are the rows of the
+    blocks after each step: i = 0 xi at positions 0 .. s - 1, for x, then
+    at positions 1 .. s tau (expanded), for w, and the row of v.
     """
     a0, a1 = _EXPANDED if expanded else _REDUCED
     step = a0 + theta * a1
@@ -173,10 +182,15 @@ def _tables(theta: float, expanded: bool, s: int):
         np.dot(step[:, :k], t[j], out=t[j + 1])
         t[j + 1, :, k + j] = step[:, k]
     head = np.concatenate([t[s], t[s - 1:0:-1, -1]])
-    stop = (np.concatenate([t[:s, 0] - t[:s, 2], t[:s, 2], t[:s, 3]])
-            if expanded else t[:s, 0].copy())
-    t.flags.writeable = head.flags.writeable = stop.flags.writeable = False
-    return t, head, stop
+    i = 3 if expanded else 0
+    stop, out = [t[:s, i]], [t[:s, 0]]
+    if expanded:
+        stop += [t[:s, 0] - t[:s, 2], t[:s, 2]]
+        out += [t[1:, 2]]
+    stop, out = np.concatenate(stop), np.stack(out + [t[1:, i]])
+    for a in (t, head, stop, out):
+        a.flags.writeable = False
+    return t, head, stop, out
 
 
 def _head(theta: float, expanded: bool, s: int) -> np.ndarray:
@@ -193,13 +207,16 @@ class _Linear:
     """A run of a subspace problem in the coordinates of its residuals.
 
     With y_k = y0 - q sigma_k the governing input (y = v reduced,
-    Z^T w + v expanded) and u0 = q^T y0, the shadow is x_k = B c_k with
-    c_k = kq (u0 - sigma_k).  Reduced, the residual is -q e and
-    v = v0 - q sigma.  Expanded, with a_k = prod (1 - theta_j),
-    b_k = sum theta_j a_j and Z^T w0 = q omega0 + qp, qp orthogonal to q,
+    Z^T w + v expanded) and u0 = q^T y0, the shadow is x_k = B kq xi_k
+    with xi_k = u0 - sigma_k, and Z^T x_k = q e_k with e_k = g xi_k, the
+    reduced residual.  Split v0 = q uv + h p + v_r, with h = 0 reduced,
+    Z^T w0 = q omega0 + qp, p = qp / |qp| and v_r orthogonal to q and p;
+    reduced, v = v0 - q sigma = v_r + q xi.  Expanded, with
+    a_k = prod (1 - theta_j) and w0 = B c0 + w_r, w_r orthogonal to every
+    B_i (c0 the node coordinates over the padded bases),
 
-        Z^T (w - 2x) = q r + a qp,     v = v0 + q rho + b qp,
-        w = a w0 + B kq ((1 - a) u0 - tau).
+        Z^T (w - 2x) = q r + a qp,     v = v_r + q rho + rho_m p,
+        w = a w0 + B kq tau.
 
     A stretch of equal theta moves in blocks of 1, 2, 4, 25 and then 32
     steps, the last cut to the stretch (see ``_RAMP``).  A block of s steps
@@ -213,56 +230,76 @@ class _Linear:
     :meth:`_power`).
     Every other block steps g e_0 by products with I - theta g.  One
     product with the block's head (see :func:`_tables`) gives its residual
-    rows and the next block's first rows.  The stop test reads ||v||,
-    ||x - w|| and ||w|| from the rows of sigma (and expanded tau and rho)
-    and from the splits of v0 over q and of w0 over the node bases, made
-    when the run starts, as sums of squares of orthogonal parts; v, x and
-    w are formed only for records and the result, and a theta of 0 leaves
-    them exactly as they were.
+    rows and the next block's first rows.
     Every row has one more column, m, which the steps carry as they carry
-    the others: 1 in sigma, 1 - a in tau, b |qp| in rho and a |qp| in r,
-    0 in e and g e.  So a residual is the norm of its row.  The two blocks
-    and the ramp hold 2 x 37 (m + 1) + 32 (m + 1) entries, and
-    I - theta g (m + 1)^2.
+    the others: 0 in xi, -a in tau, h + b |qp| in rho (b = sum theta_j
+    a_j) and a |qp| in r, 0 in e and g e.  So a residual is the norm of
+    its row, and ||v||^2 is the squared norm of the row of v (xi reduced,
+    rho expanded) plus ||v_r||^2.
+    The set-up writes the state rows at the start from the splits of v0
+    and, expanded, Z^T w0 over q (one product with q, one with q^T) and of
+    w0 over each node's padded basis and complement (``basis``, ``perp``).
+    A tested block gives ||v|| at every position from one product, and
+    ||x - w|| and ||w|| only where the residual passes, from one product
+    of its rows with kq (see :meth:`gap_norms`).  x and w are formed, for
+    records and the result only, by one product with kq and one with the
+    bases; a theta of 0 leaves v, x and w exactly as they were.  The two
+    blocks and the ramp hold 2 x 37 (m + 1) + 32 (m + 1) entries.
     """
 
     def __init__(self, lin: LinearMap, zt, w0, v0, record):
-        q, g = lin.q, lin.g
-        self.lin, self.m = lin, len(g)
-        self.shape = v0.shape
-        self.v0 = v0.reshape(-1)
-        self.v0_norm = math.sqrt(np.dot(self.v0, self.v0))
+        q, m = lin.q, len(lin.g)
+        self.lin, self.m, self.shape = lin, m, v0.shape
+        self.v0 = v0 = v0.reshape(-1)
+        self.v0_norm = math.sqrt(v0.dot(v0))
         self.expanded = w0 is not None
-        # the state rows: sigma, e (, tau, rho, r)
-        self.k = 5 if self.expanded else 2
+        # the state rows: xi, e (, tau, rho, r)
+        k = self.k = 5 if self.expanded else 2
         # the rows of this block and of the one before it
-        self.buf, self.last = np.zeros((2, self.k + _S, self.m + 1))
+        self.buf, self.last = np.empty((2, k + _S, m + 1))
         # the g e rows of the ramp, read by the stretch's first full block
-        self.ramp = np.empty((_S, self.m + 1))
+        self.ramp = np.empty((_S, m + 1))
         # the steps of the block that the run takes, 0 before the first
         self.theta, self.steps, self.end = None, 0, 0
         self.record, self.records = record, []
-        if not self.expanded:
-            self.u0 = self.uv = q.T @ self.v0
-            e = self.buf[1, :-1] = g @ self.u0
-            self.res = math.sqrt(np.dot(e, e))
-            self._split_v()
-            return
-        self.w0 = w0.reshape(-1)
-        zw = (zt @ w0).reshape(-1)
-        omega0, self.uv = np.array([zw, self.v0]) @ q
-        self.u0 = self.uv + omega0
-        qp = zw - q @ omega0
-        qn = math.sqrt(np.dot(qp, qp))
-        # qp / |qp|, the direction b |qp| in rho scales
-        self.qp = qp / qn if qn else qp
-        self.buf[0, -1] = 1.0
-        self.buf[1, :-1] = g @ self.u0
-        r = self.buf[4]
-        r[:-1], r[-1] = omega0 - 2.0 * self.buf[1, :-1], qn
-        self.res = math.sqrt(np.dot(r, r))
-        self._split_v()
-        self._split_w()
+        rows = self.buf
+        if self.expanded:
+            # Z^T w0 and v0, less their parts in range(q): qp and v0 - q uv
+            y = np.empty((2, len(v0)))
+            zt.dot(w0, out=y[0].reshape(self.shape))
+            y[1] = v0
+            c = y.dot(q)
+            y -= c.dot(q.T)
+            qp, rem = y
+            qn = math.sqrt(qp.dot(qp))
+            self.p = p = qp / qn if qn else qp
+            # h from v0 - q uv, not v0: where Z^T w0 lies in range(q), qp
+            # is rounding and p is not orthogonal to q
+            h = p.dot(rem)
+            rem -= h * p
+            rows[:k, m] = 0.0, 0.0, -1.0, h, qn
+            np.add(c[0], c[1], out=rows[0, :m])
+            rows[2, :m] = 0.0
+            rows[3, :m] = c[1]
+            lin.gp.dot(rows[0], out=rows[1])
+            np.subtract(c[0], 2.0 * rows[1, :m], out=rows[4, :m])
+            # w0's node coordinates c0, then the norm of the rest of w0
+            n, d, r = lin.basis.shape
+            w0 = w0.reshape(n, 1, d)
+            self.c0 = np.empty(n * r + 1)
+            np.matmul(w0, lin.basis, out=self.c0[:-1].reshape(n, 1, r))
+            wr = (w0 @ lin.perp).reshape(-1)
+            self.c0[-1] = math.sqrt(wr.dot(wr))
+            self.w0 = w0.reshape(-1)
+        else:
+            rows[:k, m] = 0.0
+            v0.dot(q, out=rows[0, :m])
+            lin.gp.dot(rows[0], out=rows[1])
+            rem = v0 - q.dot(rows[0, :m])
+        # the row of v at the start, [uv, h]
+        self.vc = rows[3 if self.expanded else 0].copy()
+        self.c2 = rem.dot(rem)
+        self.res = math.sqrt(rows[k - 1].dot(rows[k - 1]))
 
     def block(self, theta: float, left: int) -> list:
         """The residuals at the positions of the next block: the next
@@ -287,18 +324,18 @@ class _Linear:
         k, buf = self.k, self.buf
         if steps >= _S and self._power() is not None:
             before = self.last[k:] if steps > _S else self.ramp
-            np.dot(before[:s], self.rec[1].T, out=buf[k:k + s])
+            before[:s].dot(self.rec[1].T, out=buf[k:k + s])
         else:
-            ge = np.dot(self.lin.gp, buf[1], out=buf[k])
+            ge = self.lin.gp.dot(buf[1], out=buf[k])
             if s > 1:
                 step = self._step()
                 for i in range(k + 1, k + s):
-                    ge = np.dot(step, ge, out=buf[i])
+                    ge = step.dot(ge, out=buf[i])
             if steps < _S and s < left:
                 self.ramp[steps:steps + s] = buf[k:k + s]
         self.steps, self.end = steps + s, s
         rows = self.rows = buf[:k + s]
-        rows = np.dot(head, rows, out=self.last[:k + s - 1])[k - 1:]
+        rows = head.dot(rows, out=self.last[:k + s - 1])[k - 1:]
         # squares at positions s .. 1; the last is the next block's first
         sq = np.vecdot(rows, rows).tolist()
         res = [self.res, *map(math.sqrt, reversed(sq))]
@@ -321,7 +358,7 @@ class _Linear:
         if rec[1] is None and rec[0] + self.steps > 2 * self.m:
             p = self._step()
             for _ in range(_SQUARINGS):
-                p = p @ p
+                p = p.dot(p)
             rec[1] = p
         return rec[1]
 
@@ -330,104 +367,64 @@ class _Linear:
         for its theta."""
         self.rec[0] += self.steps - self.s + self.end
 
-    def _states(self, first: int, stop: int) -> np.ndarray:
-        """The states at positions ``first`` .. ``stop - 1`` of the block."""
-        t = _tables(self.theta, self.expanded, self.s)[0]
-        return t[first:stop] @ self.rows
-
-    def v_norms(self) -> list:
-        """||v|| at each position of the block before its end, from the
-        split of v0: ||v||^2 = ||uv - sigma||^2 + c2 reduced (sigma's extra
-        column is 0), and ||uv + rho||^2 + (h + rho_m)^2 + c2 expanded,
-        rho_m the extra column."""
+    def v_norms(self) -> np.ndarray:
+        """||v|| at each position of the block before its end."""
         s = self.s
-        st = _tables(self.theta, self.expanded, s)[2] @ self.rows
-        self.stop_states = st
-        dv = self.vc + st[2 * s:] if self.expanded else self.vc - st
-        return np.sqrt(np.vecdot(dv, dv) + self.c2).tolist()
+        st = _tables(self.theta, self.expanded, s)[2][:s].dot(self.rows)
+        return np.sqrt(np.vecdot(st, st) + self.c2)
 
-    def gap_norms(self):
-        """||x - w|| and ||w|| at the positions of :meth:`v_norms`, from
-        the split of w0.  With B orthonormal per node, a = 1 - tau_m the
-        extra column of sigma - tau, ku = kq u0 and dk = ku - c0,
+    def gap_norms(self, done: np.ndarray) -> np.ndarray:
+        """||x - w|| and ||w|| at the positions ``done`` of the block, as
+        the two rows of one array.  With B orthonormal per node, for d the
+        row of x - w (xi - tau, extra column a) or of w (tau, extra
+        column -a),
 
-            ||x - w||^2 = ||kq (sigma - tau) - a dk||^2 + a^2 w2,
-            ||w||^2 = ||kq tau + a dk - ku||^2 + a^2 w2."""
-        s, m = self.s, self.m
-        st = self.stop_states
-        c = st[:2 * s, :m] @ self.lin.kq.T
-        a = st[:s, m:]
-        ad = a * self.dk
-        c[:s] -= ad
-        c[s:] += ad
-        c[s:] -= self.ku
-        sq = np.vecdot(c, c)
-        aw = np.square(a[:, 0]) * self.w2
-        return np.sqrt(sq[:s] + aw).tolist(), np.sqrt(sq[s:] + aw).tolist()
+            ||B (kq d - d_m c0) - d_m w_r||^2
+                = ||kq d - d_m c0||^2 + d_m^2 ||w_r||^2,
 
-    def _split_v(self) -> None:
-        """Split v0 into q uv, h p (expanded, p the unit qp; else h = 0) and
-        a remainder, whose squared norm is c2, and keep vc = [uv, h].  h is
-        taken from v0 - q uv, not v0: where Z^T w0 lies in range(q), qp is
-        rounding, and p is not orthogonal to q."""
-        rem = self.v0 - self.lin.q @ self.uv
-        h = 0.0
-        if self.expanded:
-            h = np.dot(self.qp, rem)
-            rem -= h * self.qp
-        self.vc = np.append(self.uv, h)
-        self.c2 = np.dot(rem, rem)
-
-    def _split_w(self) -> None:
-        """Split w0 into B c0, c0 its node coordinates over the padded
-        bases, and a remainder orthogonal to every B_i: keep w2, the
-        remainder's squared norm, ku = kq u0 and dk = ku - c0."""
-        lin = self.lin
-        n, d, r = lin.basis.shape
-        c0 = (self.w0.reshape(n, 1, d) @ lin.basis).reshape(n * r)
-        rem = self.w0 - lin.blocks(c0)
-        self.w2 = np.dot(rem, rem)
-        self.ku = lin.kq @ self.u0
-        self.dk = self.ku - c0
+        the squared norm of kqe d - d_m [c0, ||w_r||], linear in d: taken
+        of the block's k + s rows, then combined per position, it costs
+        fewer flops than of the 2 len(done) rows once 2 len(done) > k + s."""
+        s, m, rows = self.s, self.m, self.rows
+        stop = _tables(self.theta, True, s)[2][s:].reshape(2, s, -1)
+        kr = rows[:, :m].dot(self.lin.kqe.T)
+        kr -= rows[:, m:] * self.c0
+        c = stop[:, done].reshape(2 * len(done), -1).dot(kr)
+        return np.sqrt(np.vecdot(c, c)).reshape(2, -1)
 
     def _keep(self) -> None:
-        """Record the states after each step of the block the run takes."""
-        states = self._states(0, self.end + 1)
-        self.records.append((states[:-1, 0], states[1:]))
+        """Record the rows of the blocks after each step of the block the
+        run takes."""
+        out = _tables(self.theta, self.expanded, self.s)[3]
+        self.records.append(out[:, :self.end] @ self.rows)
 
-    def _v(self, states):
-        """v at ``states``, flat; stacks of states give stacks of v."""
-        q, m = self.lin.q, self.m
-        if not self.expanded:
-            return self.v0 - states[:, 0, :m] @ q.T
-        rho = states[:, 3]
-        return self.v0 + rho[:, :m] @ q.T + rho[:, m:] * self.qp
-
-    def _xw(self, sigma, states):
-        """x at ``sigma`` and w (None when reduced) at ``states``, flat."""
+    def _blocks(self, rows):
+        """x, w (None when reduced) and v, flat, from their rows, stacked
+        on the first axis: xi, then tau (expanded), then the row of v, each
+        one row or a stack of them.  One product with kq and one with the
+        bases form x and w."""
         lin, m = self.lin, self.m
-        x = lin.blocks((self.u0 - sigma[:, :m]) @ lin.kq.T)
+        xw = lin.blocks(rows[:-1, ..., :m] @ lin.kq.T)
+        dv = rows[-1] - self.vc
+        v = self.v0 + dv[..., :m].dot(lin.q.T)
         if not self.expanded:
-            return x, None
-        tau = states[:, 2]
-        # 1 - a
-        one = tau[:, m:]
-        w = lin.blocks((one * self.u0 - tau[:, :m]) @ lin.kq.T)
-        return x, w + (1.0 - one) * self.w0
+            return xw[0], None, v
+        v += dv[..., m:] * self.p
+        return xw[0], xw[1] - rows[1, ..., m:] * self.w0, v
 
     def result(self, end: int):
         """The blocks after the first ``end`` steps of the last block, and
-        of each recorded step, rebuilt by one product per kind of block."""
+        of each recorded step, rebuilt from their rows at once."""
         self.end = end
         self._leave()
         if self.record:
             self._keep()
-            sigma, states = map(np.concatenate, zip(*self.records))
+            rows = np.concatenate(self.records, axis=1)
         else:
-            states = self._states(end - 1, end + 1)
-            sigma, states = states[:1, 0], states[1:]
+            out = _tables(self.theta, self.expanded, self.s)[3]
+            rows = out[:, end - 1].dot(self.rows)
+        x, w, v = self._blocks(rows)
         n1, d = self.shape
-        (x, w), v = self._xw(sigma, states), self._v(states)
         x, v = x.reshape(-1, n1 + 1, d), v.reshape(-1, n1, d)
         w = [None] * len(x) if w is None else w.reshape(-1, n1 + 1, d)
         return x[-1], w[-1], v[-1], list(zip(x, v, w)) if self.record else []
@@ -449,9 +446,11 @@ def _drive(it, stretches, tol):
     residual passes the test against an upper bound of ||v||, ||v_j|| +
     sum_{l >= j} theta_l res_l from v0 or the last ||v|| asked; then the
     exact test runs at each position of the block, so every stop is the
-    exact test's.  A :class:`_Linear` run answers from the splits of v0
-    and w0, without forming v, x or w.  The first non-finite residual
-    ends the run as a divergence.
+    exact test's: its residual part on every position at once, and
+    expanded ||x - w|| and ||w|| only at the positions that pass it.  A
+    :class:`_Linear` run answers from the splits of v0 and w0, without
+    forming v, x or w.  The first non-finite residual ends the run as a
+    divergence.
 
     Returns x, w (None when reduced), v, the residuals, the stop reason
     -- ``tol``, ``end`` (every theta used) or ``diverged`` (the last
@@ -478,15 +477,15 @@ def _drive(it, stretches, tol):
                 bound += theta * total
             else:
                 v = it.v_norms()
-                done = [j for j, (r, vj) in enumerate(zip(res, v))
-                        if r <= tol * max(1.0, vj)]
-                if done and it.expanded:
-                    gap, w = it.gap_norms()
-                    done = [j for j in done if gap[j] <= tol * max(1.0, w[j])]
-                if done:
-                    s = done[0] + 1
+                # fmax, as max(1.0, v) would, takes 1 for a NaN ||v||
+                done = (np.array(res) <= tol * np.fmax(v, 1.0)).nonzero()[0]
+                if done.size and it.expanded:
+                    gap, w = it.gap_norms(done)
+                    done = done[gap <= tol * np.fmax(w, 1.0)]
+                if done.size:
+                    s = int(done[0]) + 1
                     return _result(it, s, residuals + res[:s], "tol")
-                bound = v[-1] + theta * res[-1]
+                bound = float(v[-1]) + theta * res[-1]
             residuals += res
     return _result(it, s, residuals, "end")
 

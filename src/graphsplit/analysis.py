@@ -376,9 +376,12 @@ def predict_limits_alg1(sp: SubspaceProblem, w0, v0) -> LimitPrediction:
     # first, so a y that overflows is reported as such, not as a gap
     lim = _limit(sp, y)
     s = delta @ w0 + a @ v0
-    # the two stated forms of the projected seed agree because Z alpha = delta
+    # the two stated forms of the projected seed agree because Z alpha =
+    # delta; their rounding follows the size of the terms, not of s, which
+    # cancels to 0 when every w0 block is the same
     gap = np.abs(s - a @ y).max()
-    if gap > 1e-9 * max(1.0, np.abs(s).max()):
+    size = np.abs(delta) @ np.abs(w0) + np.abs(a) @ np.abs(v0)
+    if gap > 1e-9 * max(1.0, size.max()):
         raise ValueError(
             f"alpha does not match the degree balance: delta^T w + alpha^T v "
             f"and alpha^T (Z^T w + v) differ by {gap:.3e}"

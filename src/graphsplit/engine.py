@@ -155,15 +155,16 @@ class SplittingProblem:
         if not self.all_subspace:
             return None
         n, d = self.n, self.d
-        bases = [op.subspace.basis for op in self.ops]
-        dims = [b.shape[1] for b in bases]
+        subs = [op.subspace for op in self.ops]
+        dims = [u.dim for u in subs]
         r, nd1 = max(dims), (n - 1) * d
         m = min(sum(dims), nd1)
         if (nd1 + n * r + m) * m > LINEAR_MAP_MAX_ENTRIES:
             return None
-        basis = np.zeros((n, d, r))
-        for b, bi, k in zip(basis, bases, dims):
-            b[:, :k] = bi
+        # per node its basis and its complement, padded with zero columns
+        basis, perp = np.zeros((n, d, r)), np.zeros((n, d, d - min(dims)))
+        for b, c, u, k in zip(basis, perp, subs, dims):
+            b[:, :k], c[:, :d - k] = u.basis, u.perp
         live = (np.arange(r) < np.array(dims)[:, None]).reshape(-1)
         # R = (Z^T (x) I_d) blockdiag(B_i), one column per basis vector
         rr = (self.zt[:, None, :, None] * basis.transpose(1, 0, 2))
@@ -173,7 +174,7 @@ class SplittingProblem:
                        .reshape(n, d, m).transpose(0, 2, 1))
         kq = (x @ basis).transpose(0, 2, 1).reshape(n * r, m)
         # Z^T S q = R kq, and q^T R = rf
-        return _kernels.LinearMap(q, rf @ kq[live], kq, basis)
+        return _kernels.LinearMap(q, rf @ kq[live], kq, basis, perp)
 
 
 def node_sweep(p: SplittingProblem, t: np.ndarray) -> np.ndarray:

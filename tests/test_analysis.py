@@ -614,6 +614,21 @@ class TestPredictLimits:
                 s2 = a @ (sp.base.zt @ w0 + v0)
                 assert np.abs(s1 - s2).max() < 1e-12
 
+    def test_large_equal_w0_blocks_predict(self, rng):
+        # every w0 block the same: delta^T w0 + alpha^T v0 cancels while
+        # the rounding of Z^T w0 grows with ||w0||, so the degree-balance
+        # gap is scaled by the size of the terms
+        ps = preset("complete", 3)
+        sp = subspace_problem(ps.pair, ps.dec, [
+            subspace_from_spanners(2, [s])
+            for s in ([1.0, 0.0], [1.0, 1.0], [1.0, 0.0])])
+        w0 = np.full((3, 2), 1e8)
+        for v0 in (np.zeros((2, 2)), rng.standard_normal((2, 2))):
+            got = predict_limits_alg1(sp, w0, v0).v_bar
+            want = predict_limits_alg2(sp, sp.base.zt @ w0 + v0).v_bar
+            scale = max(1.0, np.linalg.norm(want))
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
     def test_alpha_off_the_degree_balance_raises(self, rng):
         # a checked condition, not an assert, so it holds under python -O
         sp = random_problem("generalized_ryu", 4, rng, d=3)
@@ -623,6 +638,9 @@ class TestPredictLimits:
         v0 = rng.standard_normal((3, 3))
         with pytest.raises(ValueError, match="degree balance"):
             predict_limits_alg1(sp, w0, v0)
+        # and with a large w0, whose terms scale the gap
+        with pytest.raises(ValueError, match="degree balance"):
+            predict_limits_alg1(sp, 1e8 * w0, v0)
 
 
 class TestProjFixTTilde:

@@ -650,6 +650,15 @@ def twin_runs_agree(p, subs, run):
     return got
 
 
+def parts_off_the_map(sp, w0):
+    """The norms of the part of w0 outside every node subspace and of the
+    part of Z^T w0 outside range(q), from the node projectors and q."""
+    off = [wi - u.basis @ (u.basis.T @ wi) for u, wi in zip(sp.subspaces, w0)]
+    zw = (sp.base.zt @ w0).reshape(-1)
+    q = sp.base._linear_map.q
+    return np.linalg.norm(off), np.linalg.norm(zw - q @ (q.T @ zw))
+
+
 def both_runs(w0, v0, theta, stop):
     return (lambda q: run_alg2(q, v0, theta, stop, record_states=True),
             lambda q: run_alg1(q, w0, v0, theta, stop, record_states=True))
@@ -691,25 +700,35 @@ class TestResidualMap:
     # a budget of 8 ends a stretch in a block cut short, and the schedule
     # runs blocks of one; budgets of 50, 63, 64 and 65 end in the first
     # full block cut short, at its end, and in blocks of one and two
-    # steps after it
+    # steps after it; budgets of 1, 2 and 3, and a schedule of 3, end in
+    # the ramp's first blocks, where the set-up's rows are the block's own
     @pytest.mark.parametrize("theta,budget,reason", [
         (1.1, 8, "max_iters"), ([0.7, 1.4] * 4, 20, "schedule"),
         (0.2, 50, "max_iters"), (0.2, 63, "max_iters"),
-        (0.2, 64, "max_iters"), (0.2, 65, "max_iters")])
+        (0.2, 64, "max_iters"), (0.2, 65, "max_iters"),
+        (1.1, 1, "max_iters"), (1.1, 2, "max_iters"), (1.1, 3, "max_iters"),
+        ([0.6, 1.5, 0.9], 10, "schedule")])
     def test_returned_x_is_the_sweep_before_the_last_update(
             self, theta, budget, reason, rng):
         sp = random_problem("parallel_up", 4, rng, d=3, planted=True)
         p = sp.base
         w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        # w0 has parts outside every node subspace and Z^T w0 one outside
+        # range(q), so every part of the splits of w0 and v0 is in play
+        assert min(parts_off_the_map(sp, w0)) > 1e-3
         t2, t1 = (twin_runs_agree(p, sp.subspaces, run) for run in
                   both_runs(w0, v0, theta,
                             StopRule(tol=0.0, max_iters=budget)))
         assert t2.stop_reason == t1.stop_reason == reason
         k = budget if reason == "max_iters" else len(theta)
         assert t2.k_final == t1.k_final == k
-        prev2, prev1 = t2.iterations[-2], t1.iterations[-2]
-        x2, _ = apply_T_tilde(p, prev2.v)
-        x1, _ = apply_T(p, prev1.w, prev1.v)
+        # the state before the last update: the start, or the record
+        # before the last
+        prev2 = (v0 if k == 1 else t2.iterations[-2].v)
+        prev1 = ((w0, v0) if k == 1 else (t1.iterations[-2].w,
+                                           t1.iterations[-2].v))
+        x2, _ = apply_T_tilde(p, prev2)
+        x1, _ = apply_T(p, *prev1)
         assert np.abs(t2.x - x2).max() <= 1e-12
         assert np.abs(t1.x - x1).max() <= 1e-12
         assert np.array_equal(t2.x, t2.iterations[-1].x)
@@ -718,6 +737,31 @@ class TestResidualMap:
         stop = StopRule(tol=0.0, max_iters=budget)
         assert np.abs(run_alg2(p, v0, theta, stop).x - x2).max() <= 1e-12
         assert np.abs(run_alg1(p, w0, v0, theta, stop).x - x1).max() <= 1e-12
+
+    @pytest.mark.parametrize("theta,budget", [
+        (1.1, 1), (1.1, 2), (1.1, 3), ([0.6, 1.5, 0.9], 3)])
+    def test_short_runs_from_starts_on_and_off_the_map(
+            self, theta, budget, rng):
+        # the set-up splits v0 and w0 and the result rebuilds x, w and v;
+        # with and without records, from a w0 with parts outside every
+        # node subspace and outside range(q), and from a w0 in the node
+        # subspaces, whose Z^T w0 lies in range(q)
+        sp = random_problem("parallel_up", 4, rng, d=3, planted=True)
+        v0 = rng.standard_normal((3, 3))
+        w_off = rng.standard_normal((4, 3))
+        w_on = np.array([u.basis @ rng.standard_normal(u.dim)
+                         for u in sp.subspaces])
+        assert min(parts_off_the_map(sp, w_off)) > 1e-3
+        assert max(parts_off_the_map(sp, w_on)) <= 1e-12
+        stop = StopRule(tol=0.0, max_iters=budget)
+        for w0 in (w_off, w_on):
+            for record in (True, False):
+                for run in (
+                        lambda q: run_alg2(q, v0, theta, stop, record),
+                        lambda q: run_alg1(q, w0, v0, theta, stop, record)):
+                    trace = twin_runs_agree(sp.base, sp.subspaces, run)
+                    assert trace.k_final == budget
+                    assert len(trace.iterations) == (budget if record else 0)
 
     @pytest.mark.parametrize("name,n", PRESET_CASES)
     def test_stops_at_the_first_iterate_passing_the_stop_rule(
@@ -750,8 +794,8 @@ class TestResidualMap:
                 assert not any(passes(trace, j) for j in range(1, k))
 
     def test_records_are_rebuilt_after_the_loop(self, monkeypatch, rng):
-        # the blocks of every record come from one product per kind of
-        # block, whatever the number of iterations
+        # the blocks of every record, x and w alike, come from one product
+        # with the node bases, whatever the number of iterations
         sp = random_problem("complete", 4, rng, d=3, planted=True)
         w0, v0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
         calls = []
@@ -771,7 +815,7 @@ class TestResidualMap:
                 trace = twin_runs_agree(sp.base, sp.subspaces, run)
                 assert len(trace.iterations) == k
                 counts.append(len(calls))
-        assert counts[:2] == counts[2:4] == counts[4:]
+        assert counts == [1] * 6
 
 
 def stop_ratios(trace, w0, v0):
@@ -1100,9 +1144,9 @@ def split_norm_errors(p, w0, v0, stretches):
     """Drive a run of ``p`` on its residual map block by block and return,
     per norm of the stop test, its largest error over every position of
     every block: the norm from the splits of v0 and w0 against the norm
-    of the blocks rebuilt by ``_v``/``_xw``, relative to the scale the
-    stop test compares it at, max(1, ||v||) or max(1, ||w||).  The
-    reduced run when ``w0`` is None."""
+    of the blocks rebuilt by ``_blocks`` from the states at each position,
+    relative to the scale the stop test compares it at, max(1, ||v||) or
+    max(1, ||w||).  The reduced run when ``w0`` is None."""
     it = engine._kernels._Linear(p._linear_map, p.zt, w0, v0, False)
     norm = np.linalg.norm
     worst = {}
@@ -1114,13 +1158,15 @@ def split_norm_errors(p, w0, v0, stretches):
     for theta, count in stretches:
         while count:
             count -= len(it.block(theta, count))
-            states = it._states(0, it.s)
-            v = norm(it._v(states), axis=1)
+            t = engine._kernels._tables(theta, w0 is not None, it.s)[0]
+            # x, w and v at positions 0 .. s - 1, from xi, tau and rho
+            kinds = (0, 0) if w0 is None else (0, 2, 3)
+            x, w, v = it._blocks(t[:it.s, kinds].transpose(1, 0, 2) @ it.rows)
+            v = norm(v, axis=1)
             err("v", it.v_norms(), v, v)
             if w0 is not None:
-                x, w = it._xw(states[:, 0], states)
                 w_ref = norm(w, axis=1)
-                gap, w_norm = it.gap_norms()
+                gap, w_norm = it.gap_norms(np.arange(it.s))
                 err("gap", gap, norm(x - w, axis=1), w_ref)
                 err("w", w_norm, w_ref, w_ref)
     return worst

@@ -41,7 +41,19 @@ def test_abtime_times_a_tree_against_itself():
     assert out[3].split("median per-op ratio ")[1].startswith(f"{q2:.4f} ")
     # one line per label of the ladder, both algorithms
     assert out[5] == "median per-op ratio by label:"
-    assert len(out[6:]) == 24
+    labels = [line.split()[-1] for line in out[6:31]]
+    assert labels == ["(6)"] * 24 + ["algorithm:"]
+
+
+def test_abtime_gives_multistart_ratios_by_algorithm():
+    # after the per-label lines, one line per algorithm over its 12 labels
+    src = str(ROOT / "src")
+    out = tool("tools/abtime.py", src, src, "--workload", "multistart",
+               "--seeds", "1", "--rounds", "1").splitlines()
+    assert out[30] == "median per-op ratio by algorithm:"
+    algorithms = [line.split() for line in out[31:]]
+    assert [a[0] for a in algorithms] == ["expanded", "reduced"]
+    assert all(a[2] == "(72)" and float(a[1]) > 0 for a in algorithms)
 
 
 def test_abtime_groups_cli_small_by_call():

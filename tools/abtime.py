@@ -25,7 +25,9 @@ quartiles of the ratios beside it, their spread) and per label.  The
 labels of cli-small name the call, the factor method and (n, d), which
 gives 120 labels of 3 or 6 ops each; its ops are grouped by call
 instead (``run``, ``run --no-trace``, ``predict`` and ``decompose``), so
-each line shows one call that a change may or may not reach.  Timing on
+each line shows one call that a change may or may not reach.  For
+multistart the per-label lines are followed by the median per-op ratio of
+each algorithm, ``expanded`` and ``reduced``, over all its labels.  Timing on
 one host in one process takes the host's speed out of the comparison,
 which a pair of benchmark runs cannot do.
 
@@ -126,6 +128,23 @@ def cli_call(label: str) -> str:
     return label.rsplit(" ", 3)[0]
 
 
+def algorithm(label: str) -> str:
+    """The algorithm of a multistart op, from its label "PRESET n=N d=D
+    ALGORITHM"."""
+    return label.rsplit(" ", 1)[1]
+
+
+def by_group(groups, ratio, title: str) -> list[str]:
+    """The median per-op ratio of each group, under ``title``."""
+    ratios = {}
+    for group, x in zip(groups, ratio):
+        ratios.setdefault(group, []).append(x)
+    width = max(map(len, ratios))
+    return [f"{title}:"] + [
+        f"  {group:<{width}}  {statistics.median(xs):.4f}  ({len(xs)})"
+        for group, xs in sorted(ratios.items())]
+
+
 def report(labels, best, failed, group: str = "label") -> list[str]:
     """The report on the best times; ``labels`` holds each op's ``group``
     (its label, or its call), by which the ratios are summarised."""
@@ -145,14 +164,7 @@ def report(labels, best, failed, group: str = "label") -> list[str]:
     quartiles = np.percentile(ratio, [25, 50, 75])
     lines.append("per-op ratio quartiles: "
                  + ", ".join(f"{q:.4f}" for q in quartiles))
-    by_label = {}
-    for label, x in zip(labels, ratio):
-        by_label.setdefault(label, []).append(x)
-    width = max(map(len, by_label))
-    lines.append(f"median per-op ratio by {group}:")
-    lines += [f"  {label:<{width}}  {statistics.median(xs):.4f}  ({len(xs)})"
-              for label, xs in sorted(by_label.items())]
-    return lines
+    return lines + by_group(labels, ratio, f"median per-op ratio by {group}")
 
 
 def main(argv=None) -> int:
@@ -178,7 +190,11 @@ def main(argv=None) -> int:
     labels, group = [op.label for op in cycles[0]], "label"
     if args.workload == "cli-small":
         labels, group = list(map(cli_call, labels)), "call"
-    print("\n".join(report(labels, best, failed, group)))
+    lines = report(labels, best, failed, group)
+    if args.workload == "multistart":
+        lines += by_group(map(algorithm, labels), best[1] / best[0],
+                          "median per-op ratio by algorithm")
+    print("\n".join(lines))
     return 0
 
 
