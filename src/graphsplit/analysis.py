@@ -19,7 +19,10 @@ Two identities carry the rest of the module:
   one on H = [C_1 ... C_n] that gives U.  Both orthonormalise the
   images of orthonormal coefficients under Z^+ or Z_top^-1, so the
   squared condition number of that map, fixed by G', bounds the images'
-  and picks how their triangular factor is taken (``_orthonormal_images``).
+  and picks how they are orthonormalised (``_orthonormal_images``): by
+  their norms alone where G' leaves them orthogonal (complete G' in
+  ``build_E``, a star centred on node n in ``closed_form_E``), else
+  through a Cholesky or a Householder triangular factor.
 * Limit formula.  The projection of y onto the reduced fixed-point set is
   alpha (x) u + e with u = P_U(alpha^T y) / ||alpha||^2 and e = P_E(y).
   The reduced iteration started at v0 converges to it at y = v0.  The
@@ -179,6 +182,12 @@ def _block_images(bases: list[np.ndarray], coeffs: np.ndarray) -> np.ndarray:
 
 #: column block of the back-substitution in ``_orthonormal_images``
 _Q_BLOCK = 64
+#: largest cond(A)^2 - 1 at which ``_orthonormal_images`` takes the images
+#: as orthogonal and only scales them: any two then have a cosine of at
+#: most 1e-13 (Wielandt), the Cholesky route's worst measured loss.
+#: build_E's bound on complete G' reads 1 + 6.4e-15 at n = 60 and
+#: 1 + 5.4e-14 at n = 600
+_ORTHOGONAL_MAX_SLACK = 2e-13
 #: largest bound on cond(A)^2 at which ``_orthonormal_images`` takes R from
 #: a Cholesky factor of A^T A, cond(A) <= 45: there Q lost at most 9.5e-14
 #: of orthogonality in the draws measured, against 1.3e-13 at 2^12
@@ -195,52 +204,62 @@ def _gram_cond(z: np.ndarray) -> float:
 
 def _orthonormal_images(images: np.ndarray, cond_sq: float) -> EBasis:
     """E from images of shape (n-1, d, q) with linearly independent
-    columns: the Q factor A R^-1 of their reduced QR, where ``cond_sq``
+    columns: an orthonormal basis Q of their span, where ``cond_sq``
     bounds cond(A)^2.
 
-    R comes from one of two routes, chosen by that bound:
+    Q comes from one of three routes, chosen by that bound:
 
-    * up to ``_CHOLESKY_MAX_COND_SQ``, the upper Cholesky factor of
-      A^T A (CholeskyQR).  It costs about m q^2 flops for the Gram matrix
-      and q^3 / 3 for its factor, where Householder's costs about
-      2 m q^2 - 2 q^3 / 3, and it holds no m x q copy of A.  Q = A R^-1
-      then loses orthogonality as about cond(A)^2 eps (Yamamoto,
+    * up to 1 + ``_ORTHOGONAL_MAX_SLACK``, the columns of A each divided
+      by its norm, with no triangular factor.  For orthogonal unit
+      vectors x and y and a Gram matrix A^T A of condition number c,
+      Wielandt's inequality bounds the cosine of the angle between A x
+      and A y by (c - 1) / (c + 1), so the columns of A are orthogonal to
+      about 1e-13 there, and scaling them costs one pass over A where the
+      others cost about m q^2 flops;
+    * up to ``_CHOLESKY_MAX_COND_SQ``, Q = A R^-1 with R the upper
+      Cholesky factor of A^T A (CholeskyQR).  It costs about m q^2 flops
+      for the Gram matrix and q^3 / 3 for its factor, where Householder's
+      costs about 2 m q^2 - 2 q^3 / 3, and it holds no m x q copy of A.
+      Q then loses orthogonality as about cond(A)^2 eps (Yamamoto,
       Nakatsukasa, Yanagisawa and Fukaya, ETNA 44, 2015): measured, at
       most 0.21 cond(A)^2 eps, so about 1e-13 at the gate's top;
-    * above it, the Householder R of ``np.linalg.qr``, whose Q loses
-      orthogonality as about cond(A) eps.
+    * above it, Q = A R^-1 with the Householder R of ``np.linalg.qr``,
+      whose Q loses orthogonality as about cond(A) eps.
 
     The callers know the bound before they form A, from the graph alone:
     their images are M a with a of orthonormal columns and M the map
     Z^+ (x) I on the zero-sum blocks or Z_top^-1 (x) I, so cond(A)^2 <=
     cond(Z^T Z) or cond(Z_top^T Z_top), (n-1) x (n-1) Gram matrices whose
-    eigenvalues ``_gram_cond`` takes.  The two routes' R differ only in
-    the signs of their rows and in rounding, so E's projector does not
-    depend on the route beyond rounding.
+    eigenvalues ``_gram_cond`` takes.  All three routes span the images,
+    so E's projector does not depend on the route beyond rounding.
 
-    Q is solved from Q R = A by back-substitution over blocks of 64
-    columns [j, k):  Q[:, j:k] = (A[:, j:k] - Q[:, :j] R[:j, j:k])
-    R[j:k, j:k]^-1.  For A of shape m x q that is about m q^2 flops of
-    matrix products and q/64 inverses of 64 x 64 blocks, where A inv(R)
-    costs about 2 q^3 for the general inverse (an LU of R against the
-    identity) and 2 m q^2 for the product.  With q <= 64 there is one
+    The triangular routes solve Q from Q R = A by back-substitution over
+    blocks of 64 columns [j, k):  Q[:, j:k] = (A[:, j:k] - Q[:, :j]
+    R[:j, j:k]) R[j:k, j:k]^-1.  For A of shape m x q that is about m q^2
+    flops of matrix products and q/64 inverses of 64 x 64 blocks, where
+    A inv(R) costs about 2 q^3 for the general inverse (an LU of R against
+    the identity) and 2 m q^2 for the product.  With q <= 64 there is one
     block, and the result is the product A inv(R), bit for bit.
 
-    Q goes into a new array rather than over A: with Q written over A,
-    the benchmark's predict-large workload peaked at 114 MB of RSS
-    against 95 MB with the new array, though the op then holds one array
-    fewer, so the rise comes from how later, larger arrays are placed.
-    Solving for Q also holds two fewer copies of A than numpy's
-    Householder accumulation of Q, with which predict-large peaked at
-    125 MB instead of 99 MB.  Q's array is taken before R is, so that the
-    Gram matrix and the factor's work arrays are freed above it: taken
+    Q goes into a new array rather than over A, on every route: with Q
+    written over A, the benchmark's predict-large workload peaked at
+    114 MB of RSS against 95 MB with the new array, though the op then
+    holds one array fewer, so the rise comes from how later, larger arrays
+    are placed.  Solving for Q also holds two fewer copies of A than
+    numpy's Householder accumulation of Q, with which predict-large peaked
+    at 125 MB instead of 99 MB.  Q's array is taken before R is, so that
+    the Gram matrix and the factor's work arrays are freed above it: taken
     after R, it left a 15 MB hole below it on complete n=60 d=24, and
-    predict-large peaked at 110 MB instead of 95 MB.
+    predict-large peaked at 110 MB instead of 95 MB.  The column norms
+    are summed without an m x q array of squares.
     """
     blocks, d, q = images.shape
     a = images.reshape(blocks * d, q)
     # before R, see above
     out = np.empty_like(a)
+    if cond_sq - 1 <= _ORTHOGONAL_MAX_SLACK:
+        norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+        return EBasis(blocks, d, np.divide(a, norms, out=out))
     if cond_sq <= _CHOLESKY_MAX_COND_SQ:
         r = np.linalg.cholesky(a.T @ a, upper=True)
     else:
@@ -289,7 +308,11 @@ def build_E(sp: SubspaceProblem) -> EBasis:
     needed there either.  On the zero-sum
     blocks Z^+ has the singular values 1 / sqrt(lambda_i), for the nonzero
     eigenvalues lambda_i of Lap(G') = Z Z^T, which are those of Z^T Z; so
-    cond(Z^T Z) bounds the squared condition number of the images.
+    cond(Z^T Z) bounds the squared condition number of the images.  Where
+    every nonzero eigenvalue of Lap(G') is the same, as on complete G'
+    (and on douglas_rachford's one edge), that bound reads 1 up to
+    rounding: the images are orthogonal, and are only scaled to unit norm
+    with no triangular factor.
     """
     comp = [u.perp for u in sp.subspaces]
     a = _block_images(comp, _kernel(np.hstack(comp), _dim_E(sp)))
@@ -330,7 +353,11 @@ def _membership_E(sp: SubspaceProblem) -> EBasis:
     coefficients to images has full column rank, so a reduced QR of the
     images is a basis of E.
     The coefficients are orthonormal, so cond(Z_top^T Z_top) bounds the
-    squared condition number of the images.
+    squared condition number of the images.  Z_top Z_top^T is Lap(G')
+    without its last row and column, the identity for a star centred on
+    node n: on that G', which generalized_ryu and parallel_down take (and
+    on douglas_rachford's one edge), the images are orthogonal and are
+    only scaled to unit norm, with no triangular factor.
     """
     comp = [u.perp for u in sp.subspaces[:-1]]
     h = sp.subspaces[-1].basis.T @ np.hstack(comp)

@@ -216,6 +216,21 @@ class TestOrthonormalImages:
             got = analysis._orthonormal_images(images, ROUTE_BOUNDS[route])
             assert np.array_equal(got.basis, a @ np.linalg.inv(r)), route
 
+    @pytest.mark.parametrize("q", [0, 1, 65, 130])
+    def test_orthogonal_images_are_only_scaled(self, q, rng, r_routes):
+        # a bound of 1 takes no triangular factor: Q is each column over
+        # its norm, in a new array
+        blocks, d = -(-2 * q // 24) or 1, 24
+        left = np.linalg.qr(rng.standard_normal((blocks * d, q)))[0]
+        scales = rng.uniform(0.1, 10.0, q)
+        images = (left * scales).reshape(blocks, d, q)
+        r_routes.clear()
+        e = analysis._orthonormal_images(images, 1.0)
+        assert not np.shares_memory(e.basis, images)
+        assert np.allclose(e.basis, left, rtol=0, atol=1e-15)
+        assert _orthogonality_loss(e.basis) < 1e-14
+        assert r_routes == []
+
     def test_graded_images_lose_no_more_than_inv_r(self, rng):
         # a column space graded from 1 to 1e-6: both ways lose orthogonality
         # as cond(A) eps, each with its own rounding (in 16 random draws
@@ -278,9 +293,38 @@ def r_routes(monkeypatch):
     return calls
 
 
+#: the presets whose bounds on cond(images)^2 read 1 up to rounding, so
+#: that ``_orthonormal_images`` only scales the images: (build_E's,
+#: the membership construction's); complete G' has one nonzero Laplacian
+#: eigenvalue, and Z_top Z_top^T is the identity for a star centred on
+#: node n, the G' of generalized_ryu and parallel_down
+ORTHOGONAL_BOUNDS = {
+    "douglas_rachford": [True, True],
+    "complete": [True, False],
+    "generalized_ryu": [False, True],
+    "parallel_down": [False, True],
+}
+
+
+def reads_one(bound):
+    return bound - 1 <= analysis._ORTHOGONAL_MAX_SLACK
+
+
+def three_node_sequential_problem(second):
+    """Nodes span{e1}, ``second`` and R^2 on the 3-node sequential
+    preset, whose bounds are 3 and 6.85: dim E is 0 for crossing lines
+    and 1 for aligned ones."""
+    ps = preset("sequential", 3)
+    return subspace_problem(ps.pair, ps.dec,
+                            [subspace_from_spanners(2, [E1]),
+                             subspace_from_spanners(2, second),
+                             full_space(2)])
+
+
 class TestERoute:
     """Both E constructions against a null-space oracle, on graphs whose
-    bound on cond(images)^2 lies on either side of the Cholesky gate."""
+    bound on cond(images)^2 reads 1 or lies on either side of the
+    Cholesky gate."""
 
     @staticmethod
     def check_against_oracle(sp, null_space):
@@ -317,6 +361,8 @@ class TestERoute:
         bounds = analysis._gram_cond(z), analysis._gram_cond(z[:-1])
         assert [b <= analysis._CHOLESKY_MAX_COND_SQ for b in bounds] == [
             build_below, membership_below]
+        assert list(map(reads_one, bounds)) == ORTHOGONAL_BOUNDS.get(
+            name, [False, False])
         for planted in (False, True):
             sp = random_problem(name, n, rng, d=3, planted=planted)
             self.check_against_oracle(sp, scipy_linalg.null_space)
@@ -341,18 +387,65 @@ class TestERoute:
                              ids=["crossing", "aligned"])
     def test_dim_e_zero_and_one_through_cholesky(self, second, dim, r_routes,
                                                  scipy_linalg):
-        sp = drs_subspace_problem([E1], second)
+        sp = three_node_sequential_problem(second)
         self.check_against_oracle(sp, scipy_linalg.null_space)
         assert build_E(sp).dim == dim
         assert set(r_routes) == {"cholesky"}
 
+    @pytest.mark.parametrize("second,dim", [([E2], 0), ([E1], 1)],
+                             ids=["crossing", "aligned"])
+    def test_dim_e_zero_and_one_without_a_factor(self, second, dim, r_routes,
+                                                 scipy_linalg):
+        # douglas_rachford's one edge leaves both bounds at exactly 1
+        sp = drs_subspace_problem([E1], second)
+        self.check_against_oracle(sp, scipy_linalg.null_space)
+        assert build_E(sp).dim == dim
+        assert r_routes == []
+
     @pytest.mark.parametrize("name,n,d", PREDICT_LARGE_RUNGS)
     def test_every_predict_large_rung_takes_cholesky(self, name, n, d, rng,
                                                      r_routes):
+        # a Cholesky factor for each bound above 1, none for one that
+        # reads 1: complete rungs take it in the membership construction
+        # only, generalized_ryu and parallel_down in build_E only
         sp = random_problem(name, n, rng, d=d, planted=True)
         build_E(sp)
+        built = r_routes[:]
         closed_form_E(preset(name, n).e_route, sp)
+        expected = [[] if one else ["cholesky"]
+                    for one in ORTHOGONAL_BOUNDS.get(name, [False, False])]
+        assert [built, r_routes[len(built):]] == expected
+
+    @pytest.mark.parametrize("n,edges", [
+        # Lap(K_n - e) has the nonzero eigenvalues n - 2 and n, so
+        # build_E's bound is n / (n - 2)
+        (8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9)
+             if (i, j) != (1, 2)]),
+        # a star centred on node 2: Z_top Z_top^T is not the identity, so
+        # the membership bound is above 1, as build_E's, n, is on any star
+        (7, [(1, 2)] + [(2, j) for j in range(3, 8)]),
+    ], ids=["complete_minus_one_edge", "star_off_node_n"])
+    def test_graphs_beside_the_orthogonal_ones_take_cholesky(
+            self, n, edges, rng, r_routes, scipy_linalg):
+        pair = validate_pair(new_graph(n, edges), new_graph(n, edges))
+        dec = factorize(pair.sub)
+        assert not any(map(reads_one, (analysis._gram_cond(dec.z),
+                                       analysis._gram_cond(dec.z[:-1]))))
+        spanners = [rng.standard_normal((3, int(r)))
+                    for r in rng.integers(1, 3, size=n)]
+        sp = problem_from_spanners(pair, dec, spanners, 3)
+        self.check_against_oracle(sp, scipy_linalg.null_space)
         assert r_routes == ["cholesky", "cholesky"]
+
+    def test_the_oracle_catches_the_orthogonal_route_where_it_fails(
+            self, rng, monkeypatch, scipy_linalg):
+        # admitting every bound scales images that are not orthogonal:
+        # sequential n=6 has bounds 13.9 and 45.5, and its scaled images
+        # are no orthonormal basis
+        monkeypatch.setattr(analysis, "_ORTHOGONAL_MAX_SLACK", np.inf)
+        sp = random_problem("sequential", 6, rng, d=3)
+        with pytest.raises(AssertionError):
+            self.check_against_oracle(sp, scipy_linalg.null_space)
 
     @pytest.mark.parametrize("name,n,routes", [
         ("sequential", 36, ["cholesky", "cholesky"]),

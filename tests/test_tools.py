@@ -23,6 +23,14 @@ def tool(*args, cwd=ROOT) -> str:
                           capture_output=True, text=True).stdout
 
 
+def cycle_share(line: str) -> float:
+    """The last column of a per-label line of tools/abtime.py, the
+    label's share of the old cycle, in percent."""
+    share = line.split()[-1]
+    assert share.endswith("%")
+    return float(share[:-1])
+
+
 def test_abtime_times_a_tree_against_itself():
     src = str(ROOT / "src")
     out = tool("tools/abtime.py", src, src, "--workload", "multistart",
@@ -39,10 +47,15 @@ def test_abtime_times_a_tree_against_itself():
     q1, q2, q3 = map(float, values.split(", "))
     assert 0 < q1 <= q2 <= q3
     assert out[3].split("median per-op ratio ")[1].startswith(f"{q2:.4f} ")
-    # one line per label of the ladder, both algorithms
-    assert out[5] == "median per-op ratio by label:"
-    labels = [line.split()[-1] for line in out[6:31]]
-    assert labels == ["(6)"] * 24 + ["algorithm:"]
+    # one line per label of the ladder, both algorithms, each with its
+    # count of ops and its share of the old tree's cycle
+    assert out[5] == ("median per-op ratio by label "
+                      "(ops, share of the old cycle):")
+    assert out[30].startswith("median per-op ratio by algorithm ")
+    counts = [line.split()[-2] for line in out[6:30]]
+    assert counts == ["(6)"] * 24
+    # each share is rounded to 0.05 points at most
+    assert sum(map(cycle_share, out[6:30])) == pytest.approx(100, abs=1.2)
 
 
 def test_abtime_gives_multistart_ratios_by_algorithm():
@@ -50,10 +63,14 @@ def test_abtime_gives_multistart_ratios_by_algorithm():
     src = str(ROOT / "src")
     out = tool("tools/abtime.py", src, src, "--workload", "multistart",
                "--seeds", "1", "--rounds", "1").splitlines()
-    assert out[30] == "median per-op ratio by algorithm:"
+    assert out[30] == ("median per-op ratio by algorithm "
+                       "(ops, share of the old cycle):")
     algorithms = [line.split() for line in out[31:]]
     assert [a[0] for a in algorithms] == ["expanded", "reduced"]
     assert all(a[2] == "(72)" and float(a[1]) > 0 for a in algorithms)
+    shares = [cycle_share(line) for line in out[31:]]
+    assert all(s > 0 for s in shares)
+    assert sum(shares) == pytest.approx(100, abs=0.1)
 
 
 def test_abtime_groups_cli_small_by_call():
@@ -62,11 +79,13 @@ def test_abtime_groups_cli_small_by_call():
     out = tool("tools/abtime.py", src, src, "--workload", "cli-small",
                "--seeds", "1", "--rounds", "1").splitlines()
     assert "over 960 ops" in out[3]
-    assert out[5] == "median per-op ratio by call:"
-    calls = [line.split()[:-2] for line in out[6:]]
+    assert out[5] == ("median per-op ratio by call "
+                      "(ops, share of the old cycle):")
+    calls = [line.split()[:-3] for line in out[6:]]
     assert calls == [["decompose"], ["predict"], ["run"],
                      ["run", "--no-trace"]]
-    assert all(line.endswith("(240)") for line in out[6:])
+    assert all(line.split()[-2] == "(240)" for line in out[6:])
+    assert sum(map(cycle_share, out[6:])) == pytest.approx(100, abs=0.2)
 
 
 def test_bench_point_writes_the_records(tmp_path):
@@ -133,7 +152,14 @@ def test_outcome_fields_by_output_type():
                                 "v_final", "check"]
     assert list(out[LARGE]) == [f"alg{k}.{name}" for k in (1, 2)
                                 for name in ("u_bar", "e_bar", "v_bar")] + [
-        "dim_E", "dim_U", "projector", "check"]
+        "dim_E", "dim_U", "e.projector", "e_closed.projector", "check"]
+    # E's projector on 4 fixed vectors: P y for each, so P (P y) = P y
+    e = np.eye(6)[:, :2]
+    for name in ("e.projector", "e_closed.projector"):
+        probes = out[LARGE][name]
+        assert probes.shape == (6, 4)
+        assert np.array_equal(e @ (e.T @ probes), probes)
+        assert not probes[2:].any() and probes[:2].all()
 
 
 def test_identical_trees_read_byte_identical(capsys):
@@ -187,11 +213,24 @@ def test_a_rounding_move_reports_its_worst_difference(capsys):
 def test_a_changed_digest_reads_not_identical(capsys):
     old, new = outcomes(), outcomes()
     new[RUN]["trace"] = exactness.digest(b"other trace")
-    new[LARGE]["projector"] = exactness.digest(b"other projector")
+    new[RUN]["stdout"] = exactness.digest(b"other stdout")
     status, lines = compare(old, new, capsys)
     assert status == 0
     assert "run trace: not identical in 1 ops" in lines
-    assert "predict-large projector: not identical in 1 ops" in lines
+    assert "run stdout: not identical in 1 ops" in lines
+
+
+def test_a_rounding_move_of_e_reads_as_a_relative_difference(capsys):
+    # E's projector is compared as numbers, not as a digest
+    old, new = outcomes(), outcomes()
+    new[LARGE]["e_closed.projector"] = old[LARGE]["e_closed.projector"] * (
+        1 + 1e-15)
+    status, lines = compare(old, new, capsys)
+    assert status == 0
+    (line,) = [line for line in lines if line.startswith("predict-large")]
+    head, _, diff = line.partition(": worst relative difference ")
+    assert head == "predict-large e_closed.projector"
+    assert 0 < float(diff) < 2e-15
 
 
 def test_a_field_in_one_tree_only_is_named(capsys):

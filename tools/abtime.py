@@ -21,7 +21,8 @@ from round to round; an op's time is its best over the rounds, on
 timed calls.  The report gives, per tree, the sum of the best times (one
 cycle), their 50th and 90th percentiles and the ops whose check did not
 pass, and the median over ops of the ratio new / old, overall (with the
-quartiles of the ratios beside it, their spread) and per label.  The
+quartiles of the ratios beside it, their spread) and per label, each
+label with its count of ops and its share of the old tree's cycle.  The
 labels of cli-small name the call, the factor method and (n, d), which
 gives 120 labels of 3 or 6 ops each; its ops are grouped by call
 instead (``run``, ``run --no-trace``, ``predict`` and ``decompose``), so
@@ -31,12 +32,19 @@ each algorithm, ``expanded`` and ``reduced``, over all its labels.  Timing on
 one host in one process takes the host's speed out of the comparison,
 which a pair of benchmark runs cannot do.
 
-Read predict-large by the median per-op ratio, with at least 10 rounds:
-about 45% of its cycle is one complete n=60 d=24 op per seed, whose best
-of 5 rounds moves by several percent in a noisy spell, and that moves the
-cycle sum and the 90th percentile with it.  A bound near 1% on that ratio
-needs 20 or more rounds: at 10, two runs of the same two trees read
-1.0014 and 1.0074.
+Each ratio foretells its own benchmark metric.  The benchmark's
+``ops_per_s`` follows the cycle ratio, since a run repeats the cycle;
+``op_ms_p50`` and ``op_ms_p90`` follow the p50 and p90 ratios; and the
+median per-op ratio, which weighs every op alike, follows none of them
+where the ops differ widely in time.  A label's share of the old cycle
+is how much of ``ops_per_s`` it can move: on predict-large one complete
+n=60 d=24 op per seed is about 45% of the cycle, so a change that
+reaches only that op moves ``ops_per_s`` and the cycle ratio far more
+than the median per-op ratio.  That op's best of 5 rounds moves by
+several percent in a noisy spell, and the cycle sum and the 90th
+percentile with it, so read predict-large with at least 10 rounds.  A
+bound near 1% on the median per-op ratio needs 20 or more rounds: at
+10, two runs of the same two trees read 1.0014 and 1.0074.
 
 As the benchmark runs, numpy gets one BLAS thread.
 """
@@ -48,7 +56,6 @@ import contextlib
 import importlib
 import os
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -134,15 +141,19 @@ def algorithm(label: str) -> str:
     return label.rsplit(" ", 1)[1]
 
 
-def by_group(groups, ratio, title: str) -> list[str]:
-    """The median per-op ratio of each group, under ``title``."""
-    ratios = {}
-    for group, x in zip(groups, ratio):
-        ratios.setdefault(group, []).append(x)
-    width = max(map(len, ratios))
-    return [f"{title}:"] + [
-        f"  {group:<{width}}  {statistics.median(xs):.4f}  ({len(xs)})"
-        for group, xs in sorted(ratios.items())]
+def by_group(groups, best, title: str) -> list[str]:
+    """Per group, under ``title``: the median per-op ratio new / old of
+    the best times ``best`` (one row per tree), the count of ops and
+    their share of the old tree's cycle."""
+    members = {}
+    for i, group in enumerate(groups):
+        members.setdefault(group, []).append(i)
+    width = max(map(len, members))
+    cycle = best[0].sum()
+    return [f"{title} (ops, share of the old cycle):"] + [
+        f"  {group:<{width}}  {np.median(best[1, i] / best[0, i]):.4f}"
+        f"  ({len(i)})  {best[0, i].sum() / cycle:6.1%}"
+        for group, i in sorted(members.items())]
 
 
 def report(labels, best, failed, group: str = "label") -> list[str]:
@@ -164,7 +175,7 @@ def report(labels, best, failed, group: str = "label") -> list[str]:
     quartiles = np.percentile(ratio, [25, 50, 75])
     lines.append("per-op ratio quartiles: "
                  + ", ".join(f"{q:.4f}" for q in quartiles))
-    return lines + by_group(labels, ratio, f"median per-op ratio by {group}")
+    return lines + by_group(labels, ms, f"median per-op ratio by {group}")
 
 
 def main(argv=None) -> int:
@@ -192,7 +203,7 @@ def main(argv=None) -> int:
         labels, group = list(map(cli_call, labels)), "call"
     lines = report(labels, best, failed, group)
     if args.workload == "multistart":
-        lines += by_group(map(algorithm, labels), best[1] / best[0],
+        lines += by_group(map(algorithm, labels), best,
                           "median per-op ratio by algorithm")
     print("\n".join(lines))
     return 0

@@ -73,6 +73,8 @@ CORPORA = (("cli-small", (1, 77)), (VERIFY, (1, 77)),
 #: what a residual map caches from one run for the next: one record per
 #: theta, or in older trees the two tables it replaced
 CACHES = ("thetas", "powers", "counts")
+#: how many fixed vectors each predict-large E projector is applied to
+PROBES = 4
 
 
 def cold_rerun(gs, op):
@@ -151,7 +153,10 @@ def outcome(result, trace: bytes) -> dict:
       report on stdout;
     - predict-large's ``(sp, e, e_closed, pred1, pred2)``: the six
       predicted arrays (``alg1.u_bar`` to ``alg2.v_bar``), ``dim_E``,
-      ``dim_U`` and ``projector``, the digest of E's projector;
+      ``dim_U``, and ``e.projector`` and ``e_closed.projector``, each E
+      basis's projector applied to ``PROBES`` fixed random vectors (see
+      :func:`projected`), so that a rounding move of E reads as a
+      relative difference;
     - a ``Trace``: ``converged``, ``stop_reason``, ``iterations`` and
       ``v_final``."""
     if isinstance(result, tuple) and len(result) == 2:
@@ -163,14 +168,24 @@ def outcome(result, trace: bytes) -> dict:
             return dict(fields, stdout=stdout)
         return flatten(doc, "", dict(fields, stdout=digest(stdout.encode())))
     if isinstance(result, tuple):
-        sp, e, _, pred1, pred2 = result
+        sp, e, e_closed, pred1, pred2 = result
         fields = {f"{alg}.{name}": getattr(pred, name)
                   for alg, pred in (("alg1", pred1), ("alg2", pred2))
                   for name in ("u_bar", "e_bar", "v_bar")}
         return dict(fields, dim_E=e.dim, dim_U=sp.u_common.dim,
-                    projector=digest((e.basis @ e.basis.T).tobytes()))
+                    **{f"{name}.projector": projected(basis)
+                       for name, basis in (("e", e), ("e_closed", e_closed))})
     return {"converged": result.converged, "stop_reason": result.stop_reason,
             "iterations": result.k_final, "v_final": result.v}
+
+
+def projected(e) -> np.ndarray:
+    """E's projector Q Q^T applied to ``PROBES`` standard normal vectors
+    drawn from a fixed seed, one per column: a small float array that
+    the one numeric rule compares, where the m x m projector itself would
+    be as large as the op's own arrays."""
+    y = np.random.default_rng(0).standard_normal((e.basis.shape[0], PROBES))
+    return e.basis @ (e.basis.T @ y)
 
 
 def orthogonality_loss(e) -> float:
